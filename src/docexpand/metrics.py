@@ -44,19 +44,28 @@ def _clipped_match(reference: Counter, prediction: Counter) -> int:
     return sum(min(count, prediction[token]) for token, count in reference.items())
 
 
-def record_precision(reference: Counter, prediction: Counter) -> float:
-    predicted = sum(prediction.values())
+def count_precision(match: int, predicted: int, reference_total: int) -> float:
+    """Clipped precision from counts; an empty prediction scores 1 only on an empty reference."""
     if predicted == 0:
-        return 1.0 if sum(reference.values()) == 0 else 0.0
-    return _clipped_match(reference, prediction) / predicted
+        return 1.0 if reference_total == 0 else 0.0
+    return match / predicted
+
+
+def count_recall(match: int, reference_total: int):
+    """Clipped recall from counts, or None when the reference is empty."""
+    if reference_total == 0:
+        return None
+    return match / reference_total
+
+
+def record_precision(reference: Counter, prediction: Counter) -> float:
+    return count_precision(_clipped_match(reference, prediction), sum(prediction.values()),
+                           sum(reference.values()))
 
 
 def record_recall(reference: Counter, prediction: Counter):
     """Clipped recall, or None when the reference is empty."""
-    total = sum(reference.values())
-    if total == 0:
-        return None
-    return _clipped_match(reference, prediction) / total
+    return count_recall(_clipped_match(reference, prediction), sum(reference.values()))
 
 
 def f1(precision: float, recall: float) -> float:
@@ -100,21 +109,22 @@ class NoveltyStats:
 
 def novelty_stats(records, product_tokens: dict) -> NoveltyStats:
     """Average predicted-token counts and the novel fraction among them."""
-    totals, novels = [], []
+    sum_total = sum_novel = 0
     for record in records:
         unique = frozenset(product_tokens[record.product_id])
-        total = sum(record.prediction.values())
-        novel = sum(c for t, c in record.prediction.items() if t not in unique)
-        totals.append(total)
-        novels.append(novel)
-    n = len(records)
-    sum_total = sum(totals)
-    if n == 0 or sum_total == 0:
+        sum_total += sum(record.prediction.values())
+        sum_novel += sum(c for t, c in record.prediction.items() if t not in unique)
+    return novelty_from_counts(len(records), sum_total, sum_novel)
+
+
+def novelty_from_counts(n_records: int, sum_total: int, sum_novel: int) -> NoveltyStats:
+    """Novelty stats from corpus totals of predicted and novel predicted tokens."""
+    if n_records == 0 or sum_total == 0:
         return NoveltyStats(0.0, 0.0, 0.0, defined=False)
     return NoveltyStats(
-        mean_total=sum_total / n,
-        mean_novel=sum(novels) / n,
-        novel_pct=sum(novels) / sum_total,
+        mean_total=sum_total / n_records,
+        mean_novel=sum_novel / n_records,
+        novel_pct=sum_novel / sum_total,
         defined=True,
     )
 
@@ -207,9 +217,6 @@ def evaluate_records(records, product_tokens: dict, bootstrap: BootstrapConfig =
             per_metric["nrouge_recall"].append(nr)
             per_metric["nrouge_f1"].append(f1(np_, nr))
 
-    def mean(values):
-        return sum(values) / len(values) if values else 0.0
-
     novelty = novelty_stats(records, product_tokens)
     ci = {}
     if bootstrap is not None:
@@ -219,19 +226,26 @@ def evaluate_records(records, product_tokens: dict, bootstrap: BootstrapConfig =
                 ci[name] = bootstrap_ci(
                     values, bootstrap.resamples, bootstrap.level, seed=[bootstrap.seed, i]
                 )
+    return report_from_values(per_metric, novelty, len(records), ci)
+
+
+def report_from_values(per_metric: dict, novelty: NoveltyStats, n_products: int,
+                       ci: dict = None) -> MetricsReport:
+    """Corpus report from per-record metric values, each list in record order.
+
+    Recall and F1 lists hold only the records whose reference is non-empty.
+    """
+    def mean(values):
+        return sum(values) / len(values) if values else 0.0
+
     return MetricsReport(
-        rouge_precision=mean(per_metric["rouge_precision"]),
-        rouge_recall=mean(per_metric["rouge_recall"]),
-        rouge_f1=mean(per_metric["rouge_f1"]),
-        nrouge_precision=mean(per_metric["nrouge_precision"]),
-        nrouge_recall=mean(per_metric["nrouge_recall"]),
-        nrouge_f1=mean(per_metric["nrouge_f1"]),
+        **{name: mean(per_metric[name]) for name in _METRIC_NAMES},
         total_tokens=novelty.mean_total,
         novel_tokens=novelty.mean_novel,
         novel_pct=novelty.novel_pct,
         novelty_defined=novelty.defined,
-        n_products=len(records),
-        recall_excluded=len(records) - len(per_metric["rouge_recall"]),
-        novel_recall_excluded=len(records) - len(per_metric["nrouge_recall"]),
-        ci=ci,
+        n_products=n_products,
+        recall_excluded=n_products - len(per_metric["rouge_recall"]),
+        novel_recall_excluded=n_products - len(per_metric["nrouge_recall"]),
+        ci=ci or {},
     )

@@ -7,7 +7,9 @@ produced by any external model. Both emit confidence-scored tokens in
 """
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .corpus import Product, analyze, product_token_set
 from .errors import InputError
@@ -32,11 +34,37 @@ class TokenPredictor:
 
 @dataclass
 class CooccurrenceModel:
-    """Conditional counts from product context tokens to target tokens."""
+    """Conditional counts from product context tokens to target tokens.
+
+    ``counts`` keeps its insertion order, which is what ``save_model``
+    writes. Construction also lays the counts out as CSR rows over the
+    sorted vocabulary (one row per context token, column = target index),
+    which is what ``predict_cooccurrence`` reads; every target must be in
+    the vocabulary. The model is not meant to be mutated afterwards.
+    """
 
     counts: dict          # context token -> {target token: count}
     marginals: dict       # context token -> sum of its target counts
     vocabulary: tuple     # sorted target tokens
+    _columns: tuple = field(init=False, repr=False, compare=False)    # column -> token
+    _column_of: dict = field(init=False, repr=False, compare=False)   # token -> column
+    _row_of: dict = field(init=False, repr=False, compare=False)      # context -> row
+    _indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    _indices: np.ndarray = field(init=False, repr=False, compare=False)
+    _data: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._columns = tuple(sorted(set(self.vocabulary)))
+        self._column_of = {token: i for i, token in enumerate(self._columns)}
+        self._row_of = {context: i for i, context in enumerate(self.counts)}
+        indptr, indices, data = [0], [], []
+        for targets in self.counts.values():
+            indices.extend(self._column_of[token] for token in targets)
+            data.extend(targets.values())
+            indptr.append(len(indices))
+        self._indptr = np.array(indptr, dtype=np.int64)
+        self._indices = np.array(indices, dtype=np.int64)
+        self._data = np.array(data, dtype=np.float64)
 
     @classmethod
     def empty(cls) -> "CooccurrenceModel":
@@ -82,19 +110,30 @@ def predict_cooccurrence(model: CooccurrenceModel, product: Product, n: int) -> 
         raise ValueError("n must be >= 1")
     context = product_token_set(product).unique
     denominator = sum(model.marginals.get(c, 0) for c in context)
-    if denominator == 0:
+    rows = [model._row_of[c] for c in context if c in model._row_of]
+    if denominator == 0 or not rows:
         return []
-    pooled = Counter()
-    for c in context:
-        for token, count in model.counts.get(c, {}).items():
-            pooled[token] += count
-    candidates = [
-        ScoredToken(token=token, score=min(1.0, count / denominator))
-        for token, count in pooled.items()
-        if token not in context
-    ]
-    candidates.sort(key=lambda st: (-st.score, st.token))
-    return candidates[:n]
+    indptr = model._indptr
+    spans = [slice(indptr[r], indptr[r + 1]) for r in rows]
+    columns = np.concatenate([model._indices[s] for s in spans])
+    width = len(model._columns)
+    # integer counts below 2**53 keep the float64 sums and the division exact
+    pooled = np.bincount(columns, weights=np.concatenate([model._data[s] for s in spans]),
+                         minlength=width)
+    # every touched column is a candidate, explicit zero counts included
+    touched = np.zeros(width, dtype=bool)
+    touched[columns] = True
+    touched[[model._column_of[c] for c in context if c in model._column_of]] = False
+    candidates = np.flatnonzero(touched)
+    scores = np.minimum(1.0, pooled[candidates] / denominator)
+    if len(scores) > n:
+        nth_best = np.partition(scores, len(scores) - n)[len(scores) - n]
+        survivors = scores >= nth_best
+        candidates, scores = candidates[survivors], scores[survivors]
+    # columns follow the sorted vocabulary, so column order is token order
+    order = np.lexsort((candidates, -scores))[:n]
+    return [ScoredToken(token=model._columns[c], score=score)
+            for c, score in zip(candidates[order].tolist(), scores[order].tolist())]
 
 
 class CooccurrencePredictor(TokenPredictor):
@@ -114,15 +153,29 @@ def save_model(model: CooccurrenceModel, path) -> None:
     })
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def load_model(path) -> CooccurrenceModel:
+    """Load a saved model, raising InputError when the file breaks the schema."""
     data = load_json(path)
-    if data.get("format") != MODEL_FORMAT:
+    if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
         raise InputError(f"{path}: not a {MODEL_FORMAT} file")
-    return CooccurrenceModel(
-        counts={c: {t: int(v) for t, v in targets.items()} for c, targets in data["counts"].items()},
-        marginals={c: int(v) for c, v in data["marginals"].items()},
-        vocabulary=tuple(data["vocabulary"]),
-    )
+    counts, marginals, vocabulary = (data.get(k) for k in ("counts", "marginals", "vocabulary"))
+    if not isinstance(counts, dict) or not all(isinstance(t, dict) for t in counts.values()):
+        raise InputError(f"{path}: 'counts' must map context tokens to {{target: count}} objects")
+    if not isinstance(marginals, dict):
+        raise InputError(f"{path}: 'marginals' must map context tokens to counts")
+    if not isinstance(vocabulary, list) or not all(isinstance(t, str) for t in vocabulary):
+        raise InputError(f"{path}: 'vocabulary' must be a list of tokens")
+    values = [v for targets in counts.values() for v in targets.values()]
+    if not all(_is_count(v) for v in values + list(marginals.values())):
+        raise InputError(f"{path}: counts and marginals must be non-negative integers")
+    unknown = {t for targets in counts.values() for t in targets}.difference(vocabulary)
+    if unknown:
+        raise InputError(f"{path}: target {min(unknown)!r} is not in the vocabulary")
+    return CooccurrenceModel(counts=counts, marginals=marginals, vocabulary=tuple(vocabulary))
 
 
 class ExternalPredictor(TokenPredictor):

@@ -103,20 +103,24 @@ def _step1c(word: str) -> str:
     return word
 
 
-# Longest matching suffix is claimed first; if its measure condition fails
-# the step does nothing (no fallback to a shorter suffix).
-_STEP2 = (
-    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"), ("anci", "ance"),
-    ("izer", "ize"), ("abli", "able"), ("alli", "al"), ("entli", "ent"),
-    ("eli", "e"), ("ousli", "ous"), ("ization", "ize"), ("ation", "ate"),
-    ("ator", "ate"), ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
-    ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"), ("biliti", "ble"),
-)
+# Suffix -> replacement. Longest matching suffix is claimed first; if its
+# measure condition fails the step does nothing (no fallback to a shorter
+# suffix).
+_STEP2 = {
+    "ational": "ate", "tional": "tion", "enci": "ence", "anci": "ance",
+    "izer": "ize", "abli": "able", "alli": "al", "entli": "ent",
+    "eli": "e", "ousli": "ous", "ization": "ize", "ation": "ate",
+    "ator": "ate", "alism": "al", "iveness": "ive", "fulness": "ful",
+    "ousness": "ous", "aliti": "al", "iviti": "ive", "biliti": "ble",
+}
 
-_STEP3 = (
-    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
-    ("ical", "ic"), ("ful", ""), ("ness", ""),
-)
+_STEP3 = {
+    "icate": "ic", "ative": "", "alize": "al", "iciti": "ic",
+    "ical": "ic", "ful": "", "ness": "",
+}
+
+_STEP2_SUFFIXES = tuple(_STEP2)
+_STEP3_SUFFIXES = tuple(_STEP3)
 
 _STEP4 = (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
@@ -133,22 +137,22 @@ def _longest_match(word: str, suffixes) -> str:
 
 
 def _step2(word: str) -> str:
-    sfx = _longest_match(word, [s for s, _ in _STEP2])
+    sfx = _longest_match(word, _STEP2_SUFFIXES)
     if not sfx:
         return word
     stem = word[: -len(sfx)]
     if _measure(stem) > 0:
-        return stem + dict(_STEP2)[sfx]
+        return stem + _STEP2[sfx]
     return word
 
 
 def _step3(word: str) -> str:
-    sfx = _longest_match(word, [s for s, _ in _STEP3])
+    sfx = _longest_match(word, _STEP3_SUFFIXES)
     if not sfx:
         return word
     stem = word[: -len(sfx)]
     if _measure(stem) > 0:
-        return stem + dict(_STEP3)[sfx]
+        return stem + _STEP3[sfx]
     return word
 
 

@@ -1,8 +1,18 @@
-"""Brute-force counting oracles for the metric engine.
+"""Brute-force oracles for the metric engine and the fast kernels.
 
-Everything here works on plain token lists with naive loops and
+The metric oracles work on plain token lists with naive loops and
 list.count, independently of the package's Counter-based implementation.
+The kernel references at the end are the package's earlier, direct
+implementations of co-occurrence prediction and the cutoff sweeps, kept
+here to prove the faster kernels equal to them.
 """
+
+from collections import Counter
+
+from docexpand.corpus import product_token_set
+from docexpand.cutoff import BudgetMatchResult, CutoffSweepResult, SweepRow, candidate_cutoffs
+from docexpand.metrics import evaluate_records, make_eval_record
+from docexpand.predictor import ScoredToken, apply_cutoff
 
 
 def clipped_match(reference, prediction):
@@ -82,3 +92,75 @@ def novelty_of(cases):
         return 0.0, 0.0, 0.0
     n = len(cases)
     return sum(totals) / n, sum(novels) / n, sum(novels) / sum(totals)
+
+
+def predict_cooccurrence(model, product, n):
+    """Reference predictor: pool every candidate in a Counter, sort all, keep n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    context = product_token_set(product).unique
+    denominator = sum(model.marginals.get(c, 0) for c in context)
+    if denominator == 0:
+        return []
+    pooled = Counter()
+    for c in context:
+        for token, count in model.counts.get(c, {}).items():
+            pooled[token] += count
+    candidates = [
+        ScoredToken(token=token, score=min(1.0, count / denominator))
+        for token, count in pooled.items()
+        if token not in context
+    ]
+    candidates.sort(key=lambda st: (-st.score, st.token))
+    return candidates[:n]
+
+
+def _records_at_cutoff(records, product_tokens, cutoff):
+    return [
+        make_eval_record(
+            record.product_id,
+            record.reference,
+            product_tokens[record.product_id],
+            [p.token for p in apply_cutoff(record.predictions, cutoff)],
+        )
+        for record in records
+    ]
+
+
+def tune_cutoff(records, product_tokens, grid="observed"):
+    """Reference tuner: a full evaluate_records at every candidate cutoff."""
+    if not any(record.predictions for record in records):
+        raise ValueError("no predictions to tune over")
+    rows = []
+    for cutoff in candidate_cutoffs(records, grid):
+        report = evaluate_records(_records_at_cutoff(records, product_tokens, cutoff),
+                                  product_tokens)
+        rows.append(SweepRow(cutoff=cutoff, report=report))
+    chosen = rows[0].cutoff
+    best = rows[0].report.nrouge_f1
+    for row in rows[1:]:
+        if row.report.nrouge_f1 >= best:
+            best = row.report.nrouge_f1
+            chosen = row.cutoff
+    return CutoffSweepResult(rows=rows, chosen=chosen)
+
+
+def budget_match_cutoff(records, product_tokens, target, grid="observed"):
+    """Reference budget match: count retained novel tokens at every candidate."""
+    if target <= 0:
+        raise ValueError("target must be > 0")
+    candidates = candidate_cutoffs(records, grid)
+    means = []
+    for cutoff in candidates:
+        total_novel = 0
+        for record in records:
+            unique = frozenset(product_tokens[record.product_id])
+            retained = apply_cutoff(record.predictions, cutoff)
+            total_novel += sum(1 for p in retained if p.token not in unique)
+        means.append(total_novel / len(records) if records else 0.0)
+    if means and means[0] < target:
+        return BudgetMatchResult(cutoff=candidates[0], mean_novel=means[0], target_reachable=False)
+    for cutoff, mean_novel in zip(candidates, means):
+        if mean_novel <= target:
+            return BudgetMatchResult(cutoff=cutoff, mean_novel=mean_novel, target_reachable=True)
+    raise AssertionError("a cutoff above all scores always retains zero tokens")

@@ -65,6 +65,21 @@ class TestExitCodes:
                    "--engagement", tmp_path / "engagement.jsonl", "--out", tmp_path / "out")
         assert code == 3
 
+    @pytest.mark.parametrize("model, message", [
+        ({"marginals": {"swim": 2}, "vocabulary": ["kid"]}, "'counts'"),
+        ({"counts": {"swim": {"kid": 2, "ghost": 1}}, "marginals": {"swim": 3},
+          "vocabulary": ["kid"]}, "'ghost' is not in the vocabulary"),
+        ({"counts": {"swim": {"kid": -2}}, "marginals": {"swim": 2},
+          "vocabulary": ["kid"]}, "non-negative integers"),
+    ])
+    def test_malformed_model_is_3(self, data_dir, capsys, model, message):
+        path = data_dir / "model.json"
+        path.write_text(json.dumps({"format": "cooccurrence-model/1", **model}), encoding="utf-8")
+        code = run("predict", "--model", f"cooccurrence:{path}",
+                   "--products", data_dir / "products.jsonl", "--out", data_dir / "pred.jsonl")
+        assert code == 3
+        assert message in capsys.readouterr().err
+
 
 class TestIngest:
     def test_artifacts_and_stats(self, data_dir):

@@ -1,0 +1,171 @@
+"""The fast kernels against the reference implementations in oracles.py.
+
+Every comparison is exact (==): the kernels promise bit-for-bit the
+lists, reports and floats of the references they replaced.
+"""
+
+import itertools
+import random
+
+from docexpand.corpus import Product
+from docexpand.cutoff import ScoredRecord, budget_match_cutoff, tune_cutoff
+from docexpand.predictor import (
+    CooccurrenceModel,
+    ScoredToken,
+    load_model,
+    predict_cooccurrence,
+    save_model,
+)
+
+import oracles
+
+# two-letter tokens pass through the analyzer unchanged
+TOKENS = ["".join(pair) for pair in itertools.product("abcdefgh", repeat=2)]
+
+
+def random_model(rng):
+    """Small integer counts (frequent ties), explicit zeros, unsorted vocabulary."""
+    contexts = rng.sample(TOKENS, rng.randint(1, 20))
+    counts = {}
+    for context in contexts:
+        targets = rng.sample(TOKENS, rng.randint(0, 15))
+        counts[context] = {t: rng.choice([0, 0, 1, 1, 2, 3, 5, 40]) for t in targets}
+    marginals = {c: sum(t.values()) + rng.choice([0, 0, 1, 7]) for c, t in counts.items()}
+    for context in rng.sample(TOKENS, 3):     # marginals without a counts row
+        marginals.setdefault(context, rng.randint(0, 4))
+    vocabulary = sorted({t for targets in counts.values() for t in targets})
+    vocabulary += rng.sample(TOKENS, 2)        # targets that never occur
+    rng.shuffle(vocabulary)
+    return CooccurrenceModel(counts=counts, marginals=marginals, vocabulary=tuple(vocabulary))
+
+
+def random_product(rng, i):
+    return Product(id=f"p{i}", title=" ".join(rng.choices(TOKENS, k=rng.randint(1, 8))))
+
+
+def test_predict_matches_reference_on_random_models():
+    rng = random.Random(2024)
+    compared = boundary_ties = 0
+    for _ in range(150):
+        model = random_model(rng)
+        for i in range(10):
+            product = random_product(rng, i)
+            everything = oracles.predict_cooccurrence(model, product, 500)  # n > candidates
+            for n in (1, 2, 3, 10, 500):
+                expected = oracles.predict_cooccurrence(model, product, n)
+                assert predict_cooccurrence(model, product, n) == expected
+                compared += bool(expected)
+                boundary_ties += n < len(everything) and everything[n - 1].score == everything[n].score
+    assert compared > 1000 and boundary_ties > 100
+
+
+def test_predict_scores_are_python_floats():
+    model = CooccurrenceModel(counts={"aa": {"bb": 1, "cc": 2}}, marginals={"aa": 3},
+                              vocabulary=("cc", "bb"))
+    scored = predict_cooccurrence(model, Product(id="p", title="aa"), 10)
+    assert scored == [ScoredToken("cc", 2 / 3), ScoredToken("bb", 1 / 3)]
+    assert all(type(st.score) is float and type(st.token) is str for st in scored)
+
+
+def test_predict_keeps_zero_count_candidates():
+    model = CooccurrenceModel(counts={"aa": {"bb": 0, "cc": 0, "dd": 1}}, marginals={"aa": 1},
+                              vocabulary=("bb", "cc", "dd"))
+    product = Product(id="p", title="aa")
+    assert predict_cooccurrence(model, product, 10) == [
+        ScoredToken("dd", 1.0), ScoredToken("bb", 0.0), ScoredToken("cc", 0.0)
+    ]
+    assert predict_cooccurrence(model, product, 10) == oracles.predict_cooccurrence(
+        model, product, 10)
+
+
+def test_predict_after_roundtrip_with_unsorted_vocabulary(tmp_path):
+    rng = random.Random(7)
+    for trial in range(20):
+        model = random_model(rng)
+        path = tmp_path / f"model{trial}.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        for i in range(10):
+            product = random_product(rng, i)
+            assert predict_cooccurrence(loaded, product, 5) == oracles.predict_cooccurrence(
+                model, product, 5)
+
+
+def random_records(rng):
+    """Records with duplicate predicted tokens, empty and novel references."""
+    vocab = TOKENS[:12]
+    records, token_sets = [], {}
+    for i in range(rng.randint(1, 12)):
+        pid = f"p{i}"
+        token_sets[pid] = frozenset(rng.sample(vocab, rng.randint(0, 4)))
+        reference = rng.choices(vocab, k=rng.choice([0, 0, 1, 3, 6]))
+        predictions = []
+        for _ in range(rng.randint(0, 7)):
+            score = rng.choice([0.0, 1.0, 0.25, 0.5, round(rng.random(), 3), rng.random()])
+            token = rng.choice(predictions).token if predictions and rng.random() < 0.2 \
+                else rng.choice(vocab)
+            predictions.append(ScoredToken(token, score))
+        records.append(ScoredRecord(product_id=pid, reference=tuple(reference),
+                                    predictions=tuple(predictions)))
+    return records, token_sets
+
+
+def outcome(budget_match, records, token_sets, target, grid):
+    """The result, or the error type when no candidate meets the target.
+
+    A step grid can top out below the highest score (step:0.3 ends at
+    0.9), and then no cutoff may retain few enough tokens.
+    """
+    try:
+        return budget_match(records, token_sets, target, grid=grid)
+    except AssertionError as exc:
+        return type(exc)
+
+
+def test_sweep_matches_reference_on_random_records():
+    rng = random.Random(31337)
+    compared = 0
+    for _ in range(150):
+        records, token_sets = random_records(rng)
+        if not any(r.predictions for r in records):
+            continue
+        for grid in ("observed", "step:0.1", "step:0.25", "step:0.3"):
+            result = tune_cutoff(records, token_sets, grid=grid)
+            expected = oracles.tune_cutoff(records, token_sets, grid=grid)
+            assert [row.cutoff for row in result.rows] == [row.cutoff for row in expected.rows]
+            assert [row.report.as_dict() for row in result.rows] == [
+                row.report.as_dict() for row in expected.rows
+            ]
+            assert result.chosen == expected.chosen
+            means = sorted({row.report.novel_tokens for row in expected.rows} - {0.0})
+            for target in means + [0.5, 1.0, 3.0, 1000.0]:
+                assert outcome(budget_match_cutoff, records, token_sets, target, grid) == \
+                    outcome(oracles.budget_match_cutoff, records, token_sets, target, grid)
+            compared += 1
+    assert compared > 500
+
+
+def test_sweep_matches_reference_on_a_large_record_set():
+    # hundreds of per-record values make any change of summation order or
+    # precision (running totals, numpy sums) show in the last bits
+    rng = random.Random(5)
+    vocab = TOKENS[:30]
+    records, token_sets = [], {}
+    for i in range(400):
+        pid = f"p{i}"
+        token_sets[pid] = frozenset(rng.sample(vocab, 3))
+        reference = rng.choices(vocab, k=rng.randint(0, 9))
+        predictions = tuple(ScoredToken(t, round(rng.random(), 2))
+                            for t in rng.choices(vocab, k=rng.randint(0, 10)))
+        records.append(ScoredRecord(product_id=pid, reference=tuple(reference),
+                                    predictions=predictions))
+    result = tune_cutoff(records, token_sets)
+    expected = oracles.tune_cutoff(records, token_sets)
+    assert [(row.cutoff, row.report.as_dict()) for row in result.rows] == [
+        (row.cutoff, row.report.as_dict()) for row in expected.rows
+    ]
+    assert result.chosen == expected.chosen
+
+
+def test_budget_match_on_no_records():
+    assert budget_match_cutoff([], {}, 2.0) == oracles.budget_match_cutoff([], {}, 2.0)
