@@ -48,14 +48,10 @@ from .metrics import (
     f1,
     make_eval_record,
     novelty_stats,
-    nrouge,
-    rouge_unigram,
 )
 from .predictor import (
     CooccurrenceModel,
-    CooccurrencePredictor,
     ScoredToken,
-    TokenPredictor,
     apply_cutoff,
     load_external_predictions,
     predict_cooccurrence,

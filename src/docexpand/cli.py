@@ -1,13 +1,16 @@
 """Single entry point wiring the expansion pipeline end to end.
 
 Every subcommand resolves its options from defaults, an optional flat
-key=value config file, and command-line flags (flags win), then records
-the fully resolved configuration next to whatever it writes: directory
-outputs get a ``run_config.json``, file outputs get a ``.meta.json``
-sidecar, and report files additionally embed the config inline. All
-randomness flows from explicit seeds, so reruns are byte-identical.
+key=value config file, and command-line flags (flags win). Its handler
+writes the stage's artifacts and returns a summary; ``main`` prints the
+summary and then records the fully resolved configuration next to the
+output: directory outputs get a ``run_config.json``, file outputs get a
+``.meta.json`` sidecar, and report files additionally embed the config
+inline. All randomness flows from explicit seeds, so reruns are
+byte-identical.
 
-Exit codes: 0 success, 2 config error, 3 input error, 4 internal error.
+Exit codes: 0 success, 2 config error, 3 input error, 4 internal error
+(a bug: every bad option or input is meant to exit 2 or 3).
 """
 
 import argparse
@@ -26,14 +29,14 @@ from .corpus import (
     split_by_product,
 )
 from .cutoff import ScoredRecord, budget_match_cutoff, candidate_cutoffs, tune_cutoff
-from .errors import ConfigError, InputError, ToolkitError
+from .errors import ConfigError, InputError
 from .filters import ExternalScorer, JaccardScorer, NovelPair, PipelineConfig, run_pipeline
 from .metrics import BootstrapConfig, evaluate_records, make_eval_record
 from .predictor import (
-    CooccurrencePredictor,
     apply_cutoff,
     load_external_predictions,
     load_model,
+    predict_cooccurrence,
     save_model,
     train_cooccurrence,
     write_predictions,
@@ -64,60 +67,77 @@ log = logging.getLogger(__name__)
 class Opt:
     name: str
     flag: str
-    kind: str = "str"          # str | int | float | path | choice
+    kind: str = "str"          # str | int | float | path | choice | outdir | outfile
     default: object = None
     required: bool = False
     choices: tuple = ()
     help: str = ""
+    check: object = None       # callable raising ValueError on a bad value
 
+
+def _within(interval: str):
+    """Range check for a numeric option: ``interval`` reads like "[0, 1]" or "(0, inf)"."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+
+    def check(value):
+        above = low < value if interval[0] == "(" else low <= value
+        below = value < high if interval[-1] == ")" else value <= high
+        if not (above and below):
+            raise ValueError(f"{value} is outside {interval}")
+    return check
+
+
+_POSITIVE = _within("[1, inf)")
+_NON_NEGATIVE = _within("[0, inf)")
 
 _COMMON = (
     Opt("config", "--config", "path", help="flat key=value config file; flags override it"),
-    Opt("threads", "--threads", "int", default=1, help="global cap on internal parallelism"),
 )
 
 SPECS = {
     "ingest": (
         Opt("products", "--products", "path", required=True, help="product JSONL file"),
         Opt("engagement", "--engagement", "path", required=True, help="engagement JSONL file"),
-        Opt("min_atc", "--min-atc", "int", default=DEFAULT_MIN_ATC, help="drop pairs below this ATC count"),
+        Opt("min_atc", "--min-atc", "int", default=DEFAULT_MIN_ATC, check=_NON_NEGATIVE,
+            help="drop pairs below this ATC count"),
         Opt("seed", "--seed", "int", default=0, help="seed for the product split"),
         Opt("ratios", "--ratios", "str", default="8,1,1", help="train,validation,test ratio"),
         Opt("unknown", "--unknown", "choice", default="skip", choices=("skip", "error"),
             help="behavior for pairs referencing unknown products"),
-        Opt("out", "--out", "path", required=True, help="output directory"),
+        Opt("out", "--out", "outdir", required=True, help="output directory"),
     ),
     "filter": (
         Opt("in_dir", "--in", "path", required=True, help="ingest output directory"),
         Opt("scorer", "--scorer", "choice", default="jaccard", choices=("jaccard", "external")),
         Opt("scores", "--scores", "path", help="precomputed relevance scores (external scorer)"),
-        Opt("rf_threshold", "--rf-threshold", "float", default=0.0,
+        Opt("rf_threshold", "--rf-threshold", "float", default=0.0, check=_within("[0, 1]"),
             help="relevance retention threshold in [0, 1]"),
         Opt("fmf", "--fmf", "choice", default="on", choices=("on", "off"),
             help="toggle the full-match filter stage"),
-        Opt("out", "--out", "path", required=True, help="output directory"),
+        Opt("out", "--out", "outdir", required=True, help="output directory"),
     ),
     "build-targets": (
         Opt("in_dir", "--in", "path", required=True, help="filter output directory"),
-        Opt("alpha", "--alpha", "float", default=0.5, help="frequency smoothing exponent"),
+        Opt("alpha", "--alpha", "float", default=0.5, check=_NON_NEGATIVE,
+            help="frequency smoothing exponent"),
         Opt("split", "--split", "choice", default="train",
             choices=("train", "validation", "test", "all")),
-        Opt("out", "--out", "path", required=True, help="training instances JSONL path"),
+        Opt("out", "--out", "outfile", required=True, help="training instances JSONL path"),
     ),
     "train": (
         Opt("products", "--products", "path", required=True),
         Opt("instances", "--instances", "path", required=True, help="training instances JSONL"),
-        Opt("out", "--out", "path", required=True, help="model JSON path"),
+        Opt("out", "--out", "outfile", required=True, help="model JSON path"),
     ),
     "predict": (
         Opt("model", "--model", "str", required=True,
             help="cooccurrence:PATH or external:PATH"),
         Opt("products", "--products", "path", required=True),
-        Opt("top", "--top", "int", default=10, help="max predictions per product"),
+        Opt("top", "--top", "int", default=10, check=_POSITIVE, help="max predictions per product"),
         Opt("split", "--split", "choice", choices=("train", "validation", "test"),
             help="restrict to one split subset (needs --split-file)"),
         Opt("split_file", "--split-file", "path", help="split.json from ingest"),
-        Opt("out", "--out", "path", required=True, help="predictions JSONL path"),
+        Opt("out", "--out", "outfile", required=True, help="predictions JSONL path"),
     ),
     "evaluate": (
         Opt("predictions", "--predictions", "path", required=True),
@@ -125,77 +145,65 @@ SPECS = {
             help="held-out relevant queries, engagement JSONL format"),
         Opt("products", "--products", "path", required=True),
         Opt("cutoff", "--cutoff", "float", default=0.0, help="confidence cutoff (strict >)"),
-        Opt("top", "--top", "int", default=10),
+        Opt("top", "--top", "int", default=10, check=_POSITIVE),
         Opt("split", "--split", "choice", choices=("train", "validation", "test")),
         Opt("split_file", "--split-file", "path"),
-        Opt("bootstrap", "--bootstrap", "int", default=0,
+        Opt("bootstrap", "--bootstrap", "int", default=0, check=_NON_NEGATIVE,
             help="bootstrap resamples for CIs (0 disables)"),
-        Opt("level", "--level", "float", default=0.95, help="CI level"),
-        Opt("seed", "--seed", "int", help="bootstrap seed (required with --bootstrap)"),
-        Opt("report", "--report", "path", required=True),
+        Opt("level", "--level", "float", default=0.95, check=_within("(0, 1)"), help="CI level"),
+        Opt("seed", "--seed", "int", check=_NON_NEGATIVE,
+            help="bootstrap seed (required with --bootstrap)"),
+        Opt("report", "--report", "outfile", required=True),
     ),
     "tune-cutoff": (
         Opt("predictions", "--predictions", "path", required=True),
         Opt("references", "--references", "path", required=True),
         Opt("products", "--products", "path", required=True),
-        Opt("grid", "--grid", "str", default="observed", help="observed or step:<width>"),
-        Opt("top", "--top", "int", default=10),
+        Opt("grid", "--grid", "str", default="observed",
+            check=lambda grid: candidate_cutoffs([], grid), help="observed or step:<width>"),
+        Opt("top", "--top", "int", default=10, check=_POSITIVE),
         Opt("split", "--split", "choice", choices=("train", "validation", "test")),
         Opt("split_file", "--split-file", "path"),
-        Opt("budget_target", "--budget-target", "float",
+        Opt("budget_target", "--budget-target", "float", check=_within("(0, inf)"),
             help="also find the cutoff matching this mean novel-token budget"),
-        Opt("report", "--report", "path", required=True),
+        Opt("report", "--report", "outfile", required=True),
     ),
     "index": (
         Opt("products", "--products", "path", required=True),
         Opt("expansions", "--expansions", "path", help="prediction JSONL used as the expansion field"),
         Opt("cutoff", "--cutoff", "float", default=0.0, help="confidence cutoff on expansion tokens"),
-        Opt("top", "--top", "int", default=10, help="max expansion tokens per product"),
+        Opt("top", "--top", "int", default=10, check=_POSITIVE,
+            help="max expansion tokens per product"),
         Opt("field_weights", "--field-weights", "str",
             help="e.g. title:2.0,expansion:1.5 (unlisted fields keep defaults)"),
-        Opt("k1", "--k1", "float", default=DEFAULT_K1),
-        Opt("b", "--b", "float", default=DEFAULT_B),
-        Opt("out", "--out", "path", required=True, help="index JSON path"),
+        Opt("k1", "--k1", "float", default=DEFAULT_K1, check=_NON_NEGATIVE),
+        Opt("b", "--b", "float", default=DEFAULT_B, check=_within("[0, 1]")),
+        Opt("out", "--out", "outfile", required=True, help="index JSON path"),
     ),
     "search": (
         Opt("index", "--index", "path", required=True),
         Opt("query", "--query", "str", required=True),
-        Opt("k", "--k", "int", default=10),
-        Opt("out", "--out", "path", help="optional JSON output path"),
+        Opt("k", "--k", "int", default=10, check=_POSITIVE),
+        Opt("out", "--out", "outfile", help="optional JSON output path"),
     ),
     "eval-retrieval": (
         Opt("index", "--index", "path", required=True),
         Opt("pairs", "--pairs", "path", required=True, help="engagement JSONL test pairs"),
-        Opt("k", "--k", "int", default=10),
-        Opt("report", "--report", "path", required=True),
+        Opt("k", "--k", "int", default=10, check=_POSITIVE),
+        Opt("report", "--report", "outfile", required=True),
     ),
     "report": (
         Opt("in_dir", "--in", "path", required=True,
             help="directory scanned recursively for stage outputs"),
-        Opt("out", "--out", "path", required=True, help="merged report JSON path"),
+        Opt("out", "--out", "outfile", required=True, help="merged report JSON path"),
     ),
     "gen-synthetic": (
         Opt("seed", "--seed", "int", default=0),
-        Opt("products", "--products", "int", default=1000),
-        Opt("heldout", "--heldout", "int", default=200),
-        Opt("out", "--out", "path", required=True, help="output directory"),
+        Opt("products", "--products", "int", default=1000, check=_POSITIVE),
+        Opt("heldout", "--heldout", "int", default=200, check=_NON_NEGATIVE),
+        Opt("out", "--out", "outdir", required=True, help="output directory"),
     ),
 }
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def as_dict(self) -> dict:
-        return {"subcommand": self.subcommand, **self.values}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,22 +228,33 @@ def _convert(opt: Opt, raw):
         return None
     try:
         if opt.kind == "int":
-            return int(raw)
-        if opt.kind == "float":
-            return float(raw)
+            value = int(raw)
+        elif opt.kind == "float":
+            value = float(raw)
+        else:
+            value = str(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"option {opt.flag} expects a {opt.kind}, got {raw!r}") from None
-    if opt.kind == "choice" and raw not in opt.choices:
+    if opt.kind == "choice" and value not in opt.choices:
         raise ConfigError(f"option {opt.flag} must be one of {opt.choices}, got {raw!r}")
-    return str(raw)
+    if opt.check is not None:
+        try:
+            opt.check(value)
+        except ValueError as exc:
+            raise ConfigError(f"option {opt.flag}: {exc}") from None
+    return value
 
 
 def _parse_config_file(path: str) -> dict:
     source = Path(path)
     if not source.exists():
         raise ConfigError(f"config file not found: {source}")
+    try:
+        text = source.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{source}: not UTF-8 text: {exc.reason}") from None
     values = {}
-    for lineno, line in enumerate(source.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -246,10 +265,11 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
+def resolve_config(args: argparse.Namespace) -> dict:
+    """The subcommand and every option's resolved value; this is what provenance records."""
     spec = SPECS[args.subcommand] + _COMMON
     file_values = _parse_config_file(args.config) if args.config else {}
-    values = {}
+    config = {"subcommand": args.subcommand}
     for opt in spec:
         raw = getattr(args, opt.name)
         if raw is None:
@@ -259,10 +279,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             value = opt.default
         if value is None and opt.required:
             raise ConfigError(f"missing required option {opt.flag} for {args.subcommand}")
-        values[opt.name] = value
-    if values.get("threads") is not None and values["threads"] < 1:
-        raise ConfigError("--threads must be >= 1")
-    return RunConfig(subcommand=args.subcommand, values=values)
+        config[opt.name] = value
+    return config
 
 
 def _parse_ratios(text: str) -> tuple:
@@ -276,7 +294,7 @@ def _parse_ratios(text: str) -> tuple:
     return ratios
 
 
-def _split_subset(cfg: RunConfig):
+def _split_subset(cfg: dict):
     split_name, split_file = cfg.get("split"), cfg.get("split_file")
     if split_name is None and split_file is None:
         return None
@@ -299,17 +317,7 @@ def _parse_field_weights(text: str) -> dict:
     return weights
 
 
-def _load_predictor(cfg: RunConfig):
-    spec = cfg["model"]
-    kind, _, path = spec.partition(":")
-    if kind == "cooccurrence" and path:
-        return CooccurrencePredictor(load_model(path))
-    if kind == "external" and path:
-        return load_external_predictions(path)
-    raise ConfigError(f"--model expects cooccurrence:PATH or external:PATH, got {spec!r}")
-
-
-def _reference_tokens(cfg: RunConfig, products):
+def _reference_tokens(cfg: dict, products):
     """Group analyzed reference-query tokens by product, honoring --split."""
     known = {p.id for p in products}
     subset = _split_subset(cfg)
@@ -372,17 +380,16 @@ def render_stats(stats: dict) -> str:
     return table + "\n" + "\n".join(extras) + "\n"
 
 
-def _write_report(path, payload: dict, text: str, cfg: RunConfig) -> None:
+def _write_report(path, payload: dict, text: str) -> None:
     dump_json(path, payload)
     Path(path).with_suffix(Path(path).suffix + ".txt").write_text(text, encoding="utf-8")
-    write_meta(path, cfg.as_dict())
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each writes its artifacts and returns its summary line(s)
 
 
-def _cmd_ingest(cfg: RunConfig) -> None:
+def _cmd_ingest(cfg: dict) -> str:
     ratios = _parse_ratios(cfg["ratios"])
     products = load_products(cfg["products"])
     load = load_engagement(cfg["engagement"], min_atc=cfg["min_atc"],
@@ -399,12 +406,11 @@ def _cmd_ingest(cfg: RunConfig) -> None:
         "dropped_below_min_atc": load.dropped_below_min_atc,
         "skipped_unknown_product": load.skipped_unknown_product,
     })
-    dump_json(out / "run_config.json", cfg.as_dict())
-    print(f"ingest: {len(products)} products, {len(load.pairs)} pairs "
-          f"({load.dropped_below_min_atc} below min ATC)")
+    return (f"ingest: {len(products)} products, {len(load.pairs)} pairs "
+            f"({load.dropped_below_min_atc} below min ATC)")
 
 
-def _cmd_filter(cfg: RunConfig) -> None:
+def _cmd_filter(cfg: dict) -> str:
     in_dir = Path(cfg["in_dir"])
     products = load_products(in_dir / "products.jsonl")
     pairs = load_engagement(in_dir / "pairs.jsonl", min_atc=0).pairs
@@ -423,18 +429,17 @@ def _cmd_filter(cfg: RunConfig) -> None:
     write_jsonl(out / "query_pairs.jsonl", (p.as_record() for p in result.query_pairs))
     write_jsonl(out / "novel_pairs.jsonl", (p.as_record() for p in result.novel_pairs))
     stats = result.stats.as_dict()
-    dump_json(out / "pipeline_stats.json", {"config": cfg.as_dict(), **stats})
+    dump_json(out / "pipeline_stats.json", {"config": cfg, **stats})
     (out / "pipeline_stats.txt").write_text(render_stats(stats), encoding="utf-8")
     write_jsonl(out / "products.jsonl", (p.as_record() for p in products))
     split_path = in_dir / "split.json"
     if split_path.exists():
         dump_json(out / "split.json", load_json(split_path))
-    dump_json(out / "run_config.json", cfg.as_dict())
-    print(f"filter: {len(pairs)} pairs in, {len(result.query_pairs)} query pairs, "
-          f"{len(result.novel_pairs)} novel pairs out")
+    return (f"filter: {len(pairs)} pairs in, {len(result.query_pairs)} query pairs, "
+            f"{len(result.novel_pairs)} novel pairs out")
 
 
-def _cmd_build_targets(cfg: RunConfig) -> None:
+def _cmd_build_targets(cfg: dict) -> str:
     in_dir = Path(cfg["in_dir"])
     products = load_products(in_dir / "products.jsonl")
     novel_pairs = [
@@ -462,57 +467,57 @@ def _cmd_build_targets(cfg: RunConfig) -> None:
         if targets:
             instances.extend(emit_training_instances(product, targets))
     write_jsonl(cfg["out"], (inst.as_record() for inst in instances))
-    write_meta(cfg["out"], cfg.as_dict())
-    print(f"build-targets: {len(instances)} training instances "
-          f"for {len({i.product_id for i in instances})} products")
+    return (f"build-targets: {len(instances)} training instances "
+            f"for {len({i.product_id for i in instances})} products")
 
 
-def _cmd_train(cfg: RunConfig) -> None:
+def _cmd_train(cfg: dict) -> str:
     products = load_products(cfg["products"])
     instances = load_training_instances(cfg["instances"])
     model = train_cooccurrence(instances, products)
     save_model(model, cfg["out"])
-    write_meta(cfg["out"], cfg.as_dict())
-    print(f"train: {len(model.vocabulary)} target tokens, "
-          f"{len(model.counts)} context tokens")
+    return (f"train: {len(model.vocabulary)} target tokens, "
+            f"{len(model.counts)} context tokens")
 
 
-def _cmd_predict(cfg: RunConfig) -> None:
-    predictor = _load_predictor(cfg)
+def _cmd_predict(cfg: dict) -> str:
+    kind, _, path = cfg["model"].partition(":")
+    if kind not in ("cooccurrence", "external") or not path:
+        raise ConfigError(
+            f"--model expects cooccurrence:PATH or external:PATH, got {cfg['model']!r}")
+    model = load_model(path) if kind == "cooccurrence" else load_external_predictions(path)
     products = load_products(cfg["products"])
     subset = _split_subset(cfg)
     predictions = {}
     for product in products:
         if subset is not None and product.id not in subset:
             continue
-        scored = predictor.predict(product, cfg["top"])
+        # predict_cooccurrence is looked up per call, so a rebinding of the name is honoured
+        scored = (predict_cooccurrence(model, product, cfg["top"]) if kind == "cooccurrence"
+                  else model.predict(product.id, cfg["top"]))
         if scored:
             predictions[product.id] = scored
     n = write_predictions(cfg["out"], predictions)
-    write_meta(cfg["out"], cfg.as_dict())
-    print(f"predict: {n} scored tokens over {len(predictions)} products")
+    return f"predict: {n} scored tokens over {len(predictions)} products"
 
 
-def _build_eval_records(cfg: RunConfig, products, with_scores: bool):
+def _scored_records(cfg: dict, products):
+    """Each referenced product's reference tokens and top predictions, by product id."""
     grouped = _reference_tokens(cfg, products)
-    predictor = load_external_predictions(cfg["predictions"])
+    table = load_external_predictions(cfg["predictions"])
     token_sets = {p.id: product_token_set(p).unique for p in products if p.id in grouped}
-    records = []
-    for pid in sorted(grouped):
-        predicted = predictor.predict(pid, cfg["top"])
-        if with_scores:
-            records.append(ScoredRecord(product_id=pid, reference=tuple(grouped[pid]),
-                                        predictions=tuple(predicted)))
-        else:
-            retained = apply_cutoff(predicted, cfg["cutoff"])
-            records.append(make_eval_record(pid, grouped[pid], token_sets[pid],
-                                            [st.token for st in retained]))
+    records = [ScoredRecord(product_id=pid, reference=tuple(grouped[pid]),
+                            predictions=tuple(table.predict(pid, cfg["top"])))
+               for pid in sorted(grouped)]
     return records, token_sets
 
 
-def _cmd_evaluate(cfg: RunConfig) -> None:
+def _cmd_evaluate(cfg: dict) -> str:
     products = load_products(cfg["products"])
-    records, token_sets = _build_eval_records(cfg, products, with_scores=False)
+    scored, token_sets = _scored_records(cfg, products)
+    records = [make_eval_record(r.product_id, r.reference, token_sets[r.product_id],
+                                [st.token for st in apply_cutoff(r.predictions, cfg["cutoff"])])
+               for r in scored]
     bootstrap = None
     if cfg["bootstrap"] > 0:
         if cfg.get("seed") is None:
@@ -520,33 +525,31 @@ def _cmd_evaluate(cfg: RunConfig) -> None:
         bootstrap = BootstrapConfig(resamples=cfg["bootstrap"], level=cfg["level"],
                                     seed=cfg["seed"])
     report = evaluate_records(records, token_sets, bootstrap=bootstrap)
-    payload = {"config": cfg.as_dict(), "metrics": report.as_dict()}
+    payload = {"config": cfg, "metrics": report.as_dict()}
     text = render_table(_METRIC_HEADERS, [render_metrics_row(_f(cfg["cutoff"], 2), report.as_dict())])
-    _write_report(cfg["report"], payload, text, cfg)
-    print(f"evaluate: n={report.n_products} nrouge_f1={report.nrouge_f1:.4f}")
+    _write_report(cfg["report"], payload, text)
+    return f"evaluate: n={report.n_products} nrouge_f1={report.nrouge_f1:.4f}"
 
 
-def _cmd_tune_cutoff(cfg: RunConfig) -> None:
-    try:
-        candidate_cutoffs([], grid=cfg["grid"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _cmd_tune_cutoff(cfg: dict) -> str:
     products = load_products(cfg["products"])
-    records, token_sets = _build_eval_records(cfg, products, with_scores=True)
+    records, token_sets = _scored_records(cfg, products)
     try:
         sweep = tune_cutoff(records, token_sets, grid=cfg["grid"])
     except ValueError as exc:
         raise InputError(str(exc)) from None
     payload = {
-        "config": cfg.as_dict(),
+        "config": cfg,
         "chosen": sweep.chosen,
         "chosen_metrics": sweep.chosen_row().report.as_dict(),
         "rows": [{"cutoff": row.cutoff, "metrics": row.report.as_dict()} for row in sweep.rows],
     }
     if cfg.get("budget_target") is not None:
-        if cfg["budget_target"] <= 0:
-            raise ConfigError("--budget-target must be > 0")
-        budget = budget_match_cutoff(records, token_sets, cfg["budget_target"], grid=cfg["grid"])
+        try:
+            budget = budget_match_cutoff(records, token_sets, cfg["budget_target"],
+                                         grid=cfg["grid"])
+        except ValueError as exc:
+            raise ConfigError(f"--budget-target: {exc}") from None
         payload["budget"] = {
             "target": cfg["budget_target"],
             "cutoff": budget.cutoff,
@@ -556,61 +559,59 @@ def _cmd_tune_cutoff(cfg: RunConfig) -> None:
     rows = [render_metrics_row(_f(row.cutoff, 4), row.report.as_dict()) for row in sweep.rows]
     text = render_table(_METRIC_HEADERS, rows)
     text += f"\nchosen cutoff: {sweep.chosen}\n"
-    _write_report(cfg["report"], payload, text, cfg)
-    print(f"tune-cutoff: chosen={sweep.chosen} "
-          f"nrouge_f1={sweep.chosen_row().report.nrouge_f1:.4f}")
+    _write_report(cfg["report"], payload, text)
+    return (f"tune-cutoff: chosen={sweep.chosen} "
+            f"nrouge_f1={sweep.chosen_row().report.nrouge_f1:.4f}")
 
 
-def _cmd_index(cfg: RunConfig) -> None:
+def _cmd_index(cfg: dict) -> str:
     products = load_products(cfg["products"])
     expansions = {}
     if cfg.get("expansions"):
-        predictor = load_external_predictions(cfg["expansions"])
-        for pid in predictor.product_ids():
-            retained = apply_cutoff(predictor.predict(pid, cfg["top"]), cfg["cutoff"])
+        table = load_external_predictions(cfg["expansions"])
+        for pid in table.product_ids():
+            retained = apply_cutoff(table.predict(pid, cfg["top"]), cfg["cutoff"])
             if retained:
                 expansions[pid] = [st.token for st in retained]
     weights = _parse_field_weights(cfg["field_weights"]) if cfg.get("field_weights") else None
     index = build_index(products, expansions, field_weights=weights,
                         k1=cfg["k1"], b=cfg["b"])
     save_index(index, cfg["out"])
-    write_meta(cfg["out"], cfg.as_dict())
-    print(f"index: {index.doc_count} documents, "
-          f"{sum(len(f.postings) for f in index.fields.values())} postings lists")
+    return (f"index: {index.doc_count} documents, "
+            f"{sum(len(f.postings) for f in index.fields.values())} postings lists")
 
 
-def _cmd_search(cfg: RunConfig) -> None:
+def _cmd_search(cfg: dict) -> str:
     index = load_index(cfg["index"])
     result = search(index, cfg["query"], cfg["k"])
-    rows = [[rank, doc_id, _f(score, 6)]
-            for rank, (doc_id, score) in enumerate(result.hits, start=1)]
-    print(render_table(("rank", "doc_id", "score"), rows), end="")
     if cfg.get("out"):
         dump_json(cfg["out"], {
-            "config": cfg.as_dict(),
+            "config": cfg,
             "hits": [{"doc_id": d, "score": s} for d, s in result.hits],
         })
-        write_meta(cfg["out"], cfg.as_dict())
+    rows = [[rank, doc_id, _f(score, 6)]
+            for rank, (doc_id, score) in enumerate(result.hits, start=1)]
+    return render_table(("rank", "doc_id", "score"), rows).rstrip("\n")
 
 
-def _cmd_eval_retrieval(cfg: RunConfig) -> None:
+def _cmd_eval_retrieval(cfg: dict) -> str:
     index = load_index(cfg["index"])
     pairs = load_engagement(cfg["pairs"], min_atc=0).pairs
     report = eval_recall(index, pairs, cfg["k"])
-    payload = {"config": cfg.as_dict(), "recall": report.recall, "hits": report.hits,
+    payload = {"config": cfg, "recall": report.recall, "hits": report.hits,
                "total": report.total, "k": cfg["k"], "defined": report.defined}
     text = render_table(("k", "recall", "hits", "total"),
                         [[cfg["k"], _f(report.recall), report.hits, report.total]])
-    _write_report(cfg["report"], payload, text, cfg)
-    print(f"eval-retrieval: recall@{cfg['k']}={report.recall:.4f} "
-          f"({report.hits}/{report.total})")
+    _write_report(cfg["report"], payload, text)
+    return (f"eval-retrieval: recall@{cfg['k']}={report.recall:.4f} "
+            f"({report.hits}/{report.total})")
 
 
-def _cmd_report(cfg: RunConfig) -> None:
+def _cmd_report(cfg: dict) -> str:
     in_dir = Path(cfg["in_dir"])
     if not in_dir.is_dir():
         raise InputError(f"not a directory: {in_dir}")
-    merged = {"config": cfg.as_dict(), "preprocessing": [], "evaluations": [],
+    merged = {"config": cfg, "preprocessing": [], "evaluations": [],
               "cutoff_sweeps": [], "retrieval": []}
     for path in sorted(in_dir.rglob("*.json")):
         if path.name.endswith(".meta.json") or path.name == "run_config.json":
@@ -642,19 +643,29 @@ def _cmd_report(cfg: RunConfig) -> None:
         rows = [[e["source"], e["k"], _f(e["recall"]), e["hits"], e["total"]]
                 for e in merged["retrieval"]]
         sections.append("== retrieval\n" + render_table(("source", "k", "recall", "hits", "total"), rows))
-    _write_report(cfg["out"], merged, "\n".join(sections) + "\n", cfg)
-    print(f"report: {len(merged['preprocessing'])} preprocessing, "
-          f"{len(merged['evaluations'])} evaluations, "
-          f"{len(merged['cutoff_sweeps'])} sweeps, "
-          f"{len(merged['retrieval'])} retrieval sections")
+    _write_report(cfg["out"], merged, "\n".join(sections) + "\n")
+    return (f"report: {len(merged['preprocessing'])} preprocessing, "
+            f"{len(merged['evaluations'])} evaluations, "
+            f"{len(merged['cutoff_sweeps'])} sweeps, "
+            f"{len(merged['retrieval'])} retrieval sections")
 
 
-def _cmd_gen_synthetic(cfg: RunConfig) -> None:
+def _cmd_gen_synthetic(cfg: dict) -> str:
+    if cfg["heldout"] > cfg["products"]:
+        raise ConfigError("--heldout must not exceed --products")
     corpus = generate(SyntheticConfig(seed=cfg["seed"], n_products=cfg["products"],
                                       n_heldout=cfg["heldout"]))
     written = write_corpus(corpus, cfg["out"])
-    dump_json(Path(cfg["out"]) / "run_config.json", cfg.as_dict())
-    print("gen-synthetic: " + ", ".join(f"{name}={count}" for name, count in sorted(written.items())))
+    return "gen-synthetic: " + ", ".join(f"{name}={count}" for name, count in sorted(written.items()))
+
+
+def _write_provenance(config: dict) -> None:
+    """Record the config beside the output: ``run_config.json`` in a directory, else a sidecar."""
+    for opt in SPECS[config["subcommand"]]:
+        if opt.kind == "outdir":
+            dump_json(Path(config[opt.name]) / "run_config.json", config)
+        elif opt.kind == "outfile" and config[opt.name] is not None:
+            write_meta(config[opt.name], config)
 
 
 HANDLERS = {
@@ -683,16 +694,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         config = resolve_config(args)
-        HANDLERS[args.subcommand](config)
+        print(HANDLERS[args.subcommand](config))
+        _write_provenance(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 4

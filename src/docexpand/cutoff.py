@@ -169,7 +169,9 @@ def budget_match_cutoff(records, product_tokens: dict, target: float,
 
     When even full retention (cutoff 0.0) stays below the target, the
     target cannot be matched from below; 0.0 is returned with
-    ``target_reachable=False``.
+    ``target_reachable=False``. When even the highest candidate retains
+    more than the target (a ``step:`` grid can end below the top score),
+    no cutoff matches and ValueError is raised.
     """
     if target <= 0:
         raise ValueError("target must be > 0")
@@ -177,6 +179,9 @@ def budget_match_cutoff(records, product_tokens: dict, target: float,
     for cutoff, report in _sweep(records, product_tokens, grid):
         # the retained volume only grows as the cutoff falls
         if report.novel_tokens > target:
+            if matched is None:
+                raise ValueError(f"the highest candidate cutoff {cutoff} already retains "
+                                 f"{report.novel_tokens} novel tokens per product, above {target}")
             break
         matched = BudgetMatchResult(cutoff=cutoff, mean_novel=report.novel_tokens,
                                     target_reachable=True)
@@ -184,6 +189,4 @@ def budget_match_cutoff(records, product_tokens: dict, target: float,
         # even full retention (the lowest cutoff) stays within the target;
         # it is matched only when it meets the target exactly
         matched.target_reachable = matched.mean_novel >= target
-    if matched is None:
-        raise AssertionError("a cutoff above all scores always retains zero tokens")
     return matched

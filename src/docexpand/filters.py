@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 
 from .corpus import EngagementPair, TokenSet, analyze, product_token_set
-from .errors import InputError, ToolkitError
+from .errors import InputError
 from .records import iter_jsonl
 
 KEEP = "keep"
@@ -35,8 +35,8 @@ DEFAULT_PRICE_PATTERNS = (
 _DEFAULT_COMPILED = tuple(re.compile(p, re.IGNORECASE) for p in DEFAULT_PRICE_PATTERNS)
 
 
-class ScorerError(ToolkitError):
-    """A relevance scorer failed on a specific pair."""
+class ScorerError(InputError):
+    """A relevance scorer failed on a specific pair (CLI exit code 3)."""
 
 
 class RelevanceScorer:

@@ -74,31 +74,6 @@ def f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def rouge_unigram(records):
-    """Corpus (precision, recall) against the full references."""
-    return _corpus_pr(records, novel=False)
-
-
-def nrouge(records):
-    """Corpus (precision, recall) against the novel references."""
-    return _corpus_pr(records, novel=True)
-
-
-def _corpus_pr(records, novel: bool):
-    if not records:
-        raise ValueError("records must be non-empty")
-    precisions, recalls = [], []
-    for record in records:
-        reference = record.novel_reference if novel else record.reference
-        precisions.append(record_precision(reference, record.prediction))
-        recall = record_recall(reference, record.prediction)
-        if recall is not None:
-            recalls.append(recall)
-    precision = sum(precisions) / len(precisions)
-    recall = sum(recalls) / len(recalls) if recalls else 0.0
-    return precision, recall
-
-
 @dataclass
 class NoveltyStats:
     mean_total: float

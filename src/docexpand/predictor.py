@@ -1,9 +1,11 @@
-"""Token predictors behind a common scored-token interface.
+"""Token predictors that emit confidence-scored tokens.
 
-Two implementations ship with the toolkit: a trainable co-occurrence model
-(the statistical reference predictor) and a file-backed adapter for scores
-produced by any external model. Both emit confidence-scored tokens in
-[0, 1] that the downstream cutoff logic treats identically.
+Two predictors ship with the toolkit: a trainable co-occurrence model
+(the statistical reference predictor, ``predict_cooccurrence``) and a
+file-backed table of scores produced by any external model
+(``ExternalPredictor``). Both return ``ScoredToken`` lists in [0, 1],
+sorted by score descending, that the downstream cutoff logic treats
+identically.
 """
 
 from collections import Counter, defaultdict
@@ -23,13 +25,6 @@ PREDICTION_KINDS = ("token", "query")
 class ScoredToken:
     token: str
     score: float
-
-
-class TokenPredictor:
-    """Interface: predict(product, n) -> ScoredTokens sorted by score desc."""
-
-    def predict(self, product, n: int) -> list:
-        raise NotImplementedError
 
 
 @dataclass
@@ -136,14 +131,6 @@ def predict_cooccurrence(model: CooccurrenceModel, product: Product, n: int) -> 
             for c, score in zip(candidates[order].tolist(), scores[order].tolist())]
 
 
-class CooccurrencePredictor(TokenPredictor):
-    def __init__(self, model: CooccurrenceModel):
-        self.model = model
-
-    def predict(self, product, n: int) -> list:
-        return predict_cooccurrence(self.model, product, n)
-
-
 def save_model(model: CooccurrenceModel, path) -> None:
     dump_json(path, {
         "format": MODEL_FORMAT,
@@ -178,7 +165,7 @@ def load_model(path) -> CooccurrenceModel:
     return CooccurrenceModel(counts=counts, marginals=marginals, vocabulary=tuple(vocabulary))
 
 
-class ExternalPredictor(TokenPredictor):
+class ExternalPredictor:
     """Lookup predictor over a preloaded {product id -> scored tokens} table."""
 
     def __init__(self, table: dict):
@@ -187,10 +174,9 @@ class ExternalPredictor(TokenPredictor):
     def product_ids(self) -> list:
         return sorted(self._table)
 
-    def predict(self, product, n: int) -> list:
+    def predict(self, product_id: str, n: int) -> list:
         if n < 1:
             raise ValueError("n must be >= 1")
-        product_id = getattr(product, "id", product)
         entries = self._table.get(product_id, {})
         candidates = [ScoredToken(token=t, score=s) for t, s in entries.items()]
         candidates.sort(key=lambda st: (-st.score, st.token))

@@ -18,7 +18,8 @@ def iter_jsonl(source):
     """Yield (line_number, record) from a JSONL path, file object, or lines.
 
     Blank lines are skipped. Malformed JSON or a non-object line raises
-    InputError naming the offending line.
+    InputError naming the offending line; a file that is not UTF-8 raises
+    InputError naming the file.
     """
     name, close, lines = _open_lines(source)
     try:
@@ -33,6 +34,8 @@ def iter_jsonl(source):
             if not isinstance(record, dict):
                 raise InputError(f"{name}:{lineno}: expected a JSON object")
             yield lineno, record
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{name}: not UTF-8 text: {exc.reason}") from exc
     finally:
         if close:
             lines.close()
@@ -82,6 +85,8 @@ def load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
 def write_meta(artifact_path, config: dict) -> Path:

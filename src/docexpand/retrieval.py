@@ -217,20 +217,29 @@ def save_index(index: InvertedIndex, path) -> None:
 
 
 def load_index(path) -> InvertedIndex:
+    """Load a saved index, raising InputError when the file breaks the schema."""
     data = load_json(path)
-    if data.get("format") != INDEX_FORMAT:
+    if not isinstance(data, dict) or data.get("format") != INDEX_FORMAT:
         raise InputError(f"{path}: not an {INDEX_FORMAT} file")
-    fields = {}
-    for name, raw in data["fields"].items():
-        fields[name] = FieldIndex(
-            postings={t: [(d, int(tf)) for d, tf in plist] for t, plist in raw["postings"].items()},
-            lengths={d: int(v) for d, v in raw["lengths"].items()},
-            avg_length=float(raw["avg_length"]),
+    for key in ("fields", "field_weights"):
+        if not isinstance(data.get(key), dict) or not set(INDEX_FIELDS) <= set(data[key]):
+            raise InputError(f"{path}: {key!r} must have an entry for each of {INDEX_FIELDS}")
+    try:
+        fields = {}
+        for name, raw in data["fields"].items():
+            fields[name] = FieldIndex(
+                postings={t: [(d, int(tf)) for d, tf in plist]
+                          for t, plist in raw["postings"].items()},
+                lengths={d: int(v) for d, v in raw["lengths"].items()},
+                avg_length=float(raw["avg_length"]),
+            )
+        return InvertedIndex(
+            fields=fields,
+            doc_ids=tuple(data["doc_ids"]),
+            field_weights={k: float(v) for k, v in data["field_weights"].items()},
+            k1=float(data["k1"]),
+            b=float(data["b"]),
         )
-    return InvertedIndex(
-        fields=fields,
-        doc_ids=tuple(data["doc_ids"]),
-        field_weights={k: float(v) for k, v in data["field_weights"].items()},
-        k1=float(data["k1"]),
-        b=float(data["b"]),
-    )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed {INDEX_FORMAT} file: "
+                         f"{exc.__class__.__name__}: {exc}") from exc

@@ -10,11 +10,9 @@ surviving token becomes its own training instance carrying the weight
 from collections import Counter
 from dataclasses import dataclass
 
-from .corpus import Product, product_token_set
+from .corpus import PRODUCT_TEXT_FIELDS, Product, product_token_set
 from .errors import InputError
 from .records import iter_jsonl
-
-SERIALIZED_FIELD_ORDER = ("title", "product_type", "brand", "color", "gender", "description")
 
 
 @dataclass(frozen=True)
@@ -83,21 +81,21 @@ def build_target_tokens(product: Product, novel_pairs, config: TargetConfig = No
     return targets
 
 
-def serialize_product_input(product: Product, field_order=SERIALIZED_FIELD_ORDER) -> str:
+def serialize_product_input(product: Product) -> str:
     """Labeled-field rendering of a product; empty fields are omitted."""
     parts = []
-    for name in field_order:
+    for name in PRODUCT_TEXT_FIELDS:
         value = getattr(product, name)
         if value:
             parts.append(f"{name}: {value}")
     return " ".join(parts)
 
 
-def emit_training_instances(product: Product, targets, field_order=SERIALIZED_FIELD_ORDER) -> list:
+def emit_training_instances(product: Product, targets) -> list:
     """One instance per target token, all sharing the serialized input."""
     if not targets:
         raise ValueError(f"no targets for product {product.id!r}")
-    input_text = serialize_product_input(product, field_order)
+    input_text = serialize_product_input(product)
     return [
         TrainingInstance(product_id=product.id, input_text=input_text, target=target)
         for target in targets

@@ -163,4 +163,4 @@ def budget_match_cutoff(records, product_tokens, target, grid="observed"):
     for cutoff, mean_novel in zip(candidates, means):
         if mean_novel <= target:
             return BudgetMatchResult(cutoff=cutoff, mean_novel=mean_novel, target_reachable=True)
-    raise AssertionError("a cutoff above all scores always retains zero tokens")
+    raise ValueError("even the highest candidate cutoff retains more than the target")

@@ -11,27 +11,33 @@ def write_jsonl(path, records):
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
 
+PRODUCTS = [
+    {"id": "p1", "title": "Swim Vest", "product_type": "vest", "brand": "Acme",
+     "color": "Blue", "gender": "boys", "description": "Pool vest."},
+    {"id": "p2", "title": "Desk Lamp", "product_type": "lamp", "brand": "Lumina",
+     "color": "White", "gender": "", "description": "Bright lamp."},
+    {"id": "p3", "title": "Camp Tent", "product_type": "tent", "brand": "Peak",
+     "color": "Green", "gender": "", "description": "Two person tent."},
+]
+ENGAGEMENT = [
+    {"product_id": "p1", "query": "swim vest", "atc_count": 5},
+    {"product_id": "p1", "query": "kid floatie", "atc_count": 4},
+    {"product_id": "p2", "query": "lamp under $20", "atc_count": 3},
+    {"product_id": "p2", "query": "bedside lamp", "atc_count": 6},
+    {"product_id": "p3", "query": "tent", "atc_count": 1},
+    {"product_id": "p3", "query": "hiking tent", "atc_count": 9},
+]
+
+
+def write_data(path):
+    write_jsonl(path / "products.jsonl", PRODUCTS)
+    write_jsonl(path / "engagement.jsonl", ENGAGEMENT)
+    return path
+
+
 @pytest.fixture()
 def data_dir(tmp_path):
-    products = [
-        {"id": "p1", "title": "Swim Vest", "product_type": "vest", "brand": "Acme",
-         "color": "Blue", "gender": "boys", "description": "Pool vest."},
-        {"id": "p2", "title": "Desk Lamp", "product_type": "lamp", "brand": "Lumina",
-         "color": "White", "gender": "", "description": "Bright lamp."},
-        {"id": "p3", "title": "Camp Tent", "product_type": "tent", "brand": "Peak",
-         "color": "Green", "gender": "", "description": "Two person tent."},
-    ]
-    engagement = [
-        {"product_id": "p1", "query": "swim vest", "atc_count": 5},
-        {"product_id": "p1", "query": "kid floatie", "atc_count": 4},
-        {"product_id": "p2", "query": "lamp under $20", "atc_count": 3},
-        {"product_id": "p2", "query": "bedside lamp", "atc_count": 6},
-        {"product_id": "p3", "query": "tent", "atc_count": 1},
-        {"product_id": "p3", "query": "hiking tent", "atc_count": 9},
-    ]
-    write_jsonl(tmp_path / "products.jsonl", products)
-    write_jsonl(tmp_path / "engagement.jsonl", engagement)
-    return tmp_path
+    return write_data(tmp_path)
 
 
 def run(*argv):
@@ -223,3 +229,84 @@ class TestGenSynthetic:
                    "--bootstrap", 100, "--report", work / "r2.json")
         assert code == 2
         assert "--seed" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def probe_dir(tmp_path_factory):
+    """A finished pipeline run plus the malformed inputs the exit-code probes read."""
+    root = write_data(tmp_path_factory.mktemp("probes"))
+    _run_pipeline(root, with_bootstrap=False)
+    write_jsonl(root / "certain.jsonl", [
+        {"product_id": pid, "token": token, "score": 1.0}
+        for pid, token in (("p1", "kid"), ("p2", "bedside"), ("p3", "hiking"))
+    ])
+    write_jsonl(root / "partial_scores.jsonl",
+                [{"product_id": "p1", "query": "swim vest", "score": 0.9}])
+    (root / "latin1.jsonl").write_bytes(b'{"id": "p1", "title": "caf\xe9"}\n')
+    (root / "no_fields.json").write_text(json.dumps({"format": "expansion-index/1"}),
+                                         encoding="utf-8")
+    (root / "list.json").write_text("[]", encoding="utf-8")
+    return root
+
+
+_INGEST = ("ingest", "--products", "{d}/products.jsonl", "--engagement", "{d}/engagement.jsonl",
+           "--out", "{d}/out/ingested")
+_EVALUATE = ("evaluate", "--predictions", "{d}/work/predictions.jsonl",
+             "--references", "{d}/work/filtered/query_pairs.jsonl",
+             "--products", "{d}/products.jsonl", "--report", "{d}/out/eval.json")
+
+# probe -> (argv, exit code, text the error message must contain); never exit 4
+EXIT_CODE_PROBES = {
+    "budget-target-below-top-candidate": (
+        ("tune-cutoff", "--predictions", "{d}/certain.jsonl", "--references",
+         "{d}/engagement.jsonl", "--products", "{d}/products.jsonl", "--grid", "step:0.3",
+         "--budget-target", "0.5", "--report", "{d}/out/budget.json"), 2, "--budget-target"),
+    "non-utf8-jsonl": (
+        ("ingest", "--products", "{d}/latin1.jsonl", "--engagement", "{d}/engagement.jsonl",
+         "--out", "{d}/out/ingested"), 3, "latin1.jsonl"),
+    "non-utf8-json": (
+        ("predict", "--model", "cooccurrence:{d}/latin1.jsonl", "--products",
+         "{d}/products.jsonl", "--out", "{d}/out/pred.jsonl"), 3, "latin1.jsonl"),
+    "index-without-fields": (
+        ("search", "--index", "{d}/no_fields.json", "--query", "lamp"), 3, "no_fields.json"),
+    "index-is-a-list": (("search", "--index", "{d}/list.json", "--query", "lamp"), 3, "list.json"),
+    "missing-precomputed-score": (
+        ("filter", "--in", "{d}/work/ingested", "--scorer", "external",
+         "--scores", "{d}/partial_scores.jsonl", "--out", "{d}/out/filtered"),
+        3, "no precomputed score"),
+    "search-k-0": (("search", "--index", "{d}/work/index.json", "--query", "lamp", "--k", "0"),
+                   2, "--k"),
+    "predict-top-0": (
+        ("predict", "--model", "cooccurrence:{d}/work/model.json", "--products",
+         "{d}/products.jsonl", "--top", "0", "--out", "{d}/out/pred.jsonl"), 2, "--top"),
+    "gen-synthetic-products-0": (
+        ("gen-synthetic", "--products", "0", "--out", "{d}/out/synthetic"), 2, "--products"),
+    "gen-synthetic-heldout-above-products": (
+        ("gen-synthetic", "--products", "5", "--heldout", "6", "--out", "{d}/out/synthetic"),
+        2, "--heldout"),
+    "ingest-min-atc-negative": (_INGEST + ("--min-atc", "-1"), 2, "--min-atc"),
+    "filter-rf-threshold-2": (
+        ("filter", "--in", "{d}/work/ingested", "--rf-threshold", "2",
+         "--out", "{d}/out/filtered"), 2, "--rf-threshold"),
+    "build-targets-alpha-negative": (
+        ("build-targets", "--in", "{d}/work/filtered", "--alpha", "-1", "--split", "all",
+         "--out", "{d}/out/instances.jsonl"), 2, "--alpha"),
+    "evaluate-level-1.5": (
+        _EVALUATE + ("--bootstrap", "10", "--seed", "1", "--level", "1.5"), 2, "--level"),
+    "evaluate-seed-negative": (_EVALUATE + ("--bootstrap", "10", "--seed", "-1"), 2, "--seed"),
+    "evaluate-bootstrap-negative": (_EVALUATE + ("--bootstrap", "-5"), 2, "--bootstrap"),
+    "index-k1-negative": (
+        ("index", "--products", "{d}/products.jsonl", "--k1", "-1", "--b", "0",
+         "--out", "{d}/out/index.json"), 2, "--k1"),
+    "threads-removed": (_INGEST + ("--threads", "2"), 2, "--threads"),
+    "non-utf8-config": (_INGEST + ("--config", "{d}/latin1.jsonl"), 2, "latin1.jsonl"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(EXIT_CODE_PROBES))
+def test_bad_option_or_input_exits_2_or_3(probe_dir, capsys, probe):
+    argv, expected_code, message = EXIT_CODE_PROBES[probe]
+    capsys.readouterr()
+    code = run(*(arg.format(d=probe_dir) for arg in argv))
+    assert code == expected_code
+    assert message in capsys.readouterr().err

@@ -118,7 +118,7 @@ def outcome(budget_match, records, token_sets, target, grid):
     """
     try:
         return budget_match(records, token_sets, target, grid=grid)
-    except AssertionError as exc:
+    except ValueError as exc:
         return type(exc)
 
 

@@ -11,10 +11,8 @@ from docexpand.metrics import (
     f1,
     make_eval_record,
     novelty_stats,
-    nrouge,
     record_precision,
     record_recall,
-    rouge_unigram,
 )
 
 import oracles
@@ -78,16 +76,15 @@ class TestCorpusAverages:
         ]
         records = [rec(*case, pid=f"p{i}") for i, case in enumerate(cases)]
         expected = oracles.corpus_metrics(cases)
-        p, r = rouge_unigram(records)
-        assert p == expected["rouge_precision"]
-        assert r == expected["rouge_recall"]
-        np_, nr = nrouge(records)
-        assert np_ == expected["nrouge_precision"]
-        assert nr == expected["nrouge_recall"]
+        report = evaluate_records(records, {f"p{i}": case[1] for i, case in enumerate(cases)})
+        assert report.rouge_precision == expected["rouge_precision"]
+        assert report.rouge_recall == expected["rouge_recall"]
+        assert report.nrouge_precision == expected["nrouge_precision"]
+        assert report.nrouge_recall == expected["nrouge_recall"]
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            rouge_unigram([])
+            evaluate_records([], {})
 
 
 class TestF1:

@@ -6,7 +6,6 @@ import pytest
 from docexpand.corpus import Product, product_token_set
 from docexpand.errors import InputError
 from docexpand.predictor import (
-    CooccurrencePredictor,
     ScoredToken,
     apply_cutoff,
     load_external_predictions,
@@ -124,7 +123,7 @@ def test_model_roundtrip(tmp_path):
     save_model(model, tmp_path / "model.json")
     loaded = load_model(tmp_path / "model.json")
     assert loaded == model
-    assert CooccurrencePredictor(loaded).predict(SWIM, 10) == [ScoredToken("kid", 1.0)]
+    assert predict_cooccurrence(loaded, SWIM, 10) == [ScoredToken("kid", 1.0)]
 
 
 class TestExternalPredictions:
