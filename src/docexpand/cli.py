@@ -41,7 +41,7 @@ from .predictor import (
     train_cooccurrence,
     write_predictions,
 )
-from .records import dump_json, iter_jsonl, load_json, write_jsonl, write_meta
+from .records import dump_json, iter_jsonl, load_json, write_jsonl, write_meta, write_text
 from .retrieval import (
     DEFAULT_B,
     DEFAULT_K1,
@@ -382,7 +382,7 @@ def render_stats(stats: dict) -> str:
 
 def _write_report(path, payload: dict, text: str) -> None:
     dump_json(path, payload)
-    Path(path).with_suffix(Path(path).suffix + ".txt").write_text(text, encoding="utf-8")
+    write_text(Path(path).with_suffix(Path(path).suffix + ".txt"), text)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +430,7 @@ def _cmd_filter(cfg: dict) -> str:
     write_jsonl(out / "novel_pairs.jsonl", (p.as_record() for p in result.novel_pairs))
     stats = result.stats.as_dict()
     dump_json(out / "pipeline_stats.json", {"config": cfg, **stats})
-    (out / "pipeline_stats.txt").write_text(render_stats(stats), encoding="utf-8")
+    write_text(out / "pipeline_stats.txt", render_stats(stats))
     write_jsonl(out / "products.jsonl", (p.as_record() for p in products))
     split_path = in_dir / "split.json"
     if split_path.exists():

@@ -9,6 +9,7 @@ sorted, no timestamps are embedded, and every artifact gets a sidecar
 import io
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import InputError
@@ -56,12 +57,30 @@ def dumps_record(record: dict) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False)
 
 
-def write_jsonl(path, rows) -> int:
-    """Write dict rows as JSONL; returns the number of rows written."""
+@contextmanager
+def _replacing(path):
+    """A text file handle whose contents replace ``path`` only once written in full.
+
+    Writes go to a temporary file beside ``path``, renamed over it on
+    success and removed on any error, so a reader never sees a partial
+    artifact and a failed write leaves the previous file as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path, rows) -> int:
+    """Write dict rows as JSONL; returns the number of rows written."""
     n = 0
-    with path.open("w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for row in rows:
             fh.write(dumps_record(row) + "\n")
             n += 1
@@ -69,11 +88,14 @@ def write_jsonl(path, rows) -> int:
 
 
 def dump_json(path, obj) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(obj, fh, sort_keys=True, ensure_ascii=False, indent=2)
         fh.write("\n")
+
+
+def write_text(path, text: str) -> None:
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def load_json(path):

@@ -6,11 +6,20 @@ field is scored with BM25 (k1=1.2, b=0.75 by default) against its own
 postings, lengths, and document frequencies; document score is the
 field-weight-sum. IDF uses the non-negative ln(1 + (N - df + 0.5) /
 (df + 0.5)) variant so adding expansion tokens can only grow match sets.
+
+The postings dicts are the index's canonical form, the one saved to disk.
+An index's first search reads them into per-field CSR columns holding
+each posting's precomputed score contribution, and every search adds
+those up with numpy.
 """
 
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
 
 from .corpus import analyze
 from .errors import InputError
@@ -33,13 +42,28 @@ class FieldIndex:
     avg_length: float = 0.0
 
 
+class FieldColumns(NamedTuple):
+    """One field's postings as CSR rows, scored once so a search only adds."""
+
+    rows: dict              # token -> row; tokens with no postings have none
+    indptr: np.ndarray      # row r's postings are [indptr[r], indptr[r + 1])
+    positions: np.ndarray   # int32 positions into doc_ids, strictly increasing per row
+    impacts: np.ndarray     # float64 (weight * idf) * norm per posting
+
+
 @dataclass
 class InvertedIndex:
+    """The canonical index is ``fields``; the first search reads it into columns.
+
+    Change an index only before searching it: the columns are not rebuilt.
+    """
+
     fields: dict
     doc_ids: tuple
     field_weights: dict
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
+    _columns: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def doc_count(self) -> int:
@@ -112,30 +136,110 @@ def _idf(doc_count: int, df: int) -> float:
     return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
 
 
+def _field_columns(index: InvertedIndex, name: str, doc_pos: dict) -> FieldColumns:
+    """Gather one field's postings and score them, rejecting what BM25 cannot score."""
+    findex = index.fields[name]
+    rows, plists = {}, []
+    for token, plist in findex.postings.items():
+        if plist:
+            rows[token] = len(plists)
+            plists.append(plist)
+    sizes = np.fromiter(map(len, plists), np.int64, len(plists))
+    indptr = np.zeros(len(plists) + 1, np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    count = int(indptr[-1])
+    if count and not 0.0 < findex.avg_length < math.inf:
+        raise InputError(f"index field {name!r} has postings, so its avg_length must be "
+                         f"positive, not {findex.avg_length!r}")
+    try:
+        positions = np.fromiter((doc_pos[d] for d, _ in chain.from_iterable(plists)),
+                                np.int32, count)
+    except (KeyError, TypeError) as exc:    # TypeError: an unhashable id, such as a list
+        raise InputError(f"index field {name!r}: a posting names a document that is not "
+                         f"in the index's doc_ids: {exc}") from None
+    tfs = np.fromiter((tf for _, tf in chain.from_iterable(plists)), np.float64, count)
+    lengths = np.fromiter((findex.lengths.get(d, -1) for d, _ in chain.from_iterable(plists)),
+                          np.float64, count)
+    steps = np.diff(positions, prepend=-1)
+    steps[indptr[:-1]] = 1                  # a row's first posting follows no posting
+    for problem, bad in (("has no length, or a negative one", lengths < 0),
+                         ("has a term frequency below 1", tfs < 1),
+                         ("repeats or is out of order in a postings list", steps <= 0)):
+        if bad.any():
+            doc_id = index.doc_ids[positions[np.argmax(bad)]]
+            raise InputError(f"index field {name!r}: document {doc_id!r} {problem}")
+    del steps
+
+    # impact = (weight * idf) * norm, norm = tf * (k1 + 1.0) / (tf + k1 * (1.0 - b
+    # + b * length / avg_length)): the same operations in the same order, so the
+    # same float bits (a * b == b * a and a + b == b + a exactly), done in place so
+    # that building the columns takes little more memory than the columns hold
+    weight, k1, b = index.field_weights[name], index.k1, index.b
+    denominator = lengths
+    denominator *= b
+    denominator /= findex.avg_length
+    denominator += 1.0 - b
+    denominator *= k1
+    denominator += tfs
+    impacts = tfs
+    impacts *= k1 + 1.0
+    impacts /= denominator
+    del denominator, lengths
+    impacts *= np.repeat([weight * _idf(index.doc_count, size) for size in sizes.tolist()], sizes)
+    return FieldColumns(rows=rows, indptr=indptr, positions=positions, impacts=impacts)
+
+
+def _build_columns(index: InvertedIndex) -> tuple:
+    """Every index field's columns, in INDEX_FIELDS order."""
+    doc_ids = index.doc_ids
+    if not all(type(doc_id) is str for doc_id in doc_ids):
+        raise InputError("index doc_ids must all be strings")
+    for before, after in zip(doc_ids, doc_ids[1:]):
+        if not before < after:
+            raise InputError(f"index doc_ids must be sorted and unique; {after!r} "
+                             f"follows {before!r}")
+    if not (0.0 <= index.k1 < math.inf and 0.0 <= index.b <= 1.0):
+        raise InputError(f"index needs 0 <= k1 and 0 <= b <= 1, has k1={index.k1!r} "
+                         f"b={index.b!r}")
+    for name in INDEX_FIELDS:
+        if not math.isfinite(index.field_weights[name]):
+            raise InputError(f"index field {name!r} has weight {index.field_weights[name]!r}")
+    doc_pos = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+    return tuple(_field_columns(index, name, doc_pos) for name in INDEX_FIELDS)
+
+
 def search(index: InvertedIndex, query: str, k: int) -> SearchResult:
-    """Rank documents matching any query token; ties break by doc id."""
+    """Rank documents matching any query token; ties break by doc id.
+
+    Each document's score adds its postings' impacts field by field in
+    INDEX_FIELDS order and token by token in sorted order, so its float
+    bits do not depend on how the candidates are ranked.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     tokens = sorted(set(analyze(query)))
     if not tokens:
         return SearchResult(hits=[])
-    scores = {}
-    for name in INDEX_FIELDS:
-        findex = index.fields[name]
-        weight = index.field_weights[name]
+    if index._columns is None:
+        index._columns = _build_columns(index)
+    scores = np.zeros(index.doc_count)
+    matched = np.zeros(index.doc_count, dtype=bool)
+    for columns in index._columns:
         for token in tokens:
-            plist = findex.postings.get(token)
-            if not plist:
-                continue
-            idf = _idf(index.doc_count, len(plist))
-            for doc_id, tf in plist:
-                length = findex.lengths[doc_id]
-                norm = tf * (index.k1 + 1.0) / (
-                    tf + index.k1 * (1.0 - index.b + index.b * length / findex.avg_length)
-                )
-                scores[doc_id] = scores.get(doc_id, 0.0) + weight * idf * norm
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return SearchResult(hits=ranked[:k])
+            row = columns.rows.get(token)
+            if row is not None:
+                span = slice(columns.indptr[row], columns.indptr[row + 1])
+                positions = columns.positions[span]
+                scores[positions] += columns.impacts[span]
+                matched[positions] = True
+    hits = np.flatnonzero(matched)
+    hit_scores = scores[hits]
+    if len(hits) > k:
+        keep = hit_scores >= -np.partition(-hit_scores, k - 1)[k - 1]   # ties at the k-th stay
+        hits, hit_scores = hits[keep], hit_scores[keep]
+    order = np.lexsort((hits, -hit_scores))[:k]   # doc_ids are sorted, so position breaks ties
+    return SearchResult(hits=list(zip(map(index.doc_ids.__getitem__, hits[order].tolist()),
+                                      hit_scores[order].tolist())))
 
 
 def match_set(index: InvertedIndex, query: str) -> frozenset:

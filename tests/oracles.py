@@ -3,16 +3,18 @@
 The metric oracles work on plain token lists with naive loops and
 list.count, independently of the package's Counter-based implementation.
 The kernel references at the end are the package's earlier, direct
-implementations of co-occurrence prediction and the cutoff sweeps, kept
-here to prove the faster kernels equal to them.
+implementations of co-occurrence prediction, the cutoff sweeps and BM25
+search, kept here to prove the faster kernels equal to them.
 """
 
+import math
 from collections import Counter
 
-from docexpand.corpus import product_token_set
+from docexpand.corpus import analyze, product_token_set
 from docexpand.cutoff import BudgetMatchResult, CutoffSweepResult, SweepRow, candidate_cutoffs
 from docexpand.metrics import evaluate_records, make_eval_record
 from docexpand.predictor import ScoredToken, apply_cutoff
+from docexpand.retrieval import INDEX_FIELDS, SearchResult
 
 
 def clipped_match(reference, prediction):
@@ -164,3 +166,30 @@ def budget_match_cutoff(records, product_tokens, target, grid="observed"):
         if mean_novel <= target:
             return BudgetMatchResult(cutoff=cutoff, mean_novel=mean_novel, target_reachable=True)
     raise ValueError("even the highest candidate cutoff retains more than the target")
+
+
+def search(index, query, k):
+    """Reference search: score every posting of every query token in a dict, sort all."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    tokens = sorted(set(analyze(query)))
+    if not tokens:
+        return SearchResult(hits=[])
+    scores = {}
+    for name in INDEX_FIELDS:
+        findex = index.fields[name]
+        weight = index.field_weights[name]
+        for token in tokens:
+            plist = findex.postings.get(token)
+            if not plist:
+                continue
+            df = len(plist)
+            idf = math.log(1.0 + (index.doc_count - df + 0.5) / (df + 0.5))
+            for doc_id, tf in plist:
+                length = findex.lengths[doc_id]
+                norm = tf * (index.k1 + 1.0) / (
+                    tf + index.k1 * (1.0 - index.b + index.b * length / findex.avg_length)
+                )
+                scores[doc_id] = scores.get(doc_id, 0.0) + weight * idf * norm
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return SearchResult(hits=ranked[:k])

@@ -246,7 +246,34 @@ def probe_dir(tmp_path_factory):
     (root / "no_fields.json").write_text(json.dumps({"format": "expansion-index/1"}),
                                          encoding="utf-8")
     (root / "list.json").write_text("[]", encoding="utf-8")
+    for name, edit in MALFORMED_INDEXES.items():
+        index = load_json(root / "work" / "index.json")
+        edit(index)
+        (root / name).write_text(json.dumps(index), encoding="utf-8")
     return root
+
+
+def _drop_length(index):
+    del index["fields"]["title"]["lengths"]["p2"]
+
+
+def _unsort_doc_ids(index):
+    index["doc_ids"].reverse()
+
+
+# saved indexes that load but cannot be scored; each breaks a posting of "lamp"
+MALFORMED_INDEXES = {
+    "no_length.json": _drop_length,
+    "unknown_doc.json": lambda index: index["fields"]["title"]["postings"]["lamp"].append(
+        ["p9", 1]),
+    "repeated_posting.json": lambda index: index["fields"]["title"]["postings"]["lamp"].append(
+        ["p2", 1]),
+    "list_doc.json": lambda index: index["fields"]["title"]["postings"]["lamp"].append(
+        [["p9"], 1]),
+    "number_doc_id.json": lambda index: index["doc_ids"].append(7),
+    "zero_avg_length.json": lambda index: index["fields"]["title"].update(avg_length=0.0),
+    "unsorted_doc_ids.json": _unsort_doc_ids,
+}
 
 
 _INGEST = ("ingest", "--products", "{d}/products.jsonl", "--engagement", "{d}/engagement.jsonl",
@@ -299,6 +326,28 @@ EXIT_CODE_PROBES = {
         ("index", "--products", "{d}/products.jsonl", "--k1", "-1", "--b", "0",
          "--out", "{d}/out/index.json"), 2, "--k1"),
     "threads-removed": (_INGEST + ("--threads", "2"), 2, "--threads"),
+    "index-posting-without-length": (
+        ("search", "--index", "{d}/no_length.json", "--query", "lamp"), 3,
+        "field 'title': document 'p2' has no length"),
+    "index-posting-of-unknown-document": (
+        ("search", "--index", "{d}/unknown_doc.json", "--query", "lamp"), 3,
+        "a posting names a document that is not in the index's doc_ids: 'p9'"),
+    "index-posting-of-unhashable-document": (
+        ("search", "--index", "{d}/list_doc.json", "--query", "lamp"), 3,
+        "unhashable type: 'list'"),
+    "index-number-doc-id": (
+        ("search", "--index", "{d}/number_doc_id.json", "--query", "lamp"), 3,
+        "doc_ids must all be strings"),
+    "index-repeated-posting": (
+        ("search", "--index", "{d}/repeated_posting.json", "--query", "lamp"), 3,
+        "document 'p2' repeats"),
+    "index-zero-avg-length": (
+        ("search", "--index", "{d}/zero_avg_length.json", "--query", "lamp"), 3,
+        "field 'title' has postings, so its avg_length must be positive"),
+    "index-unsorted-doc-ids": (
+        ("eval-retrieval", "--index", "{d}/unsorted_doc_ids.json", "--pairs",
+         "{d}/engagement.jsonl", "--report", "{d}/out/recall.json"), 3,
+        "doc_ids must be sorted"),
     "non-utf8-config": (_INGEST + ("--config", "{d}/latin1.jsonl"), 2, "latin1.jsonl"),
 }
 

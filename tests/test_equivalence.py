@@ -16,6 +16,14 @@ from docexpand.predictor import (
     predict_cooccurrence,
     save_model,
 )
+from docexpand.retrieval import (
+    INDEX_FIELDS,
+    build_index,
+    eval_recall,
+    load_index,
+    save_index,
+    search,
+)
 
 import oracles
 
@@ -169,3 +177,81 @@ def test_sweep_matches_reference_on_a_large_record_set():
 
 def test_budget_match_on_no_records():
     assert budget_match_cutoff([], {}, 2.0) == oracles.budget_match_cutoff([], {}, 2.0)
+
+
+def random_index(rng, expand=True):
+    """Few distinct tokens (long postings lists, many equal scores), ids out of numeric order."""
+    vocab = TOKENS[:rng.randint(2, 16)]
+
+    def text(most):
+        return " ".join(rng.choices(vocab, k=rng.randint(0, most)))
+
+    products = [Product(id=f"p{i}", title=text(6), product_type=text(1), brand=text(2),
+                        color=text(1), description=text(12))
+                for i in rng.sample(range(60), rng.randint(1, 40))]
+    expansions = {p.id: rng.choices(vocab, k=rng.randint(0, 4))
+                  for p in products if expand and rng.random() < 0.6}
+    weights = {name: rng.choice([0.0, 0.5, 1.0, 2.0, 3.7]) for name in INDEX_FIELDS
+               if rng.random() < 0.4}
+    return build_index(products, expansions, weights, k1=rng.choice([1.2, 0.0, 0.9, 2.5]),
+                       b=rng.choice([0.75, 0.0, 1.0, 0.3]))
+
+
+def random_query(rng):
+    """Repeated, absent ("zz") and unanalyzable ("--") tokens mixed in."""
+    return " ".join(rng.choices(TOKENS[:16] + ["zz", "--", "Ab!"], k=rng.randint(0, 5)))
+
+
+def exact(result):
+    return [(doc_id, repr(score)) for doc_id, score in result.hits]
+
+
+def test_search_matches_reference_on_random_indexes():
+    rng = random.Random(4242)
+    compared = boundary_ties = zero_scores = beyond_matches = 0
+    for trial in range(200):
+        index = random_index(rng, expand=trial % 5 != 0)   # every fifth: empty expansion field
+        for _ in range(10):
+            query = random_query(rng)
+            everything = oracles.search(index, query, 1000)
+            for k in (1, 2, 3, 5, 10, 1000):
+                expected = oracles.search(index, query, k)
+                assert exact(search(index, query, k)) == exact(expected)
+                compared += bool(expected.hits)
+                boundary_ties += (k < len(everything)
+                                  and everything.hits[k - 1][1] == everything.hits[k][1])
+                beyond_matches += 0 < len(everything) < k
+            zero_scores += any(score == 0.0 for _, score in everything.hits)
+    assert compared > 5000 and boundary_ties > 400 and zero_scores > 100 and beyond_matches > 1000
+
+
+def test_search_on_synthetic_catalog(small_corpus):
+    # realistic field lengths and idf values, many postings summed per document
+    index = build_index(small_corpus.products, small_corpus.gold_expansions)
+    queries = [p.query for p in small_corpus.heldout + small_corpus.engagement]
+    for query in queries:
+        assert exact(search(index, query, 10)) == exact(oracles.search(index, query, 10))
+    pairs = small_corpus.heldout + small_corpus.engagement[:40]
+    for k in (1, 3, 10):
+        hits = sum(p.product_id in oracles.search(index, p.query, k).doc_ids for p in pairs)
+        report = eval_recall(index, pairs, k)
+        assert (report.hits, report.total, report.recall) == (hits, len(pairs), hits / len(pairs))
+
+
+def test_search_after_roundtrip(tmp_path):
+    rng = random.Random(99)
+    for trial in range(30):
+        index = random_index(rng, expand=trial % 3 != 0)
+        path = tmp_path / f"index{trial}.json"
+        save_index(index, path)
+        loaded = load_index(path)
+        for _ in range(10):
+            query = random_query(rng)
+            assert exact(search(loaded, query, 4)) == exact(oracles.search(index, query, 4))
+
+
+def test_idf_is_the_scalar_log():
+    # np.log and math.log differ in the last bit at doc_count 62, df 30
+    products = [Product(id=f"p{i:02d}", title="rare" if i < 30 else "mug") for i in range(62)]
+    index = build_index(products)
+    assert exact(search(index, "rare", 5)) == exact(oracles.search(index, "rare", 5))

@@ -203,3 +203,26 @@ def test_index_roundtrip(tmp_path):
     loaded = load_index(path)
     assert index_digest(loaded) == index_digest(index)
     assert search(loaded, "lamp steam", 10).hits == search(index, "lamp steam", 10).hits
+
+
+def test_columns_built_by_the_first_search_only(tmp_path):
+    index = build_index(lamp_corpus())
+    save_index(index, tmp_path / "index.json")
+    loaded = load_index(tmp_path / "index.json")
+    assert index._columns is None and loaded._columns is None
+    search(loaded, "lamp", 1)
+    columns = loaded._columns
+    search(loaded, "mug", 1)
+    assert loaded._columns is columns and index._columns is None
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda index: setattr(index, "k1", -1.0), "k1=-1.0"),
+    (lambda index: setattr(index, "b", 1.5), "b=1.5"),
+    (lambda index: index.field_weights.update(title=math.inf), "weight inf"),
+])
+def test_unscorable_parameters_rejected_on_search(edit, message):
+    index = build_index(lamp_corpus())
+    edit(index)
+    with pytest.raises(InputError, match=message):
+        search(index, "lamp", 1)
