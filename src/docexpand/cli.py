@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 config error, 3 input error, 4 internal error
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +31,7 @@ from .corpus import (
 )
 from .cutoff import ScoredRecord, budget_match_cutoff, candidate_cutoffs, tune_cutoff
 from .errors import ConfigError, InputError
-from .filters import ExternalScorer, JaccardScorer, NovelPair, PipelineConfig, run_pipeline
+from .filters import ExternalScorer, NovelPair, PipelineConfig, run_pipeline
 from .metrics import BootstrapConfig, evaluate_records, make_eval_record
 from .predictor import (
     apply_cutoff,
@@ -311,9 +312,12 @@ def _parse_field_weights(text: str) -> dict:
         if name not in INDEX_FIELDS:
             raise ConfigError(f"unknown index field {name!r} in --field-weights")
         try:
-            weights[name] = float(value)
+            weight = float(value)
         except ValueError:
             raise ConfigError(f"bad weight for field {name!r}: {value!r}") from None
+        if not math.isfinite(weight):
+            raise ConfigError(f"weight for field {name!r} must be finite: {value!r}")
+        weights[name] = weight
     return weights
 
 
@@ -419,7 +423,7 @@ def _cmd_filter(cfg: dict) -> str:
             raise ConfigError("--scorer external requires --scores PATH")
         scorer = ExternalScorer.load(cfg["scores"])
     else:
-        scorer = JaccardScorer()
+        scorer = None   # run_pipeline's Jaccard scorer, which shares its analyses
     result = run_pipeline(pairs, products, PipelineConfig(
         rf_threshold=cfg["rf_threshold"],
         scorer=scorer,

@@ -9,6 +9,7 @@ level.
 
 import logging
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -21,6 +22,8 @@ log = logging.getLogger(__name__)
 PRODUCT_TEXT_FIELDS = ("title", "product_type", "brand", "color", "gender", "description")
 
 DEFAULT_MIN_ATC = 2
+
+_ALNUM_RUN = re.compile(r"[^\W_]+")
 
 
 @dataclass(frozen=True)
@@ -111,19 +114,10 @@ def normalize(text: str) -> list:
     """Lowercase and split on every non-alphanumeric character.
 
     Empty fragments are discarded and order is preserved, so
-    ``"3-in-1"`` becomes ``["3", "in", "1"]``.
+    ``"3-in-1"`` becomes ``["3", "in", "1"]``. A word character other
+    than the underscore is exactly a character ``str.isalnum`` accepts.
     """
-    tokens = []
-    buf = []
-    for ch in text.lower():
-        if ch.isalnum():
-            buf.append(ch)
-        elif buf:
-            tokens.append("".join(buf))
-            buf.clear()
-    if buf:
-        tokens.append("".join(buf))
-    return tokens
+    return _ALNUM_RUN.findall(text.lower())
 
 
 def analyze(text: str) -> list:
@@ -132,11 +126,13 @@ def analyze(text: str) -> list:
 
 
 def product_token_set(product: Product) -> TokenSet:
-    """Analyzed multiset over all six product text fields."""
-    tokens = []
-    for value in product.text_fields():
-        tokens.extend(analyze(value))
-    return TokenSet(tokens)
+    """Analyzed multiset over all six product text fields.
+
+    The fields are analyzed as one text joined by spaces. A space is
+    neither alphanumeric nor case-ignorable, so it ends a token and ends
+    the context that lowercases a final sigma, just as a field's end does.
+    """
+    return TokenSet(analyze(" ".join(product.text_fields())))
 
 
 def load_products(source) -> list:

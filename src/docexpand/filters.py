@@ -46,12 +46,47 @@ class RelevanceScorer:
         raise NotImplementedError
 
 
+class AnalysisMemo:
+    """Analyzed query texts and product token sets, each computed once.
+
+    Entries are keyed by value, the text or the ``Product``, never by
+    product id, and are never evicted: make one per run and drop it with
+    the run, as ``run_pipeline`` does.
+    """
+
+    __slots__ = ("_queries", "_products")
+
+    def __init__(self):
+        self._queries = {}
+        self._products = {}
+
+    def query(self, text: str) -> tuple:
+        tokens = self._queries.get(text)
+        if tokens is None:
+            tokens = self._queries[text] = tuple(analyze(text))
+        return tokens
+
+    def product(self, product) -> TokenSet:
+        tokens = self._products.get(product)
+        if tokens is None:
+            tokens = self._products[product] = product_token_set(product)
+        return tokens
+
+
 class JaccardScorer(RelevanceScorer):
-    """Default lexical scorer: Jaccard overlap of stemmed token sets."""
+    """Default lexical scorer: Jaccard overlap of stemmed token sets.
+
+    With an ``AnalysisMemo`` it reads the analyses from it (run_pipeline
+    passes its own); without one, each call analyzes afresh.
+    """
+
+    def __init__(self, memo: AnalysisMemo = None):
+        self.memo = memo
 
     def score(self, query, product) -> float:
-        query_tokens = set(analyze(query))
-        product_tokens = product_token_set(product).unique
+        memo = self.memo if self.memo is not None else AnalysisMemo()
+        query_tokens = set(memo.query(query))
+        product_tokens = memo.product(product).unique
         union = query_tokens | product_tokens
         if not union:
             return 0.0
@@ -130,7 +165,10 @@ def full_match_filter(query: str, product_tokens: TokenSet) -> str:
     Returns KEEP, DROP_FULL_MATCH when every stemmed query token is already
     in the product, or DROP_EMPTY_QUERY when nothing survives tokenization.
     """
-    tokens = analyze(query)
+    return _full_match(analyze(query), product_tokens)
+
+
+def _full_match(tokens, product_tokens: TokenSet) -> str:
     if not tokens:
         return DROP_EMPTY_QUERY
     if all(token in product_tokens.unique for token in tokens):
@@ -229,9 +267,6 @@ class PipelineConfig:
     price_patterns: tuple = None
     fmf_enabled: bool = True
 
-    def resolved_scorer(self) -> RelevanceScorer:
-        return self.scorer if self.scorer is not None else JaccardScorer()
-
 
 @dataclass
 class PipelineResult:
@@ -241,21 +276,23 @@ class PipelineResult:
 
 
 def run_pipeline(pairs, products, config: PipelineConfig = None) -> PipelineResult:
-    """Run all stages and emit both datasets plus per-stage statistics."""
+    """Run all stages and emit both datasets plus per-stage statistics.
+
+    Each distinct query text and each referenced product is analyzed once
+    per call, shared by every stage and by the default Jaccard scorer.
+    """
     config = config or PipelineConfig()
     by_id = {p.id: p for p in products} if not isinstance(products, dict) else products
     for pair in pairs:
         if pair.product_id not in by_id:
             raise InputError(f"engagement pair references unknown product {pair.product_id!r}")
-    token_sets = {}
+    memo = AnalysisMemo()
 
     def tokens_of(pid: str) -> TokenSet:
-        if pid not in token_sets:
-            token_sets[pid] = product_token_set(by_id[pid])
-        return token_sets[pid]
+        return memo.product(by_id[pid])
 
     stats = PipelineStats()
-    scorer = config.resolved_scorer()
+    scorer = config.scorer if config.scorer is not None else JaccardScorer(memo)
 
     current = list(pairs)
     kept, dropped = relevance_filter(
@@ -280,7 +317,7 @@ def run_pipeline(pairs, products, config: PipelineConfig = None) -> PipelineResu
     if config.fmf_enabled:
         matched = []
         for pair in current:
-            decision = full_match_filter(pair.query, tokens_of(pair.product_id))
+            decision = _full_match(memo.query(pair.query), tokens_of(pair.product_id))
             if decision == DROP_FULL_MATCH:
                 stats.dropped_full_match += 1
             elif decision == DROP_EMPTY_QUERY:
@@ -294,7 +331,7 @@ def run_pipeline(pairs, products, config: PipelineConfig = None) -> PipelineResu
 
     novel_pairs = []
     for pair in current:
-        query_tokens = analyze(pair.query)
+        query_tokens = memo.query(pair.query)
         novel = overlapping_token_filter(query_tokens, tokens_of(pair.product_id))
         if not novel:
             continue

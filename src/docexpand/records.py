@@ -10,6 +10,7 @@ import io
 import json
 import os
 from contextlib import contextmanager
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import InputError
@@ -53,8 +54,13 @@ def _open_lines(source):
     return "<lines>", False, iter(source)
 
 
+# One compact encoder for every JSONL row: json.dumps with these arguments
+# builds a new JSONEncoder on each call.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
+
 def dumps_record(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=False)
+    return _RECORD_ENCODER.encode(record)
 
 
 @contextmanager
@@ -88,9 +94,133 @@ def write_jsonl(path, rows) -> int:
 
 
 def dump_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON, byte for byte what
+    ``json.dump(obj, fh, sort_keys=True, ensure_ascii=False, indent=2)``
+    followed by a newline writes, and raising the same errors.
+    """
     with _replacing(path) as fh:
-        json.dump(obj, fh, sort_keys=True, ensure_ascii=False, indent=2)
+        _write_indented(fh, obj)
         fh.write("\n")
+
+
+_INFINITY = float("inf")
+_CHUNK_PARTS = 4096   # encoded parts buffered between writes
+
+
+def _float_text(value) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return _scalar_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _scalar_text(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _write_indented(fh, obj) -> None:
+    """Stream ``obj`` as ``sort_keys=True, ensure_ascii=False, indent=2`` JSON.
+
+    On Python 3.10 and 3.11 ``json.dump`` with an indent always runs the
+    pure-Python generator encoder and calls ``fh.write`` once per token.
+    This writes the same text without generators: it encodes scalars
+    inline in each container's loop, recurses only into containers,
+    encodes strings with the C ``encode_basestring`` and writes whenever
+    ``_CHUNK_PARTS`` parts are buffered, so memory stays bounded however
+    large ``obj`` is. Key sorting, number formatting and the errors raised
+    (TypeError for an unserializable value or key, ValueError for a
+    container inside itself) follow ``json.encoder._make_iterencode``.
+    No class subclasses two of str, int, float, list, tuple and dict, so
+    testing the exact types first and subclasses after picks what its
+    order of ``isinstance`` tests picks.
+    """
+    parts = []
+    append = parts.append
+    writing = set()   # ids of the containers that have a container being written inside
+    levels = []       # per nesting level: (first lead, item separator, "]" and "}" closers)
+
+    def flush():
+        fh.write("".join(parts))
+        parts.clear()
+
+    def container(obj, level):
+        is_dict = isinstance(obj, dict)
+        if not obj:
+            append("{}" if is_dict else "[]")
+            return
+        if level == len(levels):
+            indent = "\n" + "  " * (level + 1)
+            outer = "\n" + "  " * level
+            levels.append((indent, "," + indent, outer + "]", outer + "}"))
+        lead, separator, close_list, close_dict = levels[level]
+        level += 1
+        nested = False
+        if is_dict:
+            append("{")
+            items = sorted(obj.items())
+        else:
+            append("[")
+            items = obj
+        for item in items:
+            if is_dict:
+                key, value = item
+                prefix = lead + encode_basestring(
+                    key if type(key) is str else _key_text(key)) + ": "
+            else:
+                value = item
+                prefix = lead
+            lead = separator
+            if len(parts) >= _CHUNK_PARTS:
+                flush()
+            cls = type(value)
+            if cls is str:
+                append(prefix + encode_basestring(value))
+            elif cls is int:
+                append(prefix + int.__repr__(value))
+            elif cls is float:
+                append(prefix + _float_text(value))
+            elif isinstance(value, (list, tuple, dict)):
+                if id(value) in writing:
+                    raise ValueError("Circular reference detected")
+                if not nested:
+                    writing.add(id(obj))
+                    nested = True
+                append(prefix)
+                container(value, level)
+            else:
+                append(prefix + _scalar_text(value))
+        append(close_dict if is_dict else close_list)
+        if nested:
+            writing.discard(id(obj))
+
+    if isinstance(obj, (list, tuple, dict)):
+        container(obj, 0)
+    else:
+        append(_scalar_text(obj))
+    flush()
 
 
 def write_text(path, text: str) -> None:

@@ -299,10 +299,10 @@ def index_payload(index: InvertedIndex) -> dict:
         "k1": index.k1,
         "b": index.b,
         "field_weights": index.field_weights,
-        "doc_ids": list(index.doc_ids),
+        "doc_ids": index.doc_ids,
         "fields": {
             name: {
-                "postings": {t: [[d, tf] for d, tf in plist] for t, plist in findex.postings.items()},
+                "postings": findex.postings,
                 "lengths": findex.lengths,
                 "avg_length": findex.avg_length,
             }

@@ -3,18 +3,32 @@
 The metric oracles work on plain token lists with naive loops and
 list.count, independently of the package's Counter-based implementation.
 The kernel references at the end are the package's earlier, direct
-implementations of co-occurrence prediction, the cutoff sweeps and BM25
-search, kept here to prove the faster kernels equal to them.
+implementations of text analysis, the filter pipeline, indented JSON
+output, co-occurrence prediction, the cutoff sweeps and BM25 search, kept
+here to prove the faster kernels equal to them.
 """
 
+import json
 import math
 from collections import Counter
 
-from docexpand.corpus import analyze, product_token_set
+from docexpand.corpus import EngagementPair, TokenSet
 from docexpand.cutoff import BudgetMatchResult, CutoffSweepResult, SweepRow, candidate_cutoffs
+from docexpand.errors import InputError
+from docexpand.filters import (
+    NovelPair,
+    PipelineConfig,
+    PipelineResult,
+    PipelineStats,
+    StageStats,
+    overlapping_token_filter,
+    price_token_filter,
+    relevance_filter,
+)
 from docexpand.metrics import evaluate_records, make_eval_record
 from docexpand.predictor import ScoredToken, apply_cutoff
 from docexpand.retrieval import INDEX_FIELDS, SearchResult
+from docexpand.stemmer import stem
 
 
 def clipped_match(reference, prediction):
@@ -94,6 +108,128 @@ def novelty_of(cases):
         return 0.0, 0.0, 0.0
     n = len(cases)
     return sum(totals) / n, sum(novels) / n, sum(novels) / sum(totals)
+
+
+def normalize(text):
+    """Reference normalizer: one str.isalnum test per lowercased character."""
+    tokens = []
+    buf = []
+    for ch in text.lower():
+        if ch.isalnum():
+            buf.append(ch)
+        elif buf:
+            tokens.append("".join(buf))
+            buf.clear()
+    if buf:
+        tokens.append("".join(buf))
+    return tokens
+
+
+def analyze(text):
+    return [stem(token) for token in normalize(text)]
+
+
+def product_token_set(product):
+    """Reference product analysis: each text field analyzed on its own."""
+    tokens = []
+    for value in product.text_fields():
+        tokens.extend(analyze(value))
+    return TokenSet(tokens)
+
+
+def dump_json(path, obj):
+    """Reference indented JSON artifact writer."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, ensure_ascii=False, indent=2)
+        fh.write("\n")
+
+
+class JaccardScorer:
+    """Reference Jaccard scorer: re-analyzes the query and product for every pair."""
+
+    def score(self, query, product):
+        query_tokens = set(analyze(query))
+        product_tokens = product_token_set(product).unique
+        union = query_tokens | product_tokens
+        if not union:
+            return 0.0
+        return len(query_tokens & product_tokens) / len(union)
+
+
+def _stage_row(stage, pairs_in, pairs_out):
+    return StageStats(stage=stage, pairs_in=len(pairs_in), pairs_out=len(pairs_out),
+                      products_out=len({p.product_id for p in pairs_out}))
+
+
+def run_pipeline(pairs, products, config=None):
+    """Reference filter pipeline: a token-set cache by product id, queries re-analyzed."""
+    config = config or PipelineConfig()
+    by_id = {p.id: p for p in products} if not isinstance(products, dict) else products
+    for pair in pairs:
+        if pair.product_id not in by_id:
+            raise InputError(f"engagement pair references unknown product {pair.product_id!r}")
+    token_sets = {}
+
+    def tokens_of(pid):
+        if pid not in token_sets:
+            token_sets[pid] = product_token_set(by_id[pid])
+        return token_sets[pid]
+
+    stats = PipelineStats()
+    scorer = config.scorer if config.scorer is not None else JaccardScorer()
+
+    current = list(pairs)
+    kept, dropped = relevance_filter(
+        [(pair, by_id[pair.product_id]) for pair in current], scorer, config.rf_threshold
+    )
+    stats.dropped_irrelevant = dropped
+    stats.rows.append(_stage_row("relevance", current, kept))
+    current = kept
+
+    cleaned = []
+    for pair in current:
+        new_query = price_token_filter(pair.query, config.price_patterns)
+        if not new_query:
+            stats.dropped_empty_after_price += 1
+            continue
+        if new_query != pair.query:
+            pair = EngagementPair(pair.product_id, new_query, pair.atc_count)
+        cleaned.append(pair)
+    stats.rows.append(_stage_row("price_token", current, cleaned))
+    current = cleaned
+
+    if config.fmf_enabled:
+        matched = []
+        for pair in current:
+            tokens = analyze(pair.query)
+            if not tokens:
+                stats.dropped_empty_query += 1
+            elif all(token in tokens_of(pair.product_id).unique for token in tokens):
+                stats.dropped_full_match += 1
+            else:
+                matched.append(pair)
+        stats.rows.append(_stage_row("full_match", current, matched))
+        current = matched
+
+    query_pairs = list(current)
+
+    novel_pairs = []
+    for pair in current:
+        query_tokens = analyze(pair.query)
+        novel = overlapping_token_filter(query_tokens, tokens_of(pair.product_id))
+        if not novel:
+            continue
+        counts = {token: query_tokens.count(token) for token in novel}
+        novel_pairs.append(NovelPair(product_id=pair.product_id, novel_tokens=tuple(novel),
+                                     source_query=pair.query, token_counts=counts))
+    stats.rows.append(StageStats(
+        stage="novel_tokens",
+        pairs_in=len(current),
+        pairs_out=len(novel_pairs),
+        products_out=len({p.product_id for p in novel_pairs}),
+    ))
+    stats.novel_token_pairs = sum(len(p.novel_tokens) for p in novel_pairs)
+    return PipelineResult(query_pairs=query_pairs, novel_pairs=novel_pairs, stats=stats)
 
 
 def predict_cooccurrence(model, product, n):

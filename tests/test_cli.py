@@ -250,6 +250,10 @@ def probe_dir(tmp_path_factory):
         index = load_json(root / "work" / "index.json")
         edit(index)
         (root / name).write_text(json.dumps(index), encoding="utf-8")
+    saved_index = (root / "work" / "index.json").read_bytes()
+    (root / "truncated_index.json").write_bytes(saved_index[: len(saved_index) // 2])
+    products = (root / "products.jsonl").read_bytes()
+    (root / "truncated_products.jsonl").write_bytes(products[: products.rindex(b'"') - 3])
     return root
 
 
@@ -278,6 +282,7 @@ MALFORMED_INDEXES = {
 
 _INGEST = ("ingest", "--products", "{d}/products.jsonl", "--engagement", "{d}/engagement.jsonl",
            "--out", "{d}/out/ingested")
+_INDEX = ("index", "--products", "{d}/products.jsonl", "--out", "{d}/out/index.json")
 _EVALUATE = ("evaluate", "--predictions", "{d}/work/predictions.jsonl",
              "--references", "{d}/work/filtered/query_pairs.jsonl",
              "--products", "{d}/products.jsonl", "--report", "{d}/out/eval.json")
@@ -349,6 +354,23 @@ EXIT_CODE_PROBES = {
          "{d}/engagement.jsonl", "--report", "{d}/out/recall.json"), 3,
         "doc_ids must be sorted"),
     "non-utf8-config": (_INGEST + ("--config", "{d}/latin1.jsonl"), 2, "latin1.jsonl"),
+    "index-weight-inf": (_INDEX + ("--field-weights", "title:inf"), 2,
+                         "weight for field 'title' must be finite"),
+    "index-weight-nan": (_INDEX + ("--field-weights", "title:nan"), 2,
+                         "weight for field 'title' must be finite"),
+    "index-weight-overflow": (_INDEX + ("--field-weights", "title:1e400"), 2,
+                              "weight for field 'title' must be finite"),
+    "search-truncated-index": (
+        ("search", "--index", "{d}/truncated_index.json", "--query", "lamp"), 3,
+        "truncated_index.json: invalid JSON"),
+    "eval-retrieval-truncated-index": (
+        ("eval-retrieval", "--index", "{d}/truncated_index.json", "--pairs",
+         "{d}/engagement.jsonl", "--report", "{d}/out/recall.json"), 3,
+        "truncated_index.json: invalid JSON"),
+    "ingest-truncated-products": (
+        ("ingest", "--products", "{d}/truncated_products.jsonl", "--engagement",
+         "{d}/engagement.jsonl", "--out", "{d}/out/ingested"), 3,
+        "truncated_products.jsonl:3: invalid JSON record"),
 }
 
 

@@ -7,7 +7,11 @@ lists, reports and floats of the references they replaced.
 import itertools
 import random
 
-from docexpand.corpus import Product
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from docexpand import filters
+from docexpand.corpus import EngagementPair, Product, normalize, product_token_set
 from docexpand.cutoff import ScoredRecord, budget_match_cutoff, tune_cutoff
 from docexpand.predictor import (
     CooccurrenceModel,
@@ -16,6 +20,7 @@ from docexpand.predictor import (
     predict_cooccurrence,
     save_model,
 )
+from docexpand.filters import ExternalScorer, PipelineConfig, run_pipeline
 from docexpand.retrieval import (
     INDEX_FIELDS,
     build_index,
@@ -24,6 +29,8 @@ from docexpand.retrieval import (
     save_index,
     search,
 )
+from docexpand.stemmer import stem
+from docexpand.synthetic import SyntheticConfig, generate, generate_price_queries
 
 import oracles
 
@@ -255,3 +262,116 @@ def test_idf_is_the_scalar_log():
     products = [Product(id=f"p{i:02d}", title="rare" if i < 30 else "mug") for i in range(62)]
     index = build_index(products)
     assert exact(search(index, "rare", 5)) == exact(oracles.search(index, "rare", 5))
+
+
+# -- text analysis: one regex and one joined text against the per-character oracle --
+
+def test_normalize_matches_reference_on_every_code_point():
+    mismatched = [c for c in range(0x110000) if normalize(chr(c)) != oracles.normalize(chr(c))]
+    assert mismatched == []
+
+
+# Σ lowercases to ς only at the end of a word, judged across case-ignorable
+# characters such as combining marks; "_" is a word character but not
+# alphanumeric; ٣, १ and ² are digits outside ASCII.
+ANALYZER_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from("ΣΑαaZ _-'.\u0301\u0345\u00ad\u200d٣१²½Ⅻİßŉǅ"),
+    st.characters(blacklist_categories=("Cs",)),
+), max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANALYZER_TEXT)
+@example("ΑΣ")
+@example("ΑΣΑ")
+@example("ΣΑ")
+@example("ΆΣ́ b")
+@example("ΑΣ_Α")
+@example("x_y ٣٤ १२ x²")
+def test_normalize_matches_reference(text):
+    assert normalize(text) == oracles.normalize(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(ANALYZER_TEXT, min_size=6, max_size=6))
+@example(["ΑΣ", "Β", "Σ", "ΑΣ\u0301", "\u0301Σ", "ΣΣ"])
+@example(["ab", "", "", "", "", "cd"])
+def test_product_token_set_matches_per_field_reference(fields):
+    product = Product("p", *fields)
+    assert product_token_set(product) == oracles.product_token_set(product)
+    assert sorted(product_token_set(product).counts.elements()) == sorted(
+        token for value in fields for token in oracles.analyze(value))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.one_of(st.sampled_from("abcdefghijklmnopqrstuvwxyz  "),
+                                  st.characters(blacklist_categories=("Cs",)))))
+@example("generalizations relational conditional agreed feed hopping falling sky")
+def test_stem_is_idempotent(text):
+    for word in normalize(text):
+        assert stem(stem(word)) == stem(word)
+
+
+# -- the filter pipeline against the earlier one, which re-analyzed per stage and pair --
+
+def pipeline_case(seed):
+    rng = random.Random(seed)
+    corpus = generate(SyntheticConfig(seed=seed, n_products=120, n_heldout=10))
+    products = list(corpus.products)
+    products.append(Product("sigma", "ΚΑΦΕΣ", "ΣΑΚΟΣ", description="x_y ٣ café"))
+    queries = [pair.query for pair in corpus.engagement]
+    queries += generate_price_queries(seed, 40)
+    queries += [p.title for p in rng.sample(products, 20)]          # full matches
+    queries += ["cheap", "under $5", "!!!", "_", "καφες", "Σ sale", "3-in-1"]
+    pairs = list(corpus.engagement)
+    for _ in range(300):
+        pairs.append(EngagementPair(rng.choice(products).id, rng.choice(queries),
+                                    rng.randint(0, 9)))
+    rng.shuffle(pairs)
+    return products, pairs
+
+
+def test_pipeline_matches_reference():
+    compared = 0
+    for seed in (1, 2):
+        products, pairs = pipeline_case(seed)
+        rng = random.Random(seed)
+        external = ExternalScorer({(p.product_id, p.query): rng.choice([0.0, 0.3, 1.0])
+                                   for p in pairs})
+        for threshold, fmf, patterns, scorer in itertools.product(
+                (0.0, 0.02, 0.1), (True, False), (None, (r"\bcheap\b", r"\d+")),
+                (None, external)):
+            config = PipelineConfig(rf_threshold=threshold, scorer=scorer,
+                                    price_patterns=patterns, fmf_enabled=fmf)
+            got = run_pipeline(pairs, products, config)
+            want = oracles.run_pipeline(pairs, products, config)
+            assert got.query_pairs == want.query_pairs
+            assert got.novel_pairs == want.novel_pairs
+            assert got.stats.as_dict() == want.stats.as_dict()
+            compared += len(want.novel_pairs)
+    assert compared > 1000
+
+
+def test_pipeline_analyzes_each_text_and_product_once_per_call(monkeypatch):
+    products, pairs = pipeline_case(3)
+    seen = {"texts": [], "products": []}
+
+    def counted(name, func):
+        def wrapper(arg):
+            seen[name].append(arg)
+            return func(arg)
+        return wrapper
+
+    monkeypatch.setattr(filters, "analyze", counted("texts", filters.analyze))
+    monkeypatch.setattr(filters, "product_token_set",
+                        counted("products", filters.product_token_set))
+    by_id = {p.id: p for p in products}
+    for _ in range(2):    # nothing is cached from one call to the next
+        seen["texts"].clear()
+        seen["products"].clear()
+        result = run_pipeline(pairs, products)
+        assert sorted(seen["products"], key=lambda p: p.id) == sorted(
+            {by_id[pair.product_id] for pair in pairs}, key=lambda p: p.id)
+        assert len(seen["texts"]) == len(set(seen["texts"]))
+        assert {pair.query for pair in pairs} <= set(seen["texts"])
+        assert result.novel_pairs

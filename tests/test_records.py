@@ -1,4 +1,12 @@
+import json
+import math
+import tempfile
+from enum import IntEnum
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from docexpand.records import dump_json, write_jsonl, write_text
 
@@ -32,3 +40,132 @@ def test_written_bytes(tmp_path):
     write_text(rows, "replaced\n")
     assert rows.read_text(encoding="utf-8") == "replaced\n"
     assert sorted(p.name for p in rows.parent.iterdir()) == ["rows.jsonl"]
+
+
+# -- dump_json against json.dumps(..., sort_keys=True, ensure_ascii=False, indent=2) --
+
+class Level(IntEnum):
+    LOW = 1
+    HUGE = 2 ** 70
+
+
+class Text(str):
+    def __str__(self):
+        return "not the text"
+
+
+class Number(float):
+    def __repr__(self):
+        return "not the number"
+
+
+class Items(list):
+    pass
+
+
+class Mapping(dict):
+    pass
+
+
+def reference_bytes(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+
+
+TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f  é😀\U0010fffd'),
+    st.characters(blacklist_categories=("Cs",)),
+))
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072014e-308,
+                     1e16, 1.7976931348623157e308]),
+)
+INTS = st.one_of(st.integers(), st.integers(min_value=2 ** 64, max_value=2 ** 200),
+                 st.integers(min_value=-2 ** 200, max_value=-2 ** 64))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), INTS, FLOATS, TEXT,
+    st.sampled_from(list(Level)), TEXT.map(Text), FLOATS.map(Number),
+)
+STR_KEYS = st.one_of(TEXT, TEXT.map(Text))
+NUMBER_KEYS = st.one_of(st.booleans(), INTS, FLOATS, st.sampled_from(list(Level)))
+
+
+def containers(children):
+    values = st.lists(children, max_size=5)
+    return st.one_of(
+        values, values.map(tuple), values.map(Items),
+        st.dictionaries(STR_KEYS, children, max_size=5),
+        st.dictionaries(NUMBER_KEYS, children, max_size=5).map(Mapping),
+        st.dictionaries(st.none(), children, max_size=1),
+        st.just([]), st.just({}), st.just(()),
+    )
+
+
+JSON_TREES = st.recursive(SCALARS, containers, max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+@example({"nan": math.nan, "inf": [math.inf, -math.inf], "zero": -0.0, "tiny": 5e-324,
+          "big": -2 ** 70, "enum": Level.HUGE, "none": {None: 0},
+          "keys": {1.5: (), math.inf: {}, -1: [[]], True: Number(2.5), Level.LOW: Text("t")}})
+def test_dump_json_writes_the_reference_bytes(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "obj.json"
+        dump_json(path, obj)
+        assert path.read_bytes() == reference_bytes(obj)
+        assert [p.name for p in Path(tmp).iterdir()] == ["obj.json"]
+
+
+def test_dump_json_chunked_writes_match(tmp_path):
+    rows = [{"id": f"p{i:05d}", "postings": [(f"d{j}", j) for j in range(i % 7)],
+             "score": i / 7, "tags": ["é", None, True]} for i in range(3000)]
+    obj = {"rows": rows, "flat": list(range(20000)), "deep": [[[[["x"]]]]]}
+    dump_json(tmp_path / "big.json", obj)
+    assert (tmp_path / "big.json").read_bytes() == reference_bytes(obj)
+
+
+def circular_list():
+    outer = [1]
+    inner = {"back": [outer]}
+    outer.append(inner)
+    return outer
+
+
+def circular_dict():
+    obj = {"a": []}
+    obj["a"].append(obj)
+    return obj
+
+
+def shared_not_circular():
+    leaf = [1, 2]
+    return {"a": leaf, "b": [leaf, leaf]}
+
+
+@pytest.mark.parametrize("obj, error", [
+    ({"a": [1, {2, 3}]}, TypeError),
+    ([object()], TypeError),
+    (object(), TypeError),
+    ({(1, 2): "tuple key"}, TypeError),
+    ({"a": 1, 2: "mixed key types"}, TypeError),
+    (circular_list(), ValueError),
+    (circular_dict(), ValueError),
+], ids=["set", "object-in-list", "object", "tuple-key", "mixed-keys", "circular-list",
+        "circular-dict"])
+def test_dump_json_raises_like_json_and_keeps_previous_file(tmp_path, obj, error):
+    with pytest.raises(error):
+        reference_bytes(obj)
+    path = tmp_path / "artifact.json"
+    path.write_bytes(b'{"previous": true}\n')
+    with pytest.raises(error) as raised:
+        dump_json(path, obj)
+    assert type(raised.value) is error
+    assert path.read_bytes() == b'{"previous": true}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+
+def test_dump_json_repeats_shared_containers(tmp_path):
+    obj = shared_not_circular()
+    dump_json(tmp_path / "shared.json", obj)
+    assert (tmp_path / "shared.json").read_bytes() == reference_bytes(obj)
