@@ -301,7 +301,7 @@ def _split_subset(cfg: dict):
         return None
     if split_name is None or split_file is None:
         raise ConfigError("--split and --split-file must be given together")
-    return CatalogSplit.from_record(load_json(split_file)).subset(split_name)
+    return CatalogSplit.from_record(load_json(split_file), split_file).subset(split_name)
 
 
 def _parse_field_weights(text: str) -> dict:
@@ -455,7 +455,7 @@ def _cmd_build_targets(cfg: dict) -> str:
         split_path = in_dir / "split.json"
         if not split_path.exists():
             raise InputError(f"--split {cfg['split']} needs {split_path}")
-        subset = CatalogSplit.from_record(load_json(split_path)).subset(cfg["split"])
+        subset = CatalogSplit.from_record(load_json(split_path), split_path).subset(cfg["split"])
     by_product = {}
     for pair in novel_pairs:
         by_product.setdefault(pair.product_id, []).append(pair)

@@ -102,12 +102,17 @@ class CatalogSplit:
         }
 
     @classmethod
-    def from_record(cls, record: dict) -> "CatalogSplit":
-        return cls(
-            train=frozenset(record["train"]),
-            validation=frozenset(record["validation"]),
-            test=frozenset(record["test"]),
-        )
+    def from_record(cls, record, source) -> "CatalogSplit":
+        """Read a split file's object; ``source`` names the file in errors."""
+        if not isinstance(record, dict):
+            raise InputError(f"{source}: a split file must be a JSON object")
+        subsets = {}
+        for name in ("train", "validation", "test"):
+            ids = record.get(name)
+            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                raise InputError(f"{source}: {name!r} must be a list of product id strings")
+            subsets[name] = frozenset(ids)
+        return cls(**subsets)
 
 
 def normalize(text: str) -> list:

@@ -108,7 +108,8 @@ class ExternalScorer(RelevanceScorer):
             value = record.get("score")
             if not isinstance(pid, str) or not isinstance(query, str):
                 raise InputError(f"line {lineno}: score record needs 'product_id' and 'query'")
-            if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not 0.0 <= value <= 1.0):
                 raise InputError(f"line {lineno}: 'score' must be a number in [0, 1]")
             scores[(pid, query)] = float(value)
         return cls(scores)

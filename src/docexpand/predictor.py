@@ -201,7 +201,8 @@ def load_external_predictions(source) -> ExternalPredictor:
         if not isinstance(text, str) or not text.strip():
             raise InputError(f"line {lineno}: prediction record needs a non-empty 'token'")
         score = record.get("score")
-        if not isinstance(score, (int, float)) or not 0.0 <= score <= 1.0:
+        if (not isinstance(score, (int, float)) or isinstance(score, bool)
+                or not 0.0 <= score <= 1.0):
             raise InputError(f"line {lineno}: 'score' must be a number in [0, 1]")
         kind = record.get("kind", "token")
         if kind not in PREDICTION_KINDS:

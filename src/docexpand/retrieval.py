@@ -16,7 +16,7 @@ those up with numpy.
 import hashlib
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -46,8 +46,8 @@ class FieldColumns(NamedTuple):
     """One field's postings as CSR rows, scored once so a search only adds."""
 
     rows: dict              # token -> row; tokens with no postings have none
-    indptr: np.ndarray      # row r's postings are [indptr[r], indptr[r + 1])
-    positions: np.ndarray   # int32 positions into doc_ids, strictly increasing per row
+    indptr: list            # ints; row r's postings are [indptr[r], indptr[r + 1])
+    positions: np.ndarray   # intp positions into doc_ids, strictly increasing per row
     impacts: np.ndarray     # float64 (weight * idf) * norm per posting
 
 
@@ -144,22 +144,22 @@ def _field_columns(index: InvertedIndex, name: str, doc_pos: dict) -> FieldColum
         if plist:
             rows[token] = len(plists)
             plists.append(plist)
-    sizes = np.fromiter(map(len, plists), np.int64, len(plists))
-    indptr = np.zeros(len(plists) + 1, np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    count = int(indptr[-1])
+    sizes = [len(plist) for plist in plists]
+    indptr = [0, *accumulate(sizes)]
+    count = indptr[-1]
     if count and not 0.0 < findex.avg_length < math.inf:
         raise InputError(f"index field {name!r} has postings, so its avg_length must be "
                          f"positive, not {findex.avg_length!r}")
+    # intp, because numpy casts an index array of any other dtype on every fancy index
     try:
         positions = np.fromiter((doc_pos[d] for d, _ in chain.from_iterable(plists)),
-                                np.int32, count)
+                                np.intp, count)
     except (KeyError, TypeError) as exc:    # TypeError: an unhashable id, such as a list
         raise InputError(f"index field {name!r}: a posting names a document that is not "
                          f"in the index's doc_ids: {exc}") from None
     tfs = np.fromiter((tf for _, tf in chain.from_iterable(plists)), np.float64, count)
-    lengths = np.fromiter((findex.lengths.get(d, -1) for d, _ in chain.from_iterable(plists)),
-                          np.float64, count)
+    lengths = np.fromiter((findex.lengths.get(d, -1) for d in index.doc_ids),
+                          np.float64, index.doc_count)[positions]    # one lookup per document
     steps = np.diff(positions, prepend=-1)
     steps[indptr[:-1]] = 1                  # a row's first posting follows no posting
     for problem, bad in (("has no length, or a negative one", lengths < 0),
@@ -185,7 +185,7 @@ def _field_columns(index: InvertedIndex, name: str, doc_pos: dict) -> FieldColum
     impacts *= k1 + 1.0
     impacts /= denominator
     del denominator, lengths
-    impacts *= np.repeat([weight * _idf(index.doc_count, size) for size in sizes.tolist()], sizes)
+    impacts *= np.repeat([weight * _idf(index.doc_count, size) for size in sizes], sizes)
     return FieldColumns(rows=rows, indptr=indptr, positions=positions, impacts=impacts)
 
 
@@ -228,11 +228,11 @@ def search(index: InvertedIndex, query: str, k: int) -> SearchResult:
         for token in tokens:
             row = columns.rows.get(token)
             if row is not None:
-                span = slice(columns.indptr[row], columns.indptr[row + 1])
-                positions = columns.positions[span]
-                scores[positions] += columns.impacts[span]
+                start, stop = columns.indptr[row], columns.indptr[row + 1]
+                positions = columns.positions[start:stop]
+                scores[positions] += columns.impacts[start:stop]
                 matched[positions] = True
-    hits = np.flatnonzero(matched)
+    hits = matched.nonzero()[0]
     hit_scores = scores[hits]
     if len(hits) > k:
         keep = hit_scores >= -np.partition(-hit_scores, k - 1)[k - 1]   # ties at the k-th stay

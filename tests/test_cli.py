@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -246,6 +247,17 @@ def probe_dir(tmp_path_factory):
     (root / "no_fields.json").write_text(json.dumps({"format": "expansion-index/1"}),
                                          encoding="utf-8")
     (root / "list.json").write_text("[]", encoding="utf-8")
+    split = load_json(root / "work" / "filtered" / "split.json")
+    for name, edit in MALFORMED_SPLITS.items():
+        broken = dict(split)
+        edit(broken)
+        (root / name).write_text(json.dumps(broken), encoding="utf-8")
+    shutil.copytree(root / "work" / "filtered", root / "bad_split")
+    shutil.copy(root / "split_train_5.json", root / "bad_split" / "split.json")
+    write_jsonl(root / "true_prediction.jsonl",
+                [{"product_id": "p1", "token": "kid", "score": True}])
+    write_jsonl(root / "true_score.jsonl",
+                [{"product_id": "p1", "query": "swim vest", "score": True}])
     for name, edit in MALFORMED_INDEXES.items():
         index = load_json(root / "work" / "index.json")
         edit(index)
@@ -280,12 +292,19 @@ MALFORMED_INDEXES = {
 }
 
 
+MALFORMED_SPLITS = {
+    "split_no_validation.json": lambda split: split.pop("validation"),
+    "split_train_5.json": lambda split: split.update(train=5),
+}
+
+
 _INGEST = ("ingest", "--products", "{d}/products.jsonl", "--engagement", "{d}/engagement.jsonl",
            "--out", "{d}/out/ingested")
 _INDEX = ("index", "--products", "{d}/products.jsonl", "--out", "{d}/out/index.json")
 _EVALUATE = ("evaluate", "--predictions", "{d}/work/predictions.jsonl",
              "--references", "{d}/work/filtered/query_pairs.jsonl",
              "--products", "{d}/products.jsonl", "--report", "{d}/out/eval.json")
+_NO_VALIDATION = "split_no_validation.json: 'validation' must be a list of product id strings"
 
 # probe -> (argv, exit code, text the error message must contain); never exit 4
 EXIT_CODE_PROBES = {
@@ -367,6 +386,35 @@ EXIT_CODE_PROBES = {
         ("eval-retrieval", "--index", "{d}/truncated_index.json", "--pairs",
          "{d}/engagement.jsonl", "--report", "{d}/out/recall.json"), 3,
         "truncated_index.json: invalid JSON"),
+    "evaluate-split-without-validation": (
+        _EVALUATE + ("--split", "test", "--split-file", "{d}/split_no_validation.json"), 3,
+        _NO_VALIDATION),
+    "evaluate-split-train-5": (
+        _EVALUATE + ("--split", "test", "--split-file", "{d}/split_train_5.json"), 3,
+        "split_train_5.json: 'train' must be a list of product id strings"),
+    "evaluate-split-is-a-list": (
+        _EVALUATE + ("--split", "test", "--split-file", "{d}/list.json"), 3,
+        "list.json: a split file must be a JSON object"),
+    "predict-split-without-validation": (
+        ("predict", "--model", "cooccurrence:{d}/work/model.json", "--products",
+         "{d}/products.jsonl", "--split", "test", "--split-file",
+         "{d}/split_no_validation.json", "--out", "{d}/out/pred.jsonl"), 3, _NO_VALIDATION),
+    "tune-cutoff-split-without-validation": (
+        ("tune-cutoff", "--predictions", "{d}/work/predictions.jsonl", "--references",
+         "{d}/work/filtered/query_pairs.jsonl", "--products", "{d}/products.jsonl",
+         "--split", "test", "--split-file", "{d}/split_no_validation.json",
+         "--report", "{d}/out/cutoff.json"), 3, _NO_VALIDATION),
+    "build-targets-split-train-5": (
+        ("build-targets", "--in", "{d}/bad_split", "--split", "train",
+         "--out", "{d}/out/instances.jsonl"), 3,
+        "split.json: 'train' must be a list of product id strings"),
+    "index-expansion-score-true": (
+        _INDEX + ("--expansions", "{d}/true_prediction.jsonl"), 3,
+        "line 1: 'score' must be a number in [0, 1]"),
+    "filter-external-score-true": (
+        ("filter", "--in", "{d}/work/ingested", "--scorer", "external",
+         "--scores", "{d}/true_score.jsonl", "--out", "{d}/out/filtered"), 3,
+        "line 1: 'score' must be a number in [0, 1]"),
     "ingest-truncated-products": (
         ("ingest", "--products", "{d}/truncated_products.jsonl", "--engagement",
          "{d}/engagement.jsonl", "--out", "{d}/out/ingested"), 3,

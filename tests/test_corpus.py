@@ -5,6 +5,7 @@ import re
 import pytest
 
 from docexpand.corpus import (
+    CatalogSplit,
     EngagementPair,
     Product,
     TokenSet,
@@ -165,6 +166,20 @@ class TestSplitByProduct:
     def test_input_order_irrelevant(self):
         ids = [f"p{i}" for i in range(20)]
         assert split_by_product(ids, seed=5) == split_by_product(list(reversed(ids)), seed=5)
+
+    def test_record_roundtrip(self):
+        split = split_by_product([f"p{i}" for i in range(10)], seed=2)
+        assert CatalogSplit.from_record(split.as_record(), "split.json") == split
+
+    @pytest.mark.parametrize("record, message", [
+        ([], "split.json: a split file must be a JSON object"),
+        ({"train": [], "test": []}, "split.json: 'validation' must be a list"),
+        ({"train": ["p1", 2], "validation": [], "test": []}, "split.json: 'train' must be a list"),
+        ({"train": [], "validation": [], "test": "p1"}, "split.json: 'test' must be a list"),
+    ])
+    def test_malformed_record_rejected(self, record, message):
+        with pytest.raises(InputError, match=message):
+            CatalogSplit.from_record(record, "split.json")
 
     def test_disjoint_and_covering_property(self):
         rng = random.Random(42)

@@ -198,7 +198,7 @@ def random_index(rng, expand=True):
                 for i in rng.sample(range(60), rng.randint(1, 40))]
     expansions = {p.id: rng.choices(vocab, k=rng.randint(0, 4))
                   for p in products if expand and rng.random() < 0.6}
-    weights = {name: rng.choice([0.0, 0.5, 1.0, 2.0, 3.7]) for name in INDEX_FIELDS
+    weights = {name: rng.choice([0.0, 0.5, 1.0, 2.0, 3.7, -1.0]) for name in INDEX_FIELDS
                if rng.random() < 0.4}
     return build_index(products, expansions, weights, k1=rng.choice([1.2, 0.0, 0.9, 2.5]),
                        b=rng.choice([0.75, 0.0, 1.0, 0.3]))
@@ -215,7 +215,7 @@ def exact(result):
 
 def test_search_matches_reference_on_random_indexes():
     rng = random.Random(4242)
-    compared = boundary_ties = zero_scores = beyond_matches = 0
+    compared = boundary_ties = zero_scores = negative_scores = beyond_matches = 0
     for trial in range(200):
         index = random_index(rng, expand=trial % 5 != 0)   # every fifth: empty expansion field
         for _ in range(10):
@@ -229,7 +229,9 @@ def test_search_matches_reference_on_random_indexes():
                                   and everything.hits[k - 1][1] == everything.hits[k][1])
                 beyond_matches += 0 < len(everything) < k
             zero_scores += any(score == 0.0 for _, score in everything.hits)
+            negative_scores += any(score < 0.0 for _, score in everything.hits)
     assert compared > 5000 and boundary_ties > 400 and zero_scores > 100 and beyond_matches > 1000
+    assert negative_scores > 100
 
 
 def test_search_on_synthetic_catalog(small_corpus):

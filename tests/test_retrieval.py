@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from docexpand.corpus import EngagementPair, Product
@@ -214,6 +215,25 @@ def test_columns_built_by_the_first_search_only(tmp_path):
     columns = loaded._columns
     search(loaded, "mug", 1)
     assert loaded._columns is columns and index._columns is None
+
+
+def test_column_layout():
+    # numpy casts an index array of any dtype but intp on every fancy index
+    index = build_index(lamp_corpus(), {"d2": ["glow"]})
+    search(index, "lamp", 1)
+    for columns in index._columns:
+        assert columns.positions.dtype == np.intp
+        assert all(type(bound) is int for bound in columns.indptr)
+
+
+def test_first_posting_without_length_is_named():
+    # rows are checked in token order: "green" (d3) comes before "lamp" and "red" (d1)
+    index = build_index(lamp_corpus())
+    del index.fields["title"].lengths["d1"]
+    index.fields["title"].lengths["d3"] = -1
+    with pytest.raises(InputError, match="field 'title': document 'd3' has no length, or a "
+                                         "negative one"):
+        search(index, "lamp", 1)
 
 
 @pytest.mark.parametrize("edit, message", [
