@@ -157,9 +157,13 @@ def _field_columns(index: InvertedIndex, name: str, doc_pos: dict) -> FieldColum
     except (KeyError, TypeError) as exc:    # TypeError: an unhashable id, such as a list
         raise InputError(f"index field {name!r}: a posting names a document that is not "
                          f"in the index's doc_ids: {exc}") from None
-    tfs = np.fromiter((tf for _, tf in chain.from_iterable(plists)), np.float64, count)
-    lengths = np.fromiter((findex.lengths.get(d, -1) for d in index.doc_ids),
-                          np.float64, index.doc_count)[positions]    # one lookup per document
+    try:
+        tfs = np.fromiter((tf for _, tf in chain.from_iterable(plists)), np.float64, count)
+        lengths = np.fromiter((findex.lengths.get(d, -1) for d in index.doc_ids),
+                              np.float64, index.doc_count)[positions]    # one lookup per document
+    except OverflowError as exc:
+        raise InputError(f"index field {name!r}: a term frequency or length is too large: "
+                         f"{exc}") from None
     steps = np.diff(positions, prepend=-1)
     steps[indptr[:-1]] = 1                  # a row's first posting follows no posting
     for problem, bad in (("has no length, or a negative one", lengths < 0),
@@ -344,6 +348,6 @@ def load_index(path) -> InvertedIndex:
             k1=float(data["k1"]),
             b=float(data["b"]),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed {INDEX_FORMAT} file: "
                          f"{exc.__class__.__name__}: {exc}") from exc

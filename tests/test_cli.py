@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 
 import pytest
@@ -289,6 +290,9 @@ MALFORMED_INDEXES = {
     "number_doc_id.json": lambda index: index["doc_ids"].append(7),
     "zero_avg_length.json": lambda index: index["fields"]["title"].update(avg_length=0.0),
     "unsorted_doc_ids.json": _unsort_doc_ids,
+    "huge_length.json": lambda index: index["fields"]["title"]["lengths"].update(p3=10**400),
+    "infinite_tf.json": lambda index: index["fields"]["title"]["postings"]["lamp"][0].__setitem__(
+        1, math.inf),
 }
 
 
@@ -365,6 +369,12 @@ EXIT_CODE_PROBES = {
     "index-repeated-posting": (
         ("search", "--index", "{d}/repeated_posting.json", "--query", "lamp"), 3,
         "document 'p2' repeats"),
+    "index-huge-length": (
+        ("search", "--index", "{d}/huge_length.json", "--query", "lamp"), 3,
+        "field 'title': a term frequency or length is too large"),
+    "index-infinite-tf": (
+        ("search", "--index", "{d}/infinite_tf.json", "--query", "lamp"), 3,
+        "infinite_tf.json: malformed expansion-index/1 file: OverflowError"),
     "index-zero-avg-length": (
         ("search", "--index", "{d}/zero_avg_length.json", "--query", "lamp"), 3,
         "field 'title' has postings, so its avg_length must be positive"),
