@@ -7,7 +7,7 @@ Both commits are exported with ``git archive`` into ``.perfbench_runs/pairs/``,
 so each side runs its committed files only, with its own ``perfbench/``.
 Pair i runs ``perfbench/run.py --workload W --seed i --seconds S --trace 0``
 on both sides; the parent runs first in even pairs and the change in odd
-ones, so drift in CPU speed over a session does not favour either side.
+ones, so CPU speed drifting over a long run does not favour either side.
 The file at the repository root is rewritten after every pair. It holds
 every run's metrics, ``correct``, ``attempted`` and ``failed``, and per
 workload and metric each side's median and quartiles, the change's median
