@@ -1,13 +1,14 @@
 """Alternating parent/change pairs of perfbench runs, recorded as BENCH_<pr>.json.
 
     python3 bench/pairs.py --pr 6 --parent abbc87d --change HEAD \\
-        --workload search_mix quickstart --pairs 10 --seconds 42
+        --workload search_mix quickstart --pairs 10
 
 Both commits are exported with ``git archive`` into ``.perfbench_runs/pairs/``,
 so each side runs its committed files only, with its own ``perfbench/``.
 Pair i runs ``perfbench/run.py --workload W --seed i --seconds S --trace 0``
-on both sides; the parent runs first in even pairs and the change in odd
-ones, so CPU speed drifting over a long run does not favour either side.
+on both sides, with S the ``run_seconds`` of the change's BENCHMARK.json.
+The parent runs first in even pairs and the change in odd ones, so CPU
+speed drifting over a long run does not favour either side.
 The file at the repository root is rewritten after every pair. It holds
 every run's metrics, ``correct``, ``attempted`` and ``failed``, and per
 workload and metric each side's median and quartiles, the change's median
@@ -94,7 +95,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=42.0)
     args = parser.parse_args(argv)
 
     sides = {}
@@ -102,12 +102,13 @@ def main(argv=None) -> int:
         sides[side] = export(getattr(args, side))
     spec = json.loads((sides["change"][1] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
     out = ROOT / f"BENCH_{args.pr}.json"
     record = {
         "pr": args.pr,
         "parent": sides["parent"][0],
         "change": sides["change"][0],
-        "command": f"perfbench/run.py --workload W --seed PAIR --seconds {args.seconds:g} "
+        "command": f"perfbench/run.py --workload W --seed PAIR --seconds {seconds:g} "
                    "--trace 0",
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version()},
         "workloads": {},
@@ -117,7 +118,7 @@ def main(argv=None) -> int:
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for position, side in enumerate(order):
-                result = run_once(sides[side][1], workload, pair, args.seconds)
+                result = run_once(sides[side][1], workload, pair, seconds)
                 runs.append({"pair": pair, "seed": pair, "side": side, "ran": position, **result})
                 print(f"{workload} pair {pair} {side}: correct={result['correct']} "
                       f"wall_s={result['metrics'].get('wall_s')}", flush=True)
