@@ -42,7 +42,8 @@ from .predictor import (
     train_cooccurrence,
     write_predictions,
 )
-from .records import dump_json, iter_jsonl, load_json, write_jsonl, write_meta, write_text
+from .records import (COUNT, NUMBER, Kind, all_of, dump_json, get_field, iter_jsonl, load_json,
+                      write_jsonl, write_meta, write_text)
 from .retrieval import (
     DEFAULT_B,
     DEFAULT_K1,
@@ -243,13 +244,26 @@ def _convert(opt: Opt, raw):
             opt.check(value)
         except ValueError as exc:
             raise ConfigError(f"option {opt.flag}: {exc}") from None
+    if opt.kind in ("outdir", "outfile"):
+        _check_output(opt, Path(value))
     return value
+
+
+def _check_output(opt: Opt, path: Path) -> None:
+    """Refuse an output path when it, or its nearest existing parent, is of the wrong kind."""
+    found = next((p for p in (path, *path.parents) if p.exists()), None)
+    must_be_dir = found != path or opt.kind == "outdir"
+    if found is not None and found.is_dir() != must_be_dir:
+        raise ConfigError(
+            f"option {opt.flag}: {found} is {'not ' if must_be_dir else ''}a directory")
 
 
 def _parse_config_file(path: str) -> dict:
     source = Path(path)
     if not source.exists():
         raise ConfigError(f"config file not found: {source}")
+    if source.is_dir():
+        raise ConfigError(f"config file is a directory: {source}")
     try:
         text = source.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -356,32 +370,41 @@ def _f(value, digits=4):
     return f"{value:.{digits}f}"
 
 
+# (key, digits, scale) of each metric a row renders, in _METRIC_HEADERS order
+_METRIC_COLUMNS = (("rouge_precision", 4, 1), ("rouge_recall", 4, 1), ("rouge_f1", 4, 1),
+                   ("nrouge_precision", 4, 1), ("nrouge_recall", 4, 1), ("nrouge_f1", 4, 1),
+                   ("total_tokens", 1, 1), ("novel_tokens", 1, 1), ("novel_pct", 1, 100))
+
+
 def render_metrics_row(label, m: dict) -> list:
-    return [
-        label, _f(m["rouge_precision"]), _f(m["rouge_recall"]), _f(m["rouge_f1"]),
-        _f(m["nrouge_precision"]), _f(m["nrouge_recall"]), _f(m["nrouge_f1"]),
-        _f(m["total_tokens"], 1), _f(m["novel_tokens"], 1), _f(100 * m["novel_pct"], 1),
-    ]
+    return [label, *(_f(scale * m[key], digits) for key, digits, scale in _METRIC_COLUMNS)]
 
 
 _METRIC_HEADERS = ("cutoff", "rouge_p", "rouge_r", "rouge_f1",
                    "nrouge_p", "nrouge_r", "nrouge_f1", "total", "novel", "pct")
+_STAGE_COLUMNS = ("stage", "pairs_in", "pairs_out", "products_out")
+_STATS_COUNTS = ("novel_token_pairs", "dropped_irrelevant", "dropped_empty_after_price",
+                 "dropped_full_match", "dropped_empty_query")
+_STAGE_ROWS = Kind((list,), "a list of objects, each a string stage and counts "
+                   + ", ".join(_STAGE_COLUMNS[1:]),
+                   lambda rows: all(type(row) is dict and type(row.get("stage")) is str
+                                    and all_of(COUNT, (row.get(k) for k in _STAGE_COLUMNS[1:]))
+                                    for row in rows))
+_METRICS = Kind((dict,), "an object of finite numbers " + ", ".join(c[0] for c in _METRIC_COLUMNS),
+                lambda metrics: all_of(NUMBER, (metrics.get(k) for k, _, _ in _METRIC_COLUMNS)))
+# report section -> (keys that mark a file as one, (key, kind) of each field); first match wins
+_SECTIONS = {
+    "preprocessing": (("stages",), (("stages", _STAGE_ROWS), *((k, COUNT) for k in _STATS_COUNTS))),
+    "cutoff_sweeps": (("rows", "chosen"), (("chosen", NUMBER), ("chosen_metrics", _METRICS))),
+    "evaluations": (("metrics",), (("metrics", _METRICS),)),
+    "retrieval": (("recall",), (("recall", NUMBER), *((k, COUNT) for k in ("k", "hits", "total")))),
+}
 
 
 def render_stats(stats: dict) -> str:
-    rows = [
-        [row["stage"], row["pairs_in"], row["pairs_out"], row["products_out"]]
-        for row in stats["stages"]
-    ]
-    table = render_table(("stage", "pairs_in", "pairs_out", "products_out"), rows)
-    extras = [
-        f"novel_token_pairs: {stats['novel_token_pairs']}",
-        f"dropped_irrelevant: {stats['dropped_irrelevant']}",
-        f"dropped_empty_after_price: {stats['dropped_empty_after_price']}",
-        f"dropped_full_match: {stats['dropped_full_match']}",
-        f"dropped_empty_query: {stats['dropped_empty_query']}",
-    ]
-    return table + "\n" + "\n".join(extras) + "\n"
+    rows = [[row[name] for name in _STAGE_COLUMNS] for row in stats["stages"]]
+    extras = [f"{name}: {stats[name]}" for name in _STATS_COUNTS]
+    return render_table(_STAGE_COLUMNS, rows) + "\n" + "\n".join(extras) + "\n"
 
 
 def _write_report(path, payload: dict, text: str) -> None:
@@ -396,6 +419,8 @@ def _write_report(path, payload: dict, text: str) -> None:
 def _cmd_ingest(cfg: dict) -> str:
     ratios = _parse_ratios(cfg["ratios"])
     products = load_products(cfg["products"])
+    if not products:
+        raise InputError(f"no products in {cfg['products']}")
     load = load_engagement(cfg["engagement"], min_atc=cfg["min_atc"],
                            known_ids={p.id for p in products},
                            unknown_product=cfg["unknown"])
@@ -446,15 +471,12 @@ def _cmd_filter(cfg: dict) -> str:
 def _cmd_build_targets(cfg: dict) -> str:
     in_dir = Path(cfg["in_dir"])
     products = load_products(in_dir / "products.jsonl")
-    novel_pairs = [
-        NovelPair.from_record(record)
-        for _, record in iter_jsonl(in_dir / "novel_pairs.jsonl")
-    ]
+    pairs_path = in_dir / "novel_pairs.jsonl"
+    novel_pairs = [NovelPair.from_record(record, pairs_path, lineno)
+                   for lineno, record in iter_jsonl(pairs_path)]
     subset = None
     if cfg["split"] != "all":
         split_path = in_dir / "split.json"
-        if not split_path.exists():
-            raise InputError(f"--split {cfg['split']} needs {split_path}")
         subset = CatalogSplit.from_record(load_json(split_path), split_path).subset(cfg["split"])
     by_product = {}
     for pair in novel_pairs:
@@ -498,7 +520,7 @@ def _cmd_predict(cfg: dict) -> str:
             continue
         # predict_cooccurrence is looked up per call, so a rebinding of the name is honoured
         scored = (predict_cooccurrence(model, product, cfg["top"]) if kind == "cooccurrence"
-                  else model.predict(product.id, cfg["top"]))
+                  else model.get(product.id, [])[:cfg["top"]])
         if scored:
             predictions[product.id] = scored
     n = write_predictions(cfg["out"], predictions)
@@ -511,7 +533,7 @@ def _scored_records(cfg: dict, products):
     table = load_external_predictions(cfg["predictions"])
     token_sets = {p.id: product_token_set(p).unique for p in products if p.id in grouped}
     records = [ScoredRecord(product_id=pid, reference=tuple(grouped[pid]),
-                            predictions=tuple(table.predict(pid, cfg["top"])))
+                            predictions=tuple(table.get(pid, [])[:cfg["top"]]))
                for pid in sorted(grouped)]
     return records, token_sets
 
@@ -573,8 +595,8 @@ def _cmd_index(cfg: dict) -> str:
     expansions = {}
     if cfg.get("expansions"):
         table = load_external_predictions(cfg["expansions"])
-        for pid in table.product_ids():
-            retained = apply_cutoff(table.predict(pid, cfg["top"]), cfg["cutoff"])
+        for pid in sorted(table):
+            retained = apply_cutoff(table[pid][:cfg["top"]], cfg["cutoff"])
             if retained:
                 expansions[pid] = [st.token for st in retained]
     weights = _parse_field_weights(cfg["field_weights"]) if cfg.get("field_weights") else None
@@ -615,8 +637,7 @@ def _cmd_report(cfg: dict) -> str:
     in_dir = Path(cfg["in_dir"])
     if not in_dir.is_dir():
         raise InputError(f"not a directory: {in_dir}")
-    merged = {"config": cfg, "preprocessing": [], "evaluations": [],
-              "cutoff_sweeps": [], "retrieval": []}
+    merged = {"config": cfg, **{section: [] for section in _SECTIONS}}
     for path in sorted(in_dir.rglob("*.json")):
         if path.name.endswith(".meta.json") or path.name == "run_config.json":
             continue
@@ -624,20 +645,15 @@ def _cmd_report(cfg: dict) -> str:
             data = load_json(path)
         except InputError:
             continue
-        if not isinstance(data, dict):
+        section = next((name for name, (marks, _) in _SECTIONS.items()
+                        if isinstance(data, dict) and all(mark in data for mark in marks)), None)
+        if section is None:
             continue
-        entry = {"source": str(path.relative_to(in_dir)), **data}
-        if "stages" in data:
-            merged["preprocessing"].append(entry)
-        elif "rows" in data and "chosen" in data:
-            merged["cutoff_sweeps"].append(entry)
-        elif "metrics" in data:
-            merged["evaluations"].append(entry)
-        elif "recall" in data:
-            merged["retrieval"].append(entry)
-    sections = []
-    for entry in merged["preprocessing"]:
-        sections.append(f"== preprocessing ({entry['source']})\n" + render_stats(entry))
+        for key, kind in _SECTIONS[section][1]:
+            get_field(data, key, kind, path)
+        merged[section].append({"source": str(path.relative_to(in_dir)), **data})
+    sections = [f"== preprocessing ({entry['source']})\n" + render_stats(entry)
+                for entry in merged["preprocessing"]]
     eval_rows = [render_metrics_row(e["source"], e["metrics"]) for e in merged["evaluations"]]
     eval_rows += [render_metrics_row(f"{e['source']} (chosen {e['chosen']})", e["chosen_metrics"])
                   for e in merged["cutoff_sweeps"]]

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .records import iter_jsonl
+from .records import COUNT, STRINGS, TEXT, Kind, get_field, iter_jsonl
 from .stemmer import stem
 
 log = logging.getLogger(__name__)
@@ -24,6 +24,8 @@ PRODUCT_TEXT_FIELDS = ("title", "product_type", "brand", "color", "gender", "des
 DEFAULT_MIN_ATC = 2
 
 _ALNUM_RUN = re.compile(r"[^\W_]+")
+_PRODUCT_IDS = Kind((list,), "a list of product id strings", STRINGS.test)
+_OPTIONAL_TEXT = Kind((str, type(None)), "a string or null")
 
 
 @dataclass(frozen=True)
@@ -106,13 +108,8 @@ class CatalogSplit:
         """Read a split file's object; ``source`` names the file in errors."""
         if not isinstance(record, dict):
             raise InputError(f"{source}: a split file must be a JSON object")
-        subsets = {}
-        for name in ("train", "validation", "test"):
-            ids = record.get(name)
-            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
-                raise InputError(f"{source}: {name!r} must be a list of product id strings")
-            subsets[name] = frozenset(ids)
-        return cls(**subsets)
+        return cls(**{name: frozenset(get_field(record, name, _PRODUCT_IDS, source))
+                      for name in ("train", "validation", "test")})
 
 
 def normalize(text: str) -> list:
@@ -149,25 +146,15 @@ def load_products(source) -> list:
     products = []
     seen = {}
     for lineno, record in iter_jsonl(source):
-        pid = record.get("id")
-        if not isinstance(pid, str) or not pid:
-            raise InputError(f"line {lineno}: product record needs a non-empty string 'id'")
-        title = record.get("title")
-        if not isinstance(title, str) or not title.strip():
-            raise InputError(f"line {lineno}: product {pid!r} needs a non-empty 'title'")
+        pid = get_field(record, "id", TEXT, source, lineno)
+        title = get_field(record, "title", TEXT, source, lineno)
         if pid in seen:
             raise InputError(
                 f"duplicate product id {pid!r} (lines {seen[pid]} and {lineno})"
             )
         seen[pid] = lineno
-        extras = {}
-        for name in PRODUCT_TEXT_FIELDS[1:]:
-            value = record.get(name, "")
-            if value is None:
-                value = ""
-            if not isinstance(value, str):
-                raise InputError(f"line {lineno}: product field {name!r} must be a string")
-            extras[name] = value
+        extras = {key: get_field(record, key, _OPTIONAL_TEXT, source, lineno, "") or ""
+                  for key in PRODUCT_TEXT_FIELDS[1:]}
         products.append(Product(id=pid, title=title, **extras))
     return products
 
@@ -193,15 +180,9 @@ def load_engagement(source, min_atc: int = DEFAULT_MIN_ATC, known_ids=None,
         raise ValueError("unknown_product must be 'skip' or 'error'")
     result = EngagementLoad()
     for lineno, record in iter_jsonl(source):
-        pid = record.get("product_id")
-        if not isinstance(pid, str) or not pid:
-            raise InputError(f"line {lineno}: engagement record needs a 'product_id'")
-        query = record.get("query")
-        if not isinstance(query, str) or not query.strip():
-            raise InputError(f"line {lineno}: engagement record needs a non-empty 'query'")
-        atc = record.get("atc_count", 0)
-        if not isinstance(atc, int) or isinstance(atc, bool) or atc < 0:
-            raise InputError(f"line {lineno}: 'atc_count' must be a non-negative integer")
+        pid = get_field(record, "product_id", TEXT, source, lineno)
+        query = get_field(record, "query", TEXT, source, lineno)
+        atc = get_field(record, "atc_count", COUNT, source, lineno, 0)
         if known_ids is not None and pid not in known_ids:
             if unknown_product == "error":
                 raise InputError(f"line {lineno}: unknown product id {pid!r}")

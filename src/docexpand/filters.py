@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 from .corpus import EngagementPair, TokenSet, analyze, product_token_set
 from .errors import InputError
-from .records import iter_jsonl
+from .records import (POSITIVE_COUNT, STRING, STRINGS, TEXT, UNIT_SCORE, Kind, all_of,
+                      get_field, iter_jsonl)
 
 KEEP = "keep"
 DROP_FULL_MATCH = "drop_full_match"
@@ -33,6 +34,9 @@ DEFAULT_PRICE_PATTERNS = (
 )
 
 _DEFAULT_COMPILED = tuple(re.compile(p, re.IGNORECASE) for p in DEFAULT_PRICE_PATTERNS)
+# build_target_tokens weights each summed count, which must be at least 1
+_TOKEN_COUNTS = Kind((dict,), "an object of positive integer counts below 2**53",
+                     lambda counts: all_of(POSITIVE_COUNT, counts.values()))
 
 
 class ScorerError(InputError):
@@ -103,15 +107,9 @@ class ExternalScorer(RelevanceScorer):
     def load(cls, source) -> "ExternalScorer":
         scores = {}
         for lineno, record in iter_jsonl(source):
-            pid = record.get("product_id")
-            query = record.get("query")
-            value = record.get("score")
-            if not isinstance(pid, str) or not isinstance(query, str):
-                raise InputError(f"line {lineno}: score record needs 'product_id' and 'query'")
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or not 0.0 <= value <= 1.0):
-                raise InputError(f"line {lineno}: 'score' must be a number in [0, 1]")
-            scores[(pid, query)] = float(value)
+            key = (get_field(record, "product_id", STRING, source, lineno),
+                   get_field(record, "query", STRING, source, lineno))
+            scores[key] = float(get_field(record, "score", UNIT_SCORE, source, lineno))
         return cls(scores)
 
     def score(self, query, product) -> float:
@@ -216,12 +214,13 @@ class NovelPair:
         }
 
     @classmethod
-    def from_record(cls, record: dict) -> "NovelPair":
+    def from_record(cls, record: dict, source, line) -> "NovelPair":
+        """Read one novel-pairs row; ``source`` and ``line`` name it in errors."""
         return cls(
-            product_id=record["product_id"],
-            novel_tokens=tuple(record["novel_tokens"]),
-            source_query=record["source_query"],
-            token_counts={k: int(v) for k, v in record["token_counts"].items()},
+            product_id=get_field(record, "product_id", TEXT, source, line),
+            novel_tokens=tuple(get_field(record, "novel_tokens", STRINGS, source, line)),
+            source_query=get_field(record, "source_query", STRING, source, line),
+            token_counts=get_field(record, "token_counts", _TOKEN_COUNTS, source, line),
         )
 
 

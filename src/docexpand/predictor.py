@@ -3,9 +3,10 @@
 Two predictors ship with the toolkit: a trainable co-occurrence model
 (the statistical reference predictor, ``predict_cooccurrence``) and a
 file-backed table of scores produced by any external model
-(``ExternalPredictor``). Both return ``ScoredToken`` lists in [0, 1],
-sorted by score descending, that the downstream cutoff logic treats
-identically.
+(``load_external_predictions``; take a product's top n with
+``table.get(pid, [])[:n]``). Both give ``ScoredToken`` lists in [0, 1],
+sorted by score descending and then by token, that the downstream cutoff
+logic treats identically.
 """
 
 from collections import Counter, defaultdict
@@ -15,10 +16,18 @@ import numpy as np
 
 from .corpus import Product, analyze, product_token_set
 from .errors import InputError
-from .records import dump_json, iter_jsonl, load_json, write_jsonl
+from .records import (COUNT, STRINGS, TEXT, UNIT_SCORE, Kind, all_of, dump_json, get_field,
+                      iter_jsonl, load_json, source_name, write_jsonl)
 
 MODEL_FORMAT = "cooccurrence-model/1"
 PREDICTION_KINDS = ("token", "query")
+_PREDICTION_KIND = Kind((str,), f"one of {PREDICTION_KINDS}", PREDICTION_KINDS.__contains__)
+_FORMAT = Kind((str,), repr(MODEL_FORMAT), MODEL_FORMAT.__eq__)
+_COUNTS = Kind((dict,), "an object of {target: count} objects of non-negative integers below 2**53",
+               lambda counts: all(type(t) is dict and all_of(COUNT, t.values())
+                                  for t in counts.values()))
+_MARGINALS = Kind((dict,), "an object of non-negative integers below 2**53",
+                  lambda marginals: all_of(COUNT, marginals.values()))
 
 
 @dataclass(frozen=True)
@@ -140,86 +149,47 @@ def save_model(model: CooccurrenceModel, path) -> None:
     })
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def load_model(path) -> CooccurrenceModel:
     """Load a saved model, raising InputError when the file breaks the schema."""
     data = load_json(path)
-    if not isinstance(data, dict) or data.get("format") != MODEL_FORMAT:
+    if not isinstance(data, dict):
         raise InputError(f"{path}: not a {MODEL_FORMAT} file")
-    counts, marginals, vocabulary = (data.get(k) for k in ("counts", "marginals", "vocabulary"))
-    if not isinstance(counts, dict) or not all(isinstance(t, dict) for t in counts.values()):
-        raise InputError(f"{path}: 'counts' must map context tokens to {{target: count}} objects")
-    if not isinstance(marginals, dict):
-        raise InputError(f"{path}: 'marginals' must map context tokens to counts")
-    if not isinstance(vocabulary, list) or not all(isinstance(t, str) for t in vocabulary):
-        raise InputError(f"{path}: 'vocabulary' must be a list of tokens")
-    values = [v for targets in counts.values() for v in targets.values()]
-    if not all(_is_count(v) for v in values + list(marginals.values())):
-        raise InputError(f"{path}: counts and marginals must be non-negative integers")
+    get_field(data, "format", _FORMAT, path)
+    counts = get_field(data, "counts", _COUNTS, path)
+    marginals = get_field(data, "marginals", _MARGINALS, path)
+    vocabulary = get_field(data, "vocabulary", STRINGS, path)
     unknown = {t for targets in counts.values() for t in targets}.difference(vocabulary)
     if unknown:
         raise InputError(f"{path}: target {min(unknown)!r} is not in the vocabulary")
     return CooccurrenceModel(counts=counts, marginals=marginals, vocabulary=tuple(vocabulary))
 
 
-class ExternalPredictor:
-    """Lookup predictor over a preloaded {product id -> scored tokens} table."""
+def load_external_predictions(source) -> dict:
+    """Read {product_id, token, score, kind} records into {product id: [ScoredToken]}.
 
-    def __init__(self, table: dict):
-        self._table = table
-
-    def product_ids(self) -> list:
-        return sorted(self._table)
-
-    def predict(self, product_id: str, n: int) -> list:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        entries = self._table.get(product_id, {})
-        candidates = [ScoredToken(token=t, score=s) for t, s in entries.items()]
-        candidates.sort(key=lambda st: (-st.score, st.token))
-        return candidates[:n]
-
-
-def load_external_predictions(source) -> ExternalPredictor:
-    """Build a lookup predictor from {product_id, token, score, kind} records.
-
+    Each product's list is sorted by score descending, then by token.
     ``kind`` defaults to "token" (the text must analyze to exactly one
     stem). With kind "query" the text is exploded into its stemmed tokens,
     each carrying the query's score; this is how multi-token baseline
     predictions enter the shared evaluation path. Duplicate (product,
-    token) entries keep the maximum score.
+    token) entries keep the maximum score. ``text`` is read when a record
+    has no ``token``.
     """
     table = defaultdict(dict)
     for lineno, record in iter_jsonl(source):
-        pid = record.get("product_id")
-        if not isinstance(pid, str) or not pid:
-            raise InputError(f"line {lineno}: prediction record needs a 'product_id'")
-        text = record.get("token", record.get("text"))
-        if not isinstance(text, str) or not text.strip():
-            raise InputError(f"line {lineno}: prediction record needs a non-empty 'token'")
-        score = record.get("score")
-        if (not isinstance(score, (int, float)) or isinstance(score, bool)
-                or not 0.0 <= score <= 1.0):
-            raise InputError(f"line {lineno}: 'score' must be a number in [0, 1]")
-        kind = record.get("kind", "token")
-        if kind not in PREDICTION_KINDS:
-            raise InputError(f"line {lineno}: 'kind' must be one of {PREDICTION_KINDS}")
+        pid = get_field(record, "product_id", TEXT, source, lineno)
+        text = get_field(record, "token", TEXT, source, lineno, record.get("text"))
+        score = get_field(record, "score", UNIT_SCORE, source, lineno)
+        kind = get_field(record, "kind", _PREDICTION_KIND, source, lineno, "token")
         stems = analyze(text)
-        if kind == "token":
-            if len(stems) != 1:
-                raise InputError(
-                    f"line {lineno}: token text {text!r} must analyze to exactly one token"
-                )
-        if not stems:
-            continue
+        if kind == "token" and len(stems) != 1:
+            raise InputError(f"{source_name(source)}: line {lineno}: token text {text!r} must "
+                             "analyze to exactly one token")
         for stem in stems:
-            current = table[pid].get(stem)
-            if current is None or score > current:
-                table[pid][stem] = float(score)
-    return ExternalPredictor(dict(table))
+            table[pid][stem] = max(float(score), table[pid].get(stem, -1.0))
+    return {pid: sorted((ScoredToken(token, score) for token, score in entries.items()),
+                        key=lambda st: (-st.score, st.token))
+            for pid, entries in table.items()}
 
 
 def write_predictions(path, predictions_by_product: dict, kind: str = "token") -> int:

@@ -6,14 +6,54 @@ sorted, no timestamps are embedded, and every artifact gets a sidecar
 ``<name>.meta.json`` carrying the resolved run configuration.
 """
 
-import io
 import json
 import os
+import sys
+from collections import namedtuple
 from contextlib import contextmanager
 from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import InputError
+
+
+# What get_field accepts: exact JSON types (so a bool is never a number), the words
+# that end "'key' must be ...", and a further test the value must pass, if any.
+Kind = namedtuple("Kind", "types must test", defaults=(None,))
+TEXT = Kind((str,), "a non-empty string", str.strip)
+STRING = Kind((str,), "a string")
+# below 2**53 a float64 holds a count, or a sum of a few of them, exactly
+COUNT = Kind((int,), "a non-negative integer below 2**53", range(2**53).__contains__)
+POSITIVE_COUNT = Kind((int,), "a positive integer below 2**53", range(1, 2**53).__contains__)
+NUMBER = Kind((int, float), "a finite number", lambda v: abs(v) <= sys.float_info.max)
+UNIT_SCORE = Kind((int, float), "a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+OBJECT = Kind((dict,), "an object")
+STRINGS = Kind((list,), "a list of strings", lambda values: all_of(STRING, values))
+_REQUIRED = object()
+
+
+def all_of(kind: Kind, values) -> bool:
+    """Whether every one of ``values`` is of ``kind``, as ``get_field`` judges it."""
+    types, _, test = kind
+    return all(type(v) in types and (test is None or test(v)) for v in values)
+
+
+def get_field(record: dict, key: str, kind: Kind, source, line=None, default=_REQUIRED):
+    """``record[key]``, or ``default`` when the key is absent, if it is of ``kind``; else an
+    InputError naming the file (``source``, as ``iter_jsonl`` takes it), the line and the key."""
+    value = record.get(key, default)
+    types, must, test = kind
+    if type(value) in types and (test is None or test(value)):
+        return value
+    where = source_name(source) + (f": line {line}" if line is not None else "")
+    raise InputError(f"{where}: {key!r} must be {must}")
+
+
+def source_name(source) -> str:
+    """How errors name a JSONL source: its path, a file object's name, or a placeholder."""
+    if isinstance(source, (str, os.PathLike)):
+        return str(Path(source))
+    return getattr(source, "name", "<stream>" if hasattr(source, "read") else "<lines>")
 
 
 def iter_jsonl(source):
@@ -23,7 +63,9 @@ def iter_jsonl(source):
     InputError naming the offending line; a file that is not UTF-8 raises
     InputError naming the file.
     """
-    name, close, lines = _open_lines(source)
+    name = source_name(source)
+    close = isinstance(source, (str, os.PathLike))
+    lines = _input_file(source).open("r", encoding="utf-8") if close else iter(source)
     try:
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
@@ -43,15 +85,14 @@ def iter_jsonl(source):
             lines.close()
 
 
-def _open_lines(source):
-    if isinstance(source, (str, os.PathLike)):
-        path = Path(source)
-        if not path.exists():
-            raise InputError(f"input file not found: {path}")
-        return str(path), True, path.open("r", encoding="utf-8")
-    if isinstance(source, io.IOBase) or hasattr(source, "read"):
-        return getattr(source, "name", "<stream>"), False, source
-    return "<lines>", False, iter(source)
+def _input_file(path) -> Path:
+    """``path``, once it is known to exist and not to be a directory (a pipe still reads)."""
+    path = Path(path)
+    if not path.exists():
+        raise InputError(f"input file not found: {path}")
+    if path.is_dir():
+        raise InputError(f"input is a directory, not a file: {path}")
+    return path
 
 
 # One compact encoder for every JSONL row: json.dumps with these arguments
@@ -229,9 +270,7 @@ def write_text(path, text: str) -> None:
 
 
 def load_json(path):
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
+    path = _input_file(path)
     with path.open("r", encoding="utf-8") as fh:
         try:
             return json.load(fh)

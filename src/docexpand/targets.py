@@ -11,8 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import PRODUCT_TEXT_FIELDS, Product, product_token_set
-from .errors import InputError
-from .records import iter_jsonl
+from .records import NUMBER, POSITIVE_COUNT, STRING, TEXT, get_field, iter_jsonl
 
 
 @dataclass(frozen=True)
@@ -103,22 +102,10 @@ def emit_training_instances(product: Product, targets) -> list:
 
 
 def load_training_instances(source) -> list:
-    instances = []
-    for lineno, record in iter_jsonl(source):
-        try:
-            target = TargetToken(
-                token=str(record["target_token"]),
-                frequency=int(record["frequency"]),
-                weight=float(record["weight"]),
-            )
-            instance = TrainingInstance(
-                product_id=str(record["product_id"]),
-                input_text=str(record["input_text"]),
-                target=target,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"line {lineno}: bad training instance record: {exc}") from exc
-        if target.frequency < 1:
-            raise InputError(f"line {lineno}: 'frequency' must be >= 1")
-        instances.append(instance)
-    return instances
+    return [TrainingInstance(
+        product_id=get_field(record, "product_id", TEXT, source, lineno),
+        input_text=get_field(record, "input_text", STRING, source, lineno),
+        target=TargetToken(token=get_field(record, "target_token", TEXT, source, lineno),
+                           frequency=get_field(record, "frequency", POSITIVE_COUNT, source, lineno),
+                           weight=get_field(record, "weight", NUMBER, source, lineno)),
+    ) for lineno, record in iter_jsonl(source)]

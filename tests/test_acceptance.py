@@ -146,8 +146,8 @@ def test_criterion_4_novelty_by_construction_contrast():
             json.dumps(r) for r in corpus.baseline_predictions
         )
         cases = []
-        for pid in baseline.product_ids():
-            tokens = [st.token for st in baseline.predict(pid, 50)]
+        for pid in sorted(baseline):
+            tokens = [st.token for st in baseline.get(pid, [])[:50]]
             cases.append(([], sorted(product_token_set(by_id[pid]).unique), tokens))
         assert cases
         _, _, baseline_pct = oracles.novelty_of(cases)

@@ -267,6 +267,20 @@ def probe_dir(tmp_path_factory):
     (root / "truncated_index.json").write_bytes(saved_index[: len(saved_index) // 2])
     products = (root / "products.jsonl").read_bytes()
     (root / "truncated_products.jsonl").write_bytes(products[: products.rindex(b'"') - 3])
+    first_pair = json.loads((root / "work" / "filtered" / "novel_pairs.jsonl").read_text(
+        encoding="utf-8").splitlines()[0])
+    for name, edit in MALFORMED_NOVEL_PAIRS.items():
+        shutil.copytree(root / "work" / "filtered", root / name)
+        row = dict(first_pair)
+        edit(row)
+        write_jsonl(root / name / "novel_pairs.jsonl", [row])
+    for name, section in MALFORMED_REPORT_SECTIONS.items():
+        (root / name).mkdir()
+        (root / name / "section.json").write_text(json.dumps(section), encoding="utf-8")
+    (root / "empty.jsonl").write_text("", encoding="utf-8")
+    write_jsonl(root / "coerced_instances.jsonl", [
+        {"product_id": "p1", "input_text": "title: Swim Vest", "target_token": 5,
+         "frequency": 2.7, "weight": "0.5"}])
     return root
 
 
@@ -296,6 +310,22 @@ MALFORMED_INDEXES = {
 }
 
 
+# filter outputs whose novel_pairs.jsonl holds one broken row
+MALFORMED_NOVEL_PAIRS = {
+    "pairs_no_source_query": lambda row: row.pop("source_query"),
+    "pairs_novel_tokens_5": lambda row: row.update(novel_tokens=5),
+    "pairs_text_count": lambda row: row.update(token_counts={"x": "a"}),
+    "pairs_counts_list": lambda row: row.update(token_counts=[1]),
+}
+
+# report inputs holding one file that has a section key but breaks its schema
+MALFORMED_REPORT_SECTIONS = {
+    "report_stages_5": {"stages": 5},
+    "report_metrics_partial": {"metrics": {"a": 1}},
+    "report_recall_only": {"recall": 0.5},
+}
+
+
 MALFORMED_SPLITS = {
     "split_no_validation.json": lambda split: split.pop("validation"),
     "split_train_5.json": lambda split: split.update(train=5),
@@ -309,6 +339,17 @@ _EVALUATE = ("evaluate", "--predictions", "{d}/work/predictions.jsonl",
              "--references", "{d}/work/filtered/query_pairs.jsonl",
              "--products", "{d}/products.jsonl", "--report", "{d}/out/eval.json")
 _NO_VALIDATION = "split_no_validation.json: 'validation' must be a list of product id strings"
+_COUNTS = "novel_pairs.jsonl: line 1: 'token_counts' must be an object of positive integer counts"
+
+
+def _build_targets(name):
+    return ("build-targets", "--in", "{d}/" + name, "--split", "all",
+            "--out", "{d}/out/instances.jsonl")
+
+
+def _report(name):
+    return ("report", "--in", "{d}/" + name, "--out", "{d}/out/report.json")
+
 
 # probe -> (argv, exit code, text the error message must contain); never exit 4
 EXIT_CODE_PROBES = {
@@ -420,15 +461,58 @@ EXIT_CODE_PROBES = {
         "split.json: 'train' must be a list of product id strings"),
     "index-expansion-score-true": (
         _INDEX + ("--expansions", "{d}/true_prediction.jsonl"), 3,
-        "line 1: 'score' must be a number in [0, 1]"),
+        "true_prediction.jsonl: line 1: 'score' must be a number in [0, 1]"),
     "filter-external-score-true": (
         ("filter", "--in", "{d}/work/ingested", "--scorer", "external",
          "--scores", "{d}/true_score.jsonl", "--out", "{d}/out/filtered"), 3,
-        "line 1: 'score' must be a number in [0, 1]"),
+        "true_score.jsonl: line 1: 'score' must be a number in [0, 1]"),
     "ingest-truncated-products": (
         ("ingest", "--products", "{d}/truncated_products.jsonl", "--engagement",
          "{d}/engagement.jsonl", "--out", "{d}/out/ingested"), 3,
         "truncated_products.jsonl:3: invalid JSON record"),
+    "build-targets-pair-without-source-query": (
+        _build_targets("pairs_no_source_query"), 3,
+        "pairs_no_source_query/novel_pairs.jsonl: line 1: 'source_query' must be a string"),
+    "build-targets-pair-novel-tokens-5": (
+        _build_targets("pairs_novel_tokens_5"), 3,
+        "novel_pairs.jsonl: line 1: 'novel_tokens' must be a list of strings"),
+    "build-targets-pair-count-text": (_build_targets("pairs_text_count"), 3, _COUNTS),
+    "build-targets-pair-counts-list": (_build_targets("pairs_counts_list"), 3, _COUNTS),
+    "report-stages-5": (
+        _report("report_stages_5"), 3, "section.json: 'stages' must be a list of objects, each a string stage and counts pairs_in"),
+    "report-metrics-without-rouge": (
+        _report("report_metrics_partial"), 3,
+        "section.json: 'metrics' must be an object of finite numbers rouge_precision, "),
+    "report-recall-without-k": (
+        _report("report_recall_only"), 3, "section.json: 'k' must be a non-negative integer"),
+    "train-coerced-instance": (
+        ("train", "--products", "{d}/products.jsonl", "--instances",
+         "{d}/coerced_instances.jsonl", "--out", "{d}/out/model.json"), 3,
+        "coerced_instances.jsonl: line 1: 'target_token' must be a non-empty string"),
+    "ingest-no-products": (
+        ("ingest", "--products", "{d}/empty.jsonl", "--engagement", "{d}/engagement.jsonl",
+         "--out", "{d}/out/ingested"), 3, "no products in {d}/empty.jsonl"),
+    "ingest-products-directory": (
+        ("ingest", "--products", "{d}/work", "--engagement", "{d}/engagement.jsonl",
+         "--out", "{d}/out/ingested"), 3, "input is a directory, not a file"),
+    "search-index-directory": (
+        ("search", "--index", "{d}/work", "--query", "lamp"), 3,
+        "input is a directory, not a file"),
+    "evaluate-predictions-directory": (
+        ("evaluate", "--predictions", "{d}/work", "--references", "{d}/engagement.jsonl",
+         "--products", "{d}/products.jsonl", "--report", "{d}/out/eval.json"), 3,
+        "input is a directory, not a file"),
+    "config-directory": (_INGEST + ("--config", "{d}/work"), 2, "config file is a directory"),
+    "gen-synthetic-out-under-a-file": (
+        ("gen-synthetic", "--products", "5", "--heldout", "1",
+         "--out", "{d}/products.jsonl/synthetic"), 2,
+        "option --out: {d}/products.jsonl is not a directory"),
+    "ingest-out-is-a-file": (
+        ("ingest", "--products", "{d}/products.jsonl", "--engagement", "{d}/engagement.jsonl",
+         "--out", "{d}/engagement.jsonl"), 2, "option --out: {d}/engagement.jsonl is not a directory"),
+    "report-out-is-a-directory": (
+        ("report", "--in", "{d}/work", "--out", "{d}/work/filtered"), 2,
+        "option --out: {d}/work/filtered is a directory"),
 }
 
 
@@ -438,4 +522,4 @@ def test_bad_option_or_input_exits_2_or_3(probe_dir, capsys, probe):
     capsys.readouterr()
     code = run(*(arg.format(d=probe_dir) for arg in argv))
     assert code == expected_code
-    assert message in capsys.readouterr().err
+    assert message.format(d=probe_dir) in capsys.readouterr().err

@@ -182,6 +182,39 @@ def test_sweep_matches_reference_on_a_large_record_set():
     assert result.chosen == expected.chosen
 
 
+SCORES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                   st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def scored_records(draw):
+    """Records over a 12-token vocabulary: repeated tokens and scores, empty references."""
+    vocab = st.sampled_from(TOKENS[:12])
+    records, token_sets = [], {}
+    for i in range(draw(st.integers(min_value=1, max_value=8))):
+        pid = f"p{i}"
+        token_sets[pid] = frozenset(draw(st.lists(vocab, max_size=4)))
+        predictions = draw(st.lists(st.builds(ScoredToken, vocab, SCORES), max_size=6))
+        records.append(ScoredRecord(product_id=pid,
+                                    reference=tuple(draw(st.lists(vocab, max_size=6))),
+                                    predictions=tuple(predictions)))
+    return records, token_sets
+
+
+@settings(max_examples=150, deadline=None)
+@given(scored_records(), st.sampled_from(["observed", "step:0.1", "step:0.3"]))
+def test_sweep_matches_reference_on_drawn_records(case, grid):
+    records, token_sets = case
+    if not any(r.predictions for r in records):
+        return
+    result = tune_cutoff(records, token_sets, grid=grid)
+    expected = oracles.tune_cutoff(records, token_sets, grid=grid)
+    assert [(row.cutoff, row.report.as_dict()) for row in result.rows] == [
+        (row.cutoff, row.report.as_dict()) for row in expected.rows
+    ]
+    assert result.chosen == expected.chosen
+
+
 def test_budget_match_on_no_records():
     assert budget_match_cutoff([], {}, 2.0) == oracles.budget_match_cutoff([], {}, 2.0)
 

@@ -9,6 +9,7 @@ from docexpand.filters import (
     DROP_FULL_MATCH,
     KEEP,
     ExternalScorer,
+    NovelPair,
     JaccardScorer,
     PipelineConfig,
     ScorerError,
@@ -260,6 +261,25 @@ class TestExternalScorer:
         lines = [json.dumps({"product_id": "p", "query": "q", "score": 1.2})]
         with pytest.raises(InputError, match="1"):
             ExternalScorer.load(lines)
+
+
+class TestNovelPairRecord:
+    PAIR = NovelPair("p1", ("kid", "float"), "kid float", {"kid": 2, "float": 1})
+
+    def test_roundtrip(self):
+        assert NovelPair.from_record(self.PAIR.as_record(), "pairs.jsonl", 1) == self.PAIR
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("product_id", "", "'product_id' must be a non-empty string"),
+        ("novel_tokens", ["kid", 3], "'novel_tokens' must be a list of strings"),
+        ("source_query", None, "'source_query' must be a string"),
+        ("token_counts", {"kid": 0}, "'token_counts' must be an object of positive integer"),
+        ("token_counts", {"kid": True}, "'token_counts' must be an object of positive integer"),
+    ])
+    def test_malformed_field_names_file_line_and_key(self, field, value, message):
+        record = {**self.PAIR.as_record(), field: value}
+        with pytest.raises(InputError, match=f"pairs.jsonl: line 3: {message}"):
+            NovelPair.from_record(record, "pairs.jsonl", 3)
 
 
 def test_ptf_idempotence_fuzz_with_random_assembly():

@@ -131,24 +131,24 @@ class TestExternalPredictions:
         lines = [json.dumps({"product_id": "p1", "token": t, "score": s})
                  for t, s in (("kid", 0.5), ("float", 0.9), ("ring", 0.7))]
         predictor = load_external_predictions(lines)
-        assert predictor.predict("p1", 10) == [
+        assert predictor.get("p1", [])[:10] == [
             ScoredToken("float", 0.9), ScoredToken("ring", 0.7), ScoredToken("kid", 0.5)
         ]
 
     def test_unknown_product_predicts_nothing(self):
         predictor = load_external_predictions([])
-        assert predictor.predict("ghost", 10) == []
+        assert predictor.get("ghost", [])[:10] == []
 
     def test_duplicate_token_keeps_max_score(self):
         lines = [json.dumps({"product_id": "p1", "token": "kid", "score": 0.4}),
                  json.dumps({"product_id": "p1", "token": "kid", "score": 0.7})]
         predictor = load_external_predictions(lines)
-        assert predictor.predict("p1", 10) == [ScoredToken("kid", 0.7)]
+        assert predictor.get("p1", [])[:10] == [ScoredToken("kid", 0.7)]
 
     def test_tokens_are_stem_normalized_on_load(self):
         lines = [json.dumps({"product_id": "p1", "token": "Kids", "score": 0.4})]
         predictor = load_external_predictions(lines)
-        assert predictor.predict("p1", 10) == [ScoredToken("kid", 0.4)]
+        assert predictor.get("p1", [])[:10] == [ScoredToken("kid", 0.4)]
 
     def test_score_out_of_range_names_line(self):
         lines = [json.dumps({"product_id": "p1", "token": "kid", "score": 0.4}),
@@ -165,7 +165,7 @@ class TestExternalPredictions:
         lines = [json.dumps({"product_id": "p1", "token": "swim vest for kids",
                              "score": 0.6, "kind": "query"})]
         predictor = load_external_predictions(lines)
-        assert predictor.predict("p1", 10) == [
+        assert predictor.get("p1", [])[:10] == [
             ScoredToken("for", 0.6), ScoredToken("kid", 0.6),
             ScoredToken("swim", 0.6), ScoredToken("vest", 0.6),
         ]
@@ -176,7 +176,7 @@ class TestExternalPredictions:
             json.dumps({"product_id": "p1", "token": "swim ring", "score": 0.8, "kind": "query"}),
         ]
         predictor = load_external_predictions(lines)
-        assert predictor.predict("p1", 10) == [
+        assert predictor.get("p1", [])[:10] == [
             ScoredToken("ring", 0.8), ScoredToken("swim", 0.8), ScoredToken("vest", 0.6)
         ]
 
@@ -189,7 +189,7 @@ class TestExternalPredictions:
         write_predictions(path, predictions)
         loaded = load_external_predictions(path)
         for pid, scored in predictions.items():
-            assert loaded.predict(pid, 10) == scored
+            assert loaded.get(pid, [])[:10] == scored
 
 
 class TestApplyCutoff:

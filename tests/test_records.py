@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from enum import IntEnum
 from pathlib import Path
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from docexpand.records import dump_json, write_jsonl, write_text
+from docexpand.errors import InputError
+from docexpand import records
+from docexpand.records import dump_json, get_field, write_jsonl, write_text
 
 
 def failing_rows():
@@ -169,3 +172,29 @@ def test_dump_json_repeats_shared_containers(tmp_path):
     obj = shared_not_circular()
     dump_json(tmp_path / "shared.json", obj)
     assert (tmp_path / "shared.json").read_bytes() == reference_bytes(obj)
+
+
+@pytest.mark.parametrize("record, kind, message", [
+    ({}, records.TEXT, "f.jsonl: line 4: 'x' must be a non-empty string"),
+    ({"x": "  "}, records.TEXT, "'x' must be a non-empty string"),
+    ({"x": True}, records.NUMBER, "'x' must be a finite number"),
+    ({"x": False}, records.COUNT, "'x' must be a non-negative integer"),
+    ({"x": -1}, records.COUNT, "'x' must be a non-negative integer"),
+    ({"x": 1.0}, records.COUNT, "'x' must be a non-negative integer"),
+    ({"x": float("nan")}, records.UNIT_SCORE, "'x' must be a number in [0, 1]"),
+    ({"x": "0.5"}, records.UNIT_SCORE, "'x' must be a number in [0, 1]"),
+    ({"x": 10**400}, records.NUMBER, "'x' must be a finite number"),
+    ({"x": float("inf")}, records.NUMBER, "'x' must be a finite number"),
+    ({"x": 2**53}, records.COUNT, "'x' must be a non-negative integer below 2**53"),
+])
+def test_get_field_names_file_line_and_key(record, kind, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        get_field(record, "x", kind, "f.jsonl", 4)
+
+
+def test_get_field_returns_the_value_or_the_default():
+    assert get_field({"x": 0}, "x", records.COUNT, "f.jsonl", 1) == 0
+    assert get_field({"x": 0.25}, "x", records.UNIT_SCORE, "f.jsonl", 1) == 0.25
+    assert get_field({}, "x", records.COUNT, "f.jsonl", 1, 7) == 7
+    with pytest.raises(InputError, match=r"^split.json: 'x' must be a finite number$"):
+        get_field({}, "x", records.NUMBER, "split.json")

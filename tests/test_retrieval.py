@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from docexpand.corpus import EngagementPair, Product
+from docexpand.corpus import EngagementPair, Product, analyze
 from docexpand.errors import InputError
 from docexpand.retrieval import (
     build_index,
@@ -135,6 +137,27 @@ class TestExpansionMonotonicity:
         assert len(queries) >= 50
         for query in queries:
             assert match_set(plain, query) <= match_set(expanded, query)
+
+
+# words the analyzer keeps ("aa", "lamp") or stems ("lamps", "running")
+WORDS = st.sampled_from(["aa", "bb", "cc", "lamp", "lamps", "kid", "running", "run"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(WORDS, max_size=4), st.lists(WORDS, max_size=4),
+                          st.lists(WORDS, max_size=3)), min_size=1, max_size=8),
+       st.lists(WORDS, max_size=3))
+def test_expansions_only_add_matches(docs, query_words):
+    products = [Product(id=f"d{i}", title=" ".join(title), description=" ".join(description))
+                for i, (title, description, _) in enumerate(docs)]
+    expansions = {f"d{i}": tokens for i, (_, _, tokens) in enumerate(docs) if tokens}
+    query = " ".join(query_words)
+    plain = match_set(build_index(products), query)
+    expanded = match_set(build_index(products, expansions), query)
+    assert plain <= expanded
+    query_tokens = set(analyze(query))
+    assert expanded == plain | {pid for pid, tokens in expansions.items()
+                                if query_tokens.intersection(tokens)}
 
 
 class TestEvalRecall:

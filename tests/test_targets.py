@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -145,3 +146,19 @@ def test_instances_roundtrip_through_jsonl(tmp_path):
     path = tmp_path / "instances.jsonl"
     write_jsonl(path, (i.as_record() for i in instances))
     assert load_training_instances(path) == instances
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("target_token", 5, "'target_token' must be a non-empty string"),
+    ("frequency", 2.7, "'frequency' must be a positive integer"),
+    ("frequency", 0, "'frequency' must be a positive integer"),
+    ("weight", "0.5", "'weight' must be a finite number"),
+    ("product_id", None, "'product_id' must be a non-empty string"),
+])
+def test_instance_fields_are_checked_not_coerced(field, value, message):
+    from docexpand.errors import InputError
+
+    record = {"product_id": "p1", "input_text": "title: t", "target_token": "kid",
+              "frequency": 2, "weight": 1.5, field: value}
+    with pytest.raises(InputError, match=f"<lines>: line 1: {message}"):
+        load_training_instances([json.dumps(record)])
