@@ -275,6 +275,8 @@ class TestNovelPairRecord:
         ("source_query", None, "'source_query' must be a string"),
         ("token_counts", {"kid": 0}, "'token_counts' must be an object of positive integer"),
         ("token_counts", {"kid": True}, "'token_counts' must be an object of positive integer"),
+        # loss_weight's float() of a count this large overflows
+        ("token_counts", {"kid": 10**400}, "'token_counts' must be an object of positive integer"),
     ])
     def test_malformed_field_names_file_line_and_key(self, field, value, message):
         record = {**self.PAIR.as_record(), field: value}

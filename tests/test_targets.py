@@ -152,6 +152,7 @@ def test_instances_roundtrip_through_jsonl(tmp_path):
     ("target_token", 5, "'target_token' must be a non-empty string"),
     ("frequency", 2.7, "'frequency' must be a positive integer"),
     ("frequency", 0, "'frequency' must be a positive integer"),
+    ("frequency", 2**53, "'frequency' must be a positive integer below 2\\*\\*53"),
     ("weight", "0.5", "'weight' must be a finite number"),
     ("product_id", None, "'product_id' must be a non-empty string"),
 ])
