@@ -40,7 +40,6 @@ from .filters import (
     run_pipeline,
 )
 from .metrics import (
-    BootstrapConfig,
     EvalRecord,
     MetricsReport,
     bootstrap_ci,
@@ -67,7 +66,6 @@ from .retrieval import (
 )
 from .stemmer import stem
 from .targets import (
-    TargetConfig,
     TargetToken,
     TrainingInstance,
     build_target_tokens,

@@ -32,7 +32,7 @@ from .corpus import (
 from .cutoff import ScoredRecord, budget_match_cutoff, candidate_cutoffs, tune_cutoff
 from .errors import ConfigError, InputError
 from .filters import ExternalScorer, NovelPair, PipelineConfig, run_pipeline
-from .metrics import BootstrapConfig, evaluate_records, make_eval_record
+from .metrics import evaluate_records, make_eval_record
 from .predictor import (
     apply_cutoff,
     load_external_predictions,
@@ -55,12 +55,7 @@ from .retrieval import (
     search,
 )
 from .synthetic import SyntheticConfig, generate, write_corpus
-from .targets import (
-    TargetConfig,
-    build_target_tokens,
-    emit_training_instances,
-    load_training_instances,
-)
+from .targets import build_target_tokens, emit_training_instances, load_training_instances
 
 log = logging.getLogger(__name__)
 
@@ -74,7 +69,8 @@ class Opt:
     required: bool = False
     choices: tuple = ()
     help: str = ""
-    check: object = None       # callable raising ValueError on a bad value
+    check: object = None       # callable raising ValueError on a bad value; it may parse,
+                               # and the handler calls the same parser on the checked value
 
 
 def _within(interval: str):
@@ -92,6 +88,42 @@ def _within(interval: str):
 _POSITIVE = _within("[1, inf)")
 _NON_NEGATIVE = _within("[0, inf)")
 
+
+def _parse_ratios(text: str) -> tuple:
+    try:
+        ratios = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"expects three integers, got {text!r}") from None
+    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+        raise ValueError("expects three positive integers")
+    return ratios
+
+
+def _parse_field_weights(text: str) -> dict:
+    weights = {}
+    for part in text.split(",") if text else ():    # an empty value keeps every default
+        name, _, value = part.partition(":")
+        name = name.strip()
+        if name not in INDEX_FIELDS:
+            raise ValueError(f"unknown index field {name!r}")
+        try:
+            weight = float(value)
+        except ValueError:
+            raise ValueError(f"bad weight for field {name!r}: {value!r}") from None
+        if not math.isfinite(weight):
+            raise ValueError(f"weight for field {name!r} must be finite: {value!r}")
+        weights[name] = weight
+    return weights
+
+
+def _parse_model(text: str) -> tuple:
+    """``kind:PATH`` as (kind, PATH)."""
+    kind, _, path = text.partition(":")
+    if kind not in ("cooccurrence", "external") or not path:
+        raise ValueError(f"expects cooccurrence:PATH or external:PATH, got {text!r}")
+    return kind, path
+
+
 _COMMON = (
     Opt("config", "--config", "path", help="flat key=value config file; flags override it"),
 )
@@ -103,7 +135,8 @@ SPECS = {
         Opt("min_atc", "--min-atc", "int", default=DEFAULT_MIN_ATC, check=_NON_NEGATIVE,
             help="drop pairs below this ATC count"),
         Opt("seed", "--seed", "int", default=0, help="seed for the product split"),
-        Opt("ratios", "--ratios", "str", default="8,1,1", help="train,validation,test ratio"),
+        Opt("ratios", "--ratios", "str", default="8,1,1", check=_parse_ratios,
+            help="train,validation,test ratio"),
         Opt("unknown", "--unknown", "choice", default="skip", choices=("skip", "error"),
             help="behavior for pairs referencing unknown products"),
         Opt("out", "--out", "outdir", required=True, help="output directory"),
@@ -132,7 +165,7 @@ SPECS = {
         Opt("out", "--out", "outfile", required=True, help="model JSON path"),
     ),
     "predict": (
-        Opt("model", "--model", "str", required=True,
+        Opt("model", "--model", "str", required=True, check=_parse_model,
             help="cooccurrence:PATH or external:PATH"),
         Opt("products", "--products", "path", required=True),
         Opt("top", "--top", "int", default=10, check=_POSITIVE, help="max predictions per product"),
@@ -176,7 +209,7 @@ SPECS = {
         Opt("cutoff", "--cutoff", "float", default=0.0, help="confidence cutoff on expansion tokens"),
         Opt("top", "--top", "int", default=10, check=_POSITIVE,
             help="max expansion tokens per product"),
-        Opt("field_weights", "--field-weights", "str",
+        Opt("field_weights", "--field-weights", "str", check=_parse_field_weights,
             help="e.g. title:2.0,expansion:1.5 (unlisted fields keep defaults)"),
         Opt("k1", "--k1", "float", default=DEFAULT_K1, check=_NON_NEGATIVE),
         Opt("b", "--b", "float", default=DEFAULT_B, check=_within("[0, 1]")),
@@ -206,6 +239,23 @@ SPECS = {
         Opt("out", "--out", "outdir", required=True, help="output directory"),
     ),
 }
+
+_SPLIT_TOGETHER = (lambda cfg: (cfg["split"] is None) == (cfg["split_file"] is None),
+                   "--split and --split-file must be given together")
+# subcommand -> (rule on the resolved options, message when they break it)
+RULES = {
+    "filter": ((lambda cfg: cfg["scorer"] != "external" or cfg["scores"],
+                "--scorer external requires --scores PATH"),),
+    "predict": (_SPLIT_TOGETHER,),
+    "evaluate": (_SPLIT_TOGETHER, (lambda cfg: cfg["bootstrap"] == 0 or cfg["seed"] is not None,
+                                   "--bootstrap needs an explicit --seed")),
+    "tune-cutoff": (_SPLIT_TOGETHER,),
+    "gen-synthetic": ((lambda cfg: cfg["heldout"] <= cfg["products"],
+                       "--heldout must not exceed --products"),),
+}
+# subcommand -> its report option, whose JSON file gets a rendered ``<path>.txt`` beside it
+REPORTS = {"evaluate": "report", "tune-cutoff": "report", "eval-retrieval": "report",
+           "report": "out"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,18 +294,19 @@ def _convert(opt: Opt, raw):
             opt.check(value)
         except ValueError as exc:
             raise ConfigError(f"option {opt.flag}: {exc}") from None
-    if opt.kind in ("outdir", "outfile"):
-        _check_output(opt, Path(value))
     return value
 
 
-def _check_output(opt: Opt, path: Path) -> None:
-    """Refuse an output path when it, or its nearest existing parent, is of the wrong kind."""
-    found = next((p for p in (path, *path.parents) if p.exists()), None)
-    must_be_dir = found != path or opt.kind == "outdir"
-    if found is not None and found.is_dir() != must_be_dir:
-        raise ConfigError(
-            f"option {opt.flag}: {found} is {'not ' if must_be_dir else ''}a directory")
+def _check_output(opt: Opt, path: Path, subcommand: str) -> None:
+    """Refuse an output path, or a sidecar written beside it, when it or its nearest
+    existing parent is of the wrong kind."""
+    sidecars = (".meta.json", ".txt") if REPORTS.get(subcommand) == opt.name else (".meta.json",)
+    for target in (path, *(Path(f"{path}{s}") for s in sidecars if opt.kind == "outfile")):
+        found = next((p for p in (target, *target.parents) if p.exists()), None)
+        must_be_dir = found != target or opt.kind == "outdir"
+        if found is not None and found.is_dir() != must_be_dir:
+            raise ConfigError(
+                f"option {opt.flag}: {found} is {'not ' if must_be_dir else ''}a directory")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -294,45 +345,18 @@ def resolve_config(args: argparse.Namespace) -> dict:
             value = opt.default
         if value is None and opt.required:
             raise ConfigError(f"missing required option {opt.flag} for {args.subcommand}")
+        if value is not None and opt.kind in ("outdir", "outfile"):
+            _check_output(opt, Path(value), args.subcommand)
         config[opt.name] = value
+    for holds, message in RULES.get(args.subcommand, ()):
+        if not holds(config):
+            raise ConfigError(message)
     return config
 
 
-def _parse_ratios(text: str) -> tuple:
-    parts = text.split(",")
-    try:
-        ratios = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"--ratios expects three integers, got {text!r}") from None
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ConfigError("--ratios expects three positive integers")
-    return ratios
-
-
 def _split_subset(cfg: dict):
-    split_name, split_file = cfg.get("split"), cfg.get("split_file")
-    if split_name is None and split_file is None:
-        return None
-    if split_name is None or split_file is None:
-        raise ConfigError("--split and --split-file must be given together")
-    return CatalogSplit.from_record(load_json(split_file), split_file).subset(split_name)
-
-
-def _parse_field_weights(text: str) -> dict:
-    weights = {}
-    for part in text.split(","):
-        name, _, value = part.partition(":")
-        name = name.strip()
-        if name not in INDEX_FIELDS:
-            raise ConfigError(f"unknown index field {name!r} in --field-weights")
-        try:
-            weight = float(value)
-        except ValueError:
-            raise ConfigError(f"bad weight for field {name!r}: {value!r}") from None
-        if not math.isfinite(weight):
-            raise ConfigError(f"weight for field {name!r} must be finite: {value!r}")
-        weights[name] = weight
-    return weights
+    path = cfg["split_file"]
+    return None if path is None else CatalogSplit.from_record(load_json(path), path).subset(cfg["split"])
 
 
 def _reference_tokens(cfg: dict, products):
@@ -407,9 +431,11 @@ def render_stats(stats: dict) -> str:
     return render_table(_STAGE_COLUMNS, rows) + "\n" + "\n".join(extras) + "\n"
 
 
-def _write_report(path, payload: dict, text: str) -> None:
-    dump_json(path, payload)
-    write_text(Path(path).with_suffix(Path(path).suffix + ".txt"), text)
+def _write_report(cfg: dict, payload: dict, text: str) -> None:
+    """The report JSON with the resolved config embedded, and its rendered text beside it."""
+    path = cfg[REPORTS[cfg["subcommand"]]]
+    dump_json(path, {"config": cfg, **payload})
+    write_text(Path(f"{path}.txt"), text)
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +469,8 @@ def _cmd_filter(cfg: dict) -> str:
     in_dir = Path(cfg["in_dir"])
     products = load_products(in_dir / "products.jsonl")
     pairs = load_engagement(in_dir / "pairs.jsonl", min_atc=0).pairs
-    if cfg["scorer"] == "external":
-        if not cfg.get("scores"):
-            raise ConfigError("--scorer external requires --scores PATH")
-        scorer = ExternalScorer.load(cfg["scores"])
-    else:
-        scorer = None   # run_pipeline's Jaccard scorer, which shares its analyses
+    # None selects run_pipeline's Jaccard scorer, which shares its analyses
+    scorer = ExternalScorer.load(cfg["scores"]) if cfg["scorer"] == "external" else None
     result = run_pipeline(pairs, products, PipelineConfig(
         rf_threshold=cfg["rf_threshold"],
         scorer=scorer,
@@ -481,7 +503,6 @@ def _cmd_build_targets(cfg: dict) -> str:
     by_product = {}
     for pair in novel_pairs:
         by_product.setdefault(pair.product_id, []).append(pair)
-    target_config = TargetConfig(alpha=cfg["alpha"])
     instances = []
     for product in products:
         if subset is not None and product.id not in subset:
@@ -489,7 +510,7 @@ def _cmd_build_targets(cfg: dict) -> str:
         pairs = by_product.get(product.id)
         if not pairs:
             continue
-        targets = build_target_tokens(product, pairs, target_config)
+        targets = build_target_tokens(product, pairs, alpha=cfg["alpha"])
         if targets:
             instances.extend(emit_training_instances(product, targets))
     write_jsonl(cfg["out"], (inst.as_record() for inst in instances))
@@ -507,10 +528,7 @@ def _cmd_train(cfg: dict) -> str:
 
 
 def _cmd_predict(cfg: dict) -> str:
-    kind, _, path = cfg["model"].partition(":")
-    if kind not in ("cooccurrence", "external") or not path:
-        raise ConfigError(
-            f"--model expects cooccurrence:PATH or external:PATH, got {cfg['model']!r}")
+    kind, path = _parse_model(cfg["model"])
     model = load_model(path) if kind == "cooccurrence" else load_external_predictions(path)
     products = load_products(cfg["products"])
     subset = _split_subset(cfg)
@@ -544,16 +562,10 @@ def _cmd_evaluate(cfg: dict) -> str:
     records = [make_eval_record(r.product_id, r.reference, token_sets[r.product_id],
                                 [st.token for st in apply_cutoff(r.predictions, cfg["cutoff"])])
                for r in scored]
-    bootstrap = None
-    if cfg["bootstrap"] > 0:
-        if cfg.get("seed") is None:
-            raise ConfigError("--bootstrap needs an explicit --seed")
-        bootstrap = BootstrapConfig(resamples=cfg["bootstrap"], level=cfg["level"],
-                                    seed=cfg["seed"])
-    report = evaluate_records(records, token_sets, bootstrap=bootstrap)
-    payload = {"config": cfg, "metrics": report.as_dict()}
+    report = evaluate_records(records, token_sets, resamples=cfg["bootstrap"],
+                              level=cfg["level"], seed=cfg["seed"])
     text = render_table(_METRIC_HEADERS, [render_metrics_row(_f(cfg["cutoff"], 2), report.as_dict())])
-    _write_report(cfg["report"], payload, text)
+    _write_report(cfg, {"metrics": report.as_dict()}, text)
     return f"evaluate: n={report.n_products} nrouge_f1={report.nrouge_f1:.4f}"
 
 
@@ -565,7 +577,6 @@ def _cmd_tune_cutoff(cfg: dict) -> str:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     payload = {
-        "config": cfg,
         "chosen": sweep.chosen,
         "chosen_metrics": sweep.chosen_row().report.as_dict(),
         "rows": [{"cutoff": row.cutoff, "metrics": row.report.as_dict()} for row in sweep.rows],
@@ -585,7 +596,7 @@ def _cmd_tune_cutoff(cfg: dict) -> str:
     rows = [render_metrics_row(_f(row.cutoff, 4), row.report.as_dict()) for row in sweep.rows]
     text = render_table(_METRIC_HEADERS, rows)
     text += f"\nchosen cutoff: {sweep.chosen}\n"
-    _write_report(cfg["report"], payload, text)
+    _write_report(cfg, payload, text)
     return (f"tune-cutoff: chosen={sweep.chosen} "
             f"nrouge_f1={sweep.chosen_row().report.nrouge_f1:.4f}")
 
@@ -624,11 +635,11 @@ def _cmd_eval_retrieval(cfg: dict) -> str:
     index = load_index(cfg["index"])
     pairs = load_engagement(cfg["pairs"], min_atc=0).pairs
     report = eval_recall(index, pairs, cfg["k"])
-    payload = {"config": cfg, "recall": report.recall, "hits": report.hits,
-               "total": report.total, "k": cfg["k"], "defined": report.defined}
+    payload = {"recall": report.recall, "hits": report.hits, "total": report.total,
+               "k": cfg["k"], "defined": report.defined}
     text = render_table(("k", "recall", "hits", "total"),
                         [[cfg["k"], _f(report.recall), report.hits, report.total]])
-    _write_report(cfg["report"], payload, text)
+    _write_report(cfg, payload, text)
     return (f"eval-retrieval: recall@{cfg['k']}={report.recall:.4f} "
             f"({report.hits}/{report.total})")
 
@@ -637,7 +648,7 @@ def _cmd_report(cfg: dict) -> str:
     in_dir = Path(cfg["in_dir"])
     if not in_dir.is_dir():
         raise InputError(f"not a directory: {in_dir}")
-    merged = {"config": cfg, **{section: [] for section in _SECTIONS}}
+    merged = {section: [] for section in _SECTIONS}
     for path in sorted(in_dir.rglob("*.json")):
         if path.name.endswith(".meta.json") or path.name == "run_config.json":
             continue
@@ -663,7 +674,7 @@ def _cmd_report(cfg: dict) -> str:
         rows = [[e["source"], e["k"], _f(e["recall"]), e["hits"], e["total"]]
                 for e in merged["retrieval"]]
         sections.append("== retrieval\n" + render_table(("source", "k", "recall", "hits", "total"), rows))
-    _write_report(cfg["out"], merged, "\n".join(sections) + "\n")
+    _write_report(cfg, merged, "\n".join(sections) + "\n")
     return (f"report: {len(merged['preprocessing'])} preprocessing, "
             f"{len(merged['evaluations'])} evaluations, "
             f"{len(merged['cutoff_sweeps'])} sweeps, "
@@ -671,8 +682,6 @@ def _cmd_report(cfg: dict) -> str:
 
 
 def _cmd_gen_synthetic(cfg: dict) -> str:
-    if cfg["heldout"] > cfg["products"]:
-        raise ConfigError("--heldout must not exceed --products")
     corpus = generate(SyntheticConfig(seed=cfg["seed"], n_products=cfg["products"],
                                       n_heldout=cfg["heldout"]))
     written = write_corpus(corpus, cfg["out"])

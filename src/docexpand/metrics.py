@@ -121,13 +121,6 @@ def bootstrap_ci(values, resamples: int = 1000, level: float = 0.95, seed=0):
     return float(lo), float(hi)
 
 
-@dataclass(frozen=True)
-class BootstrapConfig:
-    resamples: int = 1000
-    level: float = 0.95
-    seed: int = 0
-
-
 _METRIC_NAMES = (
     "rouge_precision", "rouge_recall", "rouge_f1",
     "nrouge_precision", "nrouge_recall", "nrouge_f1",
@@ -167,13 +160,14 @@ class MetricsReport:
         return out
 
 
-def evaluate_records(records, product_tokens: dict, bootstrap: BootstrapConfig = None) -> MetricsReport:
+def evaluate_records(records, product_tokens: dict, resamples: int = 0, level: float = 0.95,
+                     seed: int = 0) -> MetricsReport:
     """Full corpus report over eval records.
 
     ``product_tokens`` maps product id to its unique token set (needed for
-    prediction novelty accounting). When a bootstrap config is given, a
-    percentile CI is attached for each of the six metric means, resampling
-    the per-product values.
+    prediction novelty accounting). When ``resamples`` is positive, a
+    percentile CI at ``level`` is attached for each of the six metric means,
+    resampling the per-product values; 0 turns bootstrapping off.
     """
     if not records:
         raise ValueError("records must be non-empty")
@@ -194,13 +188,11 @@ def evaluate_records(records, product_tokens: dict, bootstrap: BootstrapConfig =
 
     novelty = novelty_stats(records, product_tokens)
     ci = {}
-    if bootstrap is not None:
+    if resamples:
         for i, name in enumerate(_METRIC_NAMES):
             values = per_metric[name]
             if values:
-                ci[name] = bootstrap_ci(
-                    values, bootstrap.resamples, bootstrap.level, seed=[bootstrap.seed, i]
-                )
+                ci[name] = bootstrap_ci(values, resamples, level, seed=[seed, i])
     return report_from_values(per_metric, novelty, len(records), ci)
 
 

@@ -11,16 +11,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .corpus import PRODUCT_TEXT_FIELDS, Product, product_token_set
+from .errors import InputError
 from .records import NUMBER, POSITIVE_COUNT, STRING, TEXT, get_field, iter_jsonl
-
-
-@dataclass(frozen=True)
-class TargetConfig:
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -52,10 +44,13 @@ def loss_weight(frequency: int, alpha: float) -> float:
         raise ValueError("frequency must be >= 1")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    return float(frequency) ** alpha
+    try:
+        return float(frequency) ** alpha
+    except OverflowError:
+        raise InputError(f"loss weight {frequency} ** {alpha} is too large for a float") from None
 
 
-def build_target_tokens(product: Product, novel_pairs, config: TargetConfig = None) -> list:
+def build_target_tokens(product: Product, novel_pairs, alpha: float = 0.5) -> list:
     """Aggregate a product's novel tokens over all its queries.
 
     Frequencies sum the pre-collapse occurrence counts carried by each
@@ -63,7 +58,6 @@ def build_target_tokens(product: Product, novel_pairs, config: TargetConfig = No
     independently of the upstream filter). Output is ordered by descending
     frequency and then lexicographically.
     """
-    config = config or TargetConfig()
     counts = Counter()
     for pair in novel_pairs:
         if pair.product_id != product.id:
@@ -76,7 +70,7 @@ def build_target_tokens(product: Product, novel_pairs, config: TargetConfig = No
     for token, freq in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
         if token in unique:
             continue
-        targets.append(TargetToken(token=token, frequency=freq, weight=loss_weight(freq, config.alpha)))
+        targets.append(TargetToken(token=token, frequency=freq, weight=loss_weight(freq, alpha)))
     return targets
 
 

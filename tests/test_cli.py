@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +282,11 @@ def probe_dir(tmp_path_factory):
     write_jsonl(root / "coerced_instances.jsonl", [
         {"product_id": "p1", "input_text": "title: Swim Vest", "target_token": 5,
          "frequency": 2.7, "weight": "0.5"}])
+    shutil.copytree(root / "work" / "filtered", root / "pairs_count_3")
+    write_jsonl(root / "pairs_count_3" / "novel_pairs.jsonl", [
+        {**first_pair, "token_counts": {token: 3 for token in first_pair["novel_tokens"]}}])
+    (root / "sidecars" / "summary.json.txt").mkdir(parents=True)
+    (root / "sidecars" / "instances.jsonl.meta.json").mkdir()
     return root
 
 
@@ -338,6 +344,10 @@ _INDEX = ("index", "--products", "{d}/products.jsonl", "--out", "{d}/out/index.j
 _EVALUATE = ("evaluate", "--predictions", "{d}/work/predictions.jsonl",
              "--references", "{d}/work/filtered/query_pairs.jsonl",
              "--products", "{d}/products.jsonl", "--report", "{d}/out/eval.json")
+_MISSING_EVALUATE = ("evaluate", "--predictions", "{d}/missing/predictions.jsonl",
+                     "--references", "{d}/missing/references.jsonl",
+                     "--products", "{d}/missing/products.jsonl", "--report", "{d}/out/eval.json")
+_MISSING_INDEX = ("index", "--products", "{d}/missing/products.jsonl", "--out", "{d}/out/index.json")
 _NO_VALIDATION = "split_no_validation.json: 'validation' must be a list of product id strings"
 _COUNTS = "novel_pairs.jsonl: line 1: 'token_counts' must be an object of positive integer counts"
 
@@ -513,6 +523,44 @@ EXIT_CODE_PROBES = {
     "report-out-is-a-directory": (
         ("report", "--in", "{d}/work", "--out", "{d}/work/filtered"), 2,
         "option --out: {d}/work/filtered is a directory"),
+    # rules between options and parsing options fail before any input is opened
+    "filter-external-without-scores": (
+        ("filter", "--in", "{d}/missing", "--scorer", "external", "--out", "{d}/out/filtered"),
+        2, "--scorer external requires --scores"),
+    "predict-split-without-split-file": (
+        ("predict", "--model", "cooccurrence:{d}/missing/model.json", "--products",
+         "{d}/missing/products.jsonl", "--split", "test", "--out", "{d}/out/pred.jsonl"), 2,
+        "--split and --split-file must be given together"),
+    "evaluate-bootstrap-without-seed": (_MISSING_EVALUATE + ("--bootstrap", "5"), 2,
+                                        "--bootstrap needs an explicit --seed"),
+    "tune-cutoff-split-file-without-split": (
+        ("tune-cutoff", "--predictions", "{d}/missing/predictions.jsonl", "--references",
+         "{d}/missing/references.jsonl", "--products", "{d}/missing/products.jsonl",
+         "--split-file", "{d}/missing/split.json", "--report", "{d}/out/cutoff.json"), 2,
+        "--split and --split-file must be given together"),
+    "index-weight-unknown-field": (
+        _MISSING_INDEX + ("--field-weights", "color:2"), 2,
+        "option --field-weights: unknown index field 'color'"),
+    "index-weight-not-a-number": (
+        _MISSING_INDEX + ("--field-weights", "title:x"), 2,
+        "option --field-weights: bad weight for field 'title': 'x'"),
+    "ingest-ratios-two-parts": (
+        ("ingest", "--products", "{d}/missing/products.jsonl", "--engagement",
+         "{d}/missing/engagement.jsonl", "--ratios", "8,1", "--out", "{d}/out/ingested"), 2,
+        "option --ratios: expects three positive integers"),
+    "predict-model-without-kind": (
+        ("predict", "--model", "{d}/missing/model.json", "--products",
+         "{d}/missing/products.jsonl", "--out", "{d}/out/pred.jsonl"), 2,
+        "option --model: expects cooccurrence:PATH or external:PATH"),
+    "report-txt-sidecar-is-a-directory": (
+        ("report", "--in", "{d}/work", "--out", "{d}/sidecars/summary.json"), 2,
+        "option --out: {d}/sidecars/summary.json.txt is a directory"),
+    "build-targets-meta-sidecar-is-a-directory": (
+        ("build-targets", "--in", "{d}/work/filtered", "--out", "{d}/sidecars/instances.jsonl"),
+        2, "option --out: {d}/sidecars/instances.jsonl.meta.json is a directory"),
+    "build-targets-alpha-1000": (
+        ("build-targets", "--in", "{d}/pairs_count_3", "--split", "all", "--alpha", "1000",
+         "--out", "{d}/out/instances.jsonl"), 3, "loss weight 3 ** 1000.0 is too large for a float"),
 }
 
 
@@ -523,3 +571,29 @@ def test_bad_option_or_input_exits_2_or_3(probe_dir, capsys, probe):
     code = run(*(arg.format(d=probe_dir) for arg in argv))
     assert code == expected_code
     assert message.format(d=probe_dir) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, sidecar", [
+    (("report", "--in", "{d}/work", "--out", "{out}"), ".txt"),
+    (("eval-retrieval", "--index", "{d}/work/index.json", "--pairs", "{d}/engagement.jsonl",
+      "--report", "{out}"), ".txt"),
+    (("evaluate", "--predictions", "{d}/work/predictions.jsonl", "--references",
+      "{d}/engagement.jsonl", "--products", "{d}/products.jsonl", "--report", "{out}"),
+     ".meta.json"),
+    (("build-targets", "--in", "{d}/work/filtered", "--out", "{out}"), ".meta.json"),
+])
+def test_sidecar_of_the_wrong_kind_exits_2_before_writing(probe_dir, tmp_path, capsys,
+                                                          argv, sidecar):
+    out = tmp_path / "artifact.json"
+    Path(f"{out}{sidecar}").mkdir()
+    code = run(*(arg.format(d=probe_dir, out=out) for arg in argv))
+    assert code == 2
+    assert f"option {argv[-2]}: {out}{sidecar} is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [f"artifact.json{sidecar}"]
+
+
+def test_empty_field_weights_keep_the_defaults(probe_dir, tmp_path):
+    index = ("index", "--products", probe_dir / "products.jsonl", "--out")
+    assert run(*index, tmp_path / "default.json") == 0
+    assert run(*index, tmp_path / "empty.json", "--field-weights", "") == 0
+    assert load_json(tmp_path / "empty.json") == load_json(tmp_path / "default.json")

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from docexpand.metrics import (
-    BootstrapConfig,
     bootstrap_ci,
     evaluate_records,
     f1,
@@ -181,9 +180,8 @@ class TestEvaluateRecords:
     def test_ci_attached_and_deterministic(self):
         records = [rec(["a", "b"], [], ["a"], pid=f"p{i}") for i in range(12)]
         token_sets = {f"p{i}": frozenset() for i in range(12)}
-        config = BootstrapConfig(resamples=100, level=0.9, seed=5)
-        a = evaluate_records(records, token_sets, bootstrap=config)
-        b = evaluate_records(records, token_sets, bootstrap=config)
+        a = evaluate_records(records, token_sets, resamples=100, level=0.9, seed=5)
+        b = evaluate_records(records, token_sets, resamples=100, level=0.9, seed=5)
         assert a.ci == b.ci
         assert set(a.ci) == {
             "rouge_precision", "rouge_recall", "rouge_f1",

@@ -7,7 +7,6 @@ import pytest
 from docexpand.corpus import Product
 from docexpand.filters import NovelPair
 from docexpand.targets import (
-    TargetConfig,
     TargetToken,
     build_target_tokens,
     emit_training_instances,
@@ -94,7 +93,7 @@ class TestBuildTargetTokens:
     def test_weight_monotone_in_frequency(self):
         product = Product(id="p1", title="x")
         targets = build_target_tokens(product, [pair("p1", {"aa": 1, "bb": 3, "cc": 9})],
-                                      TargetConfig(alpha=0.5))
+                                      alpha=0.5)
         by_freq = sorted(targets, key=lambda t: t.frequency)
         weights = [t.weight for t in by_freq]
         assert weights == sorted(weights) and weights[0] < weights[-1]
