@@ -10,7 +10,6 @@ from .corpus import (
     CatalogSplit,
     EngagementPair,
     Product,
-    TokenSet,
     analyze,
     load_engagement,
     load_products,
@@ -29,10 +28,8 @@ from .errors import ConfigError, InputError, ToolkitError
 from .filters import (
     JaccardScorer,
     NovelPair,
-    PipelineConfig,
     PipelineResult,
     PipelineStats,
-    RelevanceScorer,
     full_match_filter,
     overlapping_token_filter,
     price_token_filter,

@@ -31,7 +31,7 @@ from .corpus import (
 )
 from .cutoff import ScoredRecord, budget_match_cutoff, candidate_cutoffs, tune_cutoff
 from .errors import ConfigError, InputError
-from .filters import ExternalScorer, NovelPair, PipelineConfig, run_pipeline
+from .filters import ExternalScorer, NovelPair, run_pipeline
 from .metrics import evaluate_records, make_eval_record
 from .predictor import (
     apply_cutoff,
@@ -54,7 +54,7 @@ from .retrieval import (
     save_index,
     search,
 )
-from .synthetic import SyntheticConfig, generate, write_corpus
+from .synthetic import generate, write_corpus
 from .targets import build_target_tokens, emit_training_instances, load_training_instances
 
 log = logging.getLogger(__name__)
@@ -256,6 +256,14 @@ RULES = {
 # subcommand -> its report option, whose JSON file gets a rendered ``<path>.txt`` beside it
 REPORTS = {"evaluate": "report", "tune-cutoff": "report", "eval-retrieval": "report",
            "report": "out"}
+# subcommand -> the files its handler writes into its --out directory, besides run_config.json
+OUTDIR_FILES = {
+    "ingest": ("products.jsonl", "pairs.jsonl", "split.json", "ingest_stats.json"),
+    "filter": ("query_pairs.jsonl", "novel_pairs.jsonl", "pipeline_stats.json",
+               "pipeline_stats.txt", "products.jsonl", "split.json"),
+    "gen-synthetic": ("products.jsonl", "engagement.jsonl", "heldout_pairs.jsonl",
+                      "gold_expansions.jsonl", "baseline_query_predictions.jsonl"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,12 +306,16 @@ def _convert(opt: Opt, raw):
 
 
 def _check_output(opt: Opt, path: Path, subcommand: str) -> None:
-    """Refuse an output path, or a sidecar written beside it, when it or its nearest
-    existing parent is of the wrong kind."""
-    sidecars = (".meta.json", ".txt") if REPORTS.get(subcommand) == opt.name else (".meta.json",)
-    for target in (path, *(Path(f"{path}{s}") for s in sidecars if opt.kind == "outfile")):
+    """Refuse an output path when a file the stage writes there (in a directory, or
+    beside a file: its sidecars), or its nearest existing parent, is of the wrong kind."""
+    if opt.kind == "outdir":
+        targets = [path / name for name in (*OUTDIR_FILES[subcommand], "run_config.json")]
+    else:
+        sidecars = (".meta.json", ".txt") if REPORTS.get(subcommand) == opt.name else (".meta.json",)
+        targets = [path, *(Path(f"{path}{s}") for s in sidecars)]
+    for target in targets:
         found = next((p for p in (target, *target.parents) if p.exists()), None)
-        must_be_dir = found != target or opt.kind == "outdir"
+        must_be_dir = found != target
         if found is not None and found.is_dir() != must_be_dir:
             raise ConfigError(
                 f"option {opt.flag}: {found} is {'not ' if must_be_dir else ''}a directory")
@@ -471,11 +483,9 @@ def _cmd_filter(cfg: dict) -> str:
     pairs = load_engagement(in_dir / "pairs.jsonl", min_atc=0).pairs
     # None selects run_pipeline's Jaccard scorer, which shares its analyses
     scorer = ExternalScorer.load(cfg["scores"]) if cfg["scorer"] == "external" else None
-    result = run_pipeline(pairs, products, PipelineConfig(
-        rf_threshold=cfg["rf_threshold"],
-        scorer=scorer,
-        fmf_enabled=cfg["fmf"] == "on",
-    ))
+    # pairs stays the first positional argument: perfbench's tracer counts args[0]
+    result = run_pipeline(pairs, products, rf_threshold=cfg["rf_threshold"], scorer=scorer,
+                          fmf_enabled=cfg["fmf"] == "on")
     out = Path(cfg["out"])
     write_jsonl(out / "query_pairs.jsonl", (p.as_record() for p in result.query_pairs))
     write_jsonl(out / "novel_pairs.jsonl", (p.as_record() for p in result.novel_pairs))
@@ -549,7 +559,7 @@ def _scored_records(cfg: dict, products):
     """Each referenced product's reference tokens and top predictions, by product id."""
     grouped = _reference_tokens(cfg, products)
     table = load_external_predictions(cfg["predictions"])
-    token_sets = {p.id: product_token_set(p).unique for p in products if p.id in grouped}
+    token_sets = {p.id: product_token_set(p) for p in products if p.id in grouped}
     records = [ScoredRecord(product_id=pid, reference=tuple(grouped[pid]),
                             predictions=tuple(table.get(pid, [])[:cfg["top"]]))
                for pid in sorted(grouped)]
@@ -682,8 +692,7 @@ def _cmd_report(cfg: dict) -> str:
 
 
 def _cmd_gen_synthetic(cfg: dict) -> str:
-    corpus = generate(SyntheticConfig(seed=cfg["seed"], n_products=cfg["products"],
-                                      n_heldout=cfg["heldout"]))
+    corpus = generate(seed=cfg["seed"], n_products=cfg["products"], n_heldout=cfg["heldout"])
     written = write_corpus(corpus, cfg["out"])
     return "gen-synthetic: " + ", ".join(f"{name}={count}" for name, count in sorted(written.items()))
 

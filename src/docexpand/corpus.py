@@ -10,11 +10,10 @@ level.
 import logging
 import random
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InputError
-from .records import COUNT, STRINGS, TEXT, Kind, get_field, iter_jsonl
+from .records import COUNT, STRINGS, TEXT, Kind, get_field, iter_jsonl, source_name
 from .stemmer import stem
 
 log = logging.getLogger(__name__)
@@ -59,32 +58,6 @@ class EngagementPair:
         return {"product_id": self.product_id, "query": self.query, "atc_count": self.atc_count}
 
 
-class TokenSet:
-    """Multiset of analyzed (normalized + stemmed) tokens with a unique view."""
-
-    __slots__ = ("counts", "unique")
-
-    def __init__(self, tokens=()):
-        self.counts = Counter(tokens)
-        self.unique = frozenset(self.counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def __contains__(self, token) -> bool:
-        return token in self.unique
-
-    def __len__(self) -> int:
-        return self.total
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TokenSet) and self.counts == other.counts
-
-    def __repr__(self) -> str:
-        return f"TokenSet({dict(sorted(self.counts.items()))!r})"
-
-
 @dataclass(frozen=True)
 class CatalogSplit:
     train: frozenset
@@ -127,21 +100,21 @@ def analyze(text: str) -> list:
     return [stem(token) for token in normalize(text)]
 
 
-def product_token_set(product: Product) -> TokenSet:
-    """Analyzed multiset over all six product text fields.
+def product_token_set(product: Product) -> frozenset:
+    """The distinct analyzed tokens of all six product text fields.
 
     The fields are analyzed as one text joined by spaces. A space is
     neither alphanumeric nor case-ignorable, so it ends a token and ends
     the context that lowercases a final sigma, just as a field's end does.
     """
-    return TokenSet(analyze(" ".join(product.text_fields())))
+    return frozenset(analyze(" ".join(product.text_fields())))
 
 
 def load_products(source) -> list:
     """Parse product JSONL records, preserving input order.
 
-    Raises InputError naming the line for malformed records and naming the
-    id for duplicates.
+    Raises InputError naming the file and line of a malformed record or a
+    repeated id.
     """
     products = []
     seen = {}
@@ -149,9 +122,8 @@ def load_products(source) -> list:
         pid = get_field(record, "id", TEXT, source, lineno)
         title = get_field(record, "title", TEXT, source, lineno)
         if pid in seen:
-            raise InputError(
-                f"duplicate product id {pid!r} (lines {seen[pid]} and {lineno})"
-            )
+            raise InputError(f"{source_name(source)}: line {lineno}: duplicate product id "
+                             f"{pid!r}, first on line {seen[pid]}")
         seen[pid] = lineno
         extras = {key: get_field(record, key, _OPTIONAL_TEXT, source, lineno, "") or ""
                   for key in PRODUCT_TEXT_FIELDS[1:]}
@@ -185,8 +157,10 @@ def load_engagement(source, min_atc: int = DEFAULT_MIN_ATC, known_ids=None,
         atc = get_field(record, "atc_count", COUNT, source, lineno, 0)
         if known_ids is not None and pid not in known_ids:
             if unknown_product == "error":
-                raise InputError(f"line {lineno}: unknown product id {pid!r}")
-            log.warning("line %d: skipping pair for unknown product id %r", lineno, pid)
+                raise InputError(f"{source_name(source)}: line {lineno}: unknown product id "
+                                 f"{pid!r}")
+            log.warning("%s: line %d: skipping pair for unknown product id %r",
+                        source_name(source), lineno, pid)
             result.skipped_unknown_product += 1
             continue
         if atc < min_atc:

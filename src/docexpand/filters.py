@@ -10,7 +10,7 @@ how many pairs flowed in and out.
 import re
 from dataclasses import dataclass, field
 
-from .corpus import EngagementPair, TokenSet, analyze, product_token_set
+from .corpus import EngagementPair, analyze, product_token_set
 from .errors import InputError
 from .records import (POSITIVE_COUNT, STRING, STRINGS, TEXT, UNIT_SCORE, Kind, all_of,
                       get_field, iter_jsonl)
@@ -21,7 +21,7 @@ DROP_EMPTY_QUERY = "drop_empty_query"
 
 _AMOUNT = r"\$?\s*\d+(?:[.,]\d+)?(?:\s*(?:dollars?|bucks?|usd))?"
 
-# Editable pattern surface: price/deal intent phrases removed from queries.
+# Price/deal intent phrases removed from queries.
 DEFAULT_PRICE_PATTERNS = (
     r"\b(?:under|over|below|above|less\s+than|around|about)\s+" + _AMOUNT,
     r"\$\s*\d+(?:[.,]\d+)?",
@@ -33,7 +33,7 @@ DEFAULT_PRICE_PATTERNS = (
     r"\bcoupons?\b",
 )
 
-_DEFAULT_COMPILED = tuple(re.compile(p, re.IGNORECASE) for p in DEFAULT_PRICE_PATTERNS)
+_PRICE_PATTERNS = tuple(re.compile(p, re.IGNORECASE) for p in DEFAULT_PRICE_PATTERNS)
 # build_target_tokens weights each summed count, which must be at least 1
 _TOKEN_COUNTS = Kind((dict,), "an object of positive integer counts below 2**53",
                      lambda counts: all_of(POSITIVE_COUNT, counts.values()))
@@ -41,13 +41,6 @@ _TOKEN_COUNTS = Kind((dict,), "an object of positive integer counts below 2**53"
 
 class ScorerError(InputError):
     """A relevance scorer failed on a specific pair (CLI exit code 3)."""
-
-
-class RelevanceScorer:
-    """Scoring seam for pair relevance; implementations return [0, 1]."""
-
-    def score(self, query: str, product) -> float:
-        raise NotImplementedError
 
 
 class AnalysisMemo:
@@ -70,14 +63,14 @@ class AnalysisMemo:
             tokens = self._queries[text] = tuple(analyze(text))
         return tokens
 
-    def product(self, product) -> TokenSet:
+    def product(self, product) -> frozenset:
         tokens = self._products.get(product)
         if tokens is None:
             tokens = self._products[product] = product_token_set(product)
         return tokens
 
 
-class JaccardScorer(RelevanceScorer):
+class JaccardScorer:
     """Default lexical scorer: Jaccard overlap of stemmed token sets.
 
     With an ``AnalysisMemo`` it reads the analyses from it (run_pipeline
@@ -90,14 +83,14 @@ class JaccardScorer(RelevanceScorer):
     def score(self, query, product) -> float:
         memo = self.memo if self.memo is not None else AnalysisMemo()
         query_tokens = set(memo.query(query))
-        product_tokens = memo.product(product).unique
+        product_tokens = memo.product(product)
         union = query_tokens | product_tokens
         if not union:
             return 0.0
         return len(query_tokens & product_tokens) / len(union)
 
 
-class ExternalScorer(RelevanceScorer):
+class ExternalScorer:
     """Precomputed (product_id, query, score) triples loaded from JSONL."""
 
     def __init__(self, scores: dict):
@@ -119,8 +112,9 @@ class ExternalScorer(RelevanceScorer):
         return self._scores[key]
 
 
-def relevance_filter(pairs, scorer: RelevanceScorer, threshold: float):
-    """Retain pairs scoring at least ``threshold``; returns (kept, dropped)."""
+def relevance_filter(pairs, scorer, threshold: float):
+    """Keep the pairs whose ``scorer.score(query, product)``, a number in [0, 1], is at
+    least ``threshold``; returns (kept, dropped)."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
     kept, dropped = [], 0
@@ -139,26 +133,23 @@ def relevance_filter(pairs, scorer: RelevanceScorer, threshold: float):
     return kept, dropped
 
 
-def price_token_filter(query: str, patterns=None) -> str:
+def price_token_filter(query: str) -> str:
     """Strip price/deal phrases; the remainder is re-joined by single spaces.
 
     Patterns are re-applied until the text is stable, because a removal can
     butt two words together that themselves form a phrase ("on $5 sale").
     """
-    compiled = _DEFAULT_COMPILED if patterns is None else tuple(
-        re.compile(p, re.IGNORECASE) for p in patterns
-    )
     text = " ".join(query.split())
     while True:
         before = text
-        for pattern in compiled:
+        for pattern in _PRICE_PATTERNS:
             text = pattern.sub(" ", text)
         text = " ".join(text.split())
         if text == before:
             return text
 
 
-def full_match_filter(query: str, product_tokens: TokenSet) -> str:
+def full_match_filter(query: str, product_tokens: frozenset) -> str:
     """Decide whether a (cleaned) query still mismatches the product.
 
     Returns KEEP, DROP_FULL_MATCH when every stemmed query token is already
@@ -167,25 +158,24 @@ def full_match_filter(query: str, product_tokens: TokenSet) -> str:
     return _full_match(analyze(query), product_tokens)
 
 
-def _full_match(tokens, product_tokens: TokenSet) -> str:
+def _full_match(tokens, product_tokens: frozenset) -> str:
     if not tokens:
         return DROP_EMPTY_QUERY
-    if all(token in product_tokens.unique for token in tokens):
+    if all(token in product_tokens for token in tokens):
         return DROP_FULL_MATCH
     return KEEP
 
 
-def overlapping_token_filter(query_tokens, product_tokens) -> list:
-    """Keep the stemmed query tokens absent from the product's unique set.
+def overlapping_token_filter(query_tokens, product_tokens: frozenset) -> list:
+    """Keep the stemmed query tokens absent from the product's token set.
 
     Duplicates within one query collapse to their first occurrence; input
     order is preserved.
     """
-    unique = product_tokens.unique if isinstance(product_tokens, TokenSet) else frozenset(product_tokens)
     seen = set()
     novel = []
     for token in query_tokens:
-        if token in unique or token in seen:
+        if token in product_tokens or token in seen:
             continue
         seen.add(token)
         novel.append(token)
@@ -261,42 +251,30 @@ class PipelineStats:
 
 
 @dataclass
-class PipelineConfig:
-    rf_threshold: float = 0.0
-    scorer: RelevanceScorer = None
-    price_patterns: tuple = None
-    fmf_enabled: bool = True
-
-
-@dataclass
 class PipelineResult:
     query_pairs: list
     novel_pairs: list
     stats: PipelineStats
 
 
-def run_pipeline(pairs, products, config: PipelineConfig = None) -> PipelineResult:
+def run_pipeline(pairs, products, rf_threshold: float = 0.0, scorer=None,
+                 fmf_enabled: bool = True) -> PipelineResult:
     """Run all stages and emit both datasets plus per-stage statistics.
 
     Each distinct query text and each referenced product is analyzed once
     per call, shared by every stage and by the default Jaccard scorer.
     """
-    config = config or PipelineConfig()
     by_id = {p.id: p for p in products} if not isinstance(products, dict) else products
     for pair in pairs:
         if pair.product_id not in by_id:
             raise InputError(f"engagement pair references unknown product {pair.product_id!r}")
     memo = AnalysisMemo()
-
-    def tokens_of(pid: str) -> TokenSet:
-        return memo.product(by_id[pid])
-
     stats = PipelineStats()
-    scorer = config.scorer if config.scorer is not None else JaccardScorer(memo)
+    scorer = scorer if scorer is not None else JaccardScorer(memo)
 
     current = list(pairs)
     kept, dropped = relevance_filter(
-        [(pair, by_id[pair.product_id]) for pair in current], scorer, config.rf_threshold
+        [(pair, by_id[pair.product_id]) for pair in current], scorer, rf_threshold
     )
     stats.dropped_irrelevant = dropped
     stats.rows.append(_stage_row("relevance", current, kept))
@@ -304,7 +282,7 @@ def run_pipeline(pairs, products, config: PipelineConfig = None) -> PipelineResu
 
     cleaned = []
     for pair in current:
-        new_query = price_token_filter(pair.query, config.price_patterns)
+        new_query = price_token_filter(pair.query)
         if not new_query:
             stats.dropped_empty_after_price += 1
             continue
@@ -314,10 +292,10 @@ def run_pipeline(pairs, products, config: PipelineConfig = None) -> PipelineResu
     stats.rows.append(_stage_row("price_token", current, cleaned))
     current = cleaned
 
-    if config.fmf_enabled:
+    if fmf_enabled:
         matched = []
         for pair in current:
-            decision = _full_match(memo.query(pair.query), tokens_of(pair.product_id))
+            decision = _full_match(memo.query(pair.query), memo.product(by_id[pair.product_id]))
             if decision == DROP_FULL_MATCH:
                 stats.dropped_full_match += 1
             elif decision == DROP_EMPTY_QUERY:
@@ -332,7 +310,7 @@ def run_pipeline(pairs, products, config: PipelineConfig = None) -> PipelineResu
     novel_pairs = []
     for pair in current:
         query_tokens = memo.query(pair.query)
-        novel = overlapping_token_filter(query_tokens, tokens_of(pair.product_id))
+        novel = overlapping_token_filter(query_tokens, memo.product(by_id[pair.product_id]))
         if not novel:
             continue
         counts = {token: query_tokens.count(token) for token in novel}

@@ -70,10 +70,6 @@ class CooccurrenceModel:
         self._indices = np.array(indices, dtype=np.int64)
         self._data = np.array(data, dtype=np.float64)
 
-    @classmethod
-    def empty(cls) -> "CooccurrenceModel":
-        return cls(counts={}, marginals={}, vocabulary=())
-
 
 def train_cooccurrence(instances, products) -> CooccurrenceModel:
     """Count (context token, target token) pairs over training instances.
@@ -90,7 +86,7 @@ def train_cooccurrence(instances, products) -> CooccurrenceModel:
         if product is None:
             raise InputError(f"training instance references unknown product {instance.product_id!r}")
         if instance.product_id not in contexts:
-            contexts[instance.product_id] = product_token_set(product).unique
+            contexts[instance.product_id] = product_token_set(product)
         for context in contexts[instance.product_id]:
             counts[context][instance.target.token] += instance.target.frequency
     marginals = {context: sum(targets.values()) for context, targets in counts.items()}
@@ -112,7 +108,7 @@ def predict_cooccurrence(model: CooccurrenceModel, product: Product, n: int) -> 
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    context = product_token_set(product).unique
+    context = product_token_set(product)
     denominator = sum(model.marginals.get(c, 0) for c in context)
     rows = [model._row_of[c] for c in context if c in model._row_of]
     if denominator == 0 or not rows:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import analyze
 from .errors import InputError
-from .records import dumps_record, dump_json, load_json
+from .records import NUMBER, Kind, all_of, dumps_record, dump_json, get_field, load_json
 
 INDEX_FORMAT = "expansion-index/1"
 INDEX_FIELDS = ("title", "attributes", "description", "expansion")
@@ -33,6 +33,18 @@ DEFAULT_B = 0.75
 
 # Gain mapping for the 3-point judgment scale.
 GAIN_MAP = {"exact": 2, "substitute": 1, "irrelevant": 0}
+
+# the first search checks each id (_build_columns)
+_DOC_IDS = Kind((list,), "a list of document ids")
+_FIELDS = Kind((dict,), f"an object with an entry for each of {INDEX_FIELDS}",
+               lambda fields: set(INDEX_FIELDS) <= fields.keys())
+_FIELD_WEIGHTS = Kind((dict,), f"an object with a finite number for each of {INDEX_FIELDS}",
+                      lambda weights: set(INDEX_FIELDS) <= weights.keys()
+                      and all_of(NUMBER, weights.values()))
+_FIELD = Kind((dict,), "an object of 'postings', integer 'lengths' and a finite 'avg_length'",
+              lambda raw: type(raw.get("postings")) is dict and type(raw.get("lengths")) is dict
+              and all(type(length) is int for length in raw["lengths"].values())
+              and all_of(NUMBER, (raw.get("avg_length"),)))
 
 
 @dataclass
@@ -325,29 +337,33 @@ def save_index(index: InvertedIndex, path) -> None:
 
 
 def load_index(path) -> InvertedIndex:
-    """Load a saved index, raising InputError when the file breaks the schema."""
+    """Load a saved index, raising InputError when the file breaks the schema. No value is
+    converted: each term frequency and length must be a JSON integer, the rest JSON numbers."""
     data = load_json(path)
     if not isinstance(data, dict) or data.get("format") != INDEX_FORMAT:
         raise InputError(f"{path}: not an {INDEX_FORMAT} file")
-    for key in ("fields", "field_weights"):
-        if not isinstance(data.get(key), dict) or not set(INDEX_FIELDS) <= set(data[key]):
-            raise InputError(f"{path}: {key!r} must have an entry for each of {INDEX_FIELDS}")
+    raw_fields = get_field(data, "fields", _FIELDS, path)
+    weights = get_field(data, "field_weights", _FIELD_WEIGHTS, path)
+    k1, b = (float(get_field(data, key, NUMBER, path)) for key in ("k1", "b"))
+    doc_ids = tuple(get_field(data, "doc_ids", _DOC_IDS, path))
     try:
         fields = {}
-        for name, raw in data["fields"].items():
+        for name in raw_fields:
+            raw = get_field(raw_fields, name, _FIELD, path)
             fields[name] = FieldIndex(
-                postings={t: [(d, int(tf)) for d, tf in plist]
+                postings={t: [(d, tf) if type(tf) is int else _not_a_frequency(path, name, t, tf)
+                              for d, tf in plist]
                           for t, plist in raw["postings"].items()},
-                lengths={d: int(v) for d, v in raw["lengths"].items()},
+                lengths=raw["lengths"],
                 avg_length=float(raw["avg_length"]),
             )
-        return InvertedIndex(
-            fields=fields,
-            doc_ids=tuple(data["doc_ids"]),
-            field_weights={k: float(v) for k, v in data["field_weights"].items()},
-            k1=float(data["k1"]),
-            b=float(data["b"]),
-        )
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed {INDEX_FORMAT} file: "
                          f"{exc.__class__.__name__}: {exc}") from exc
+    return InvertedIndex(fields=fields, doc_ids=doc_ids,
+                         field_weights={k: float(v) for k, v in weights.items()}, k1=k1, b=b)
+
+
+def _not_a_frequency(path, name: str, token, tf):
+    raise InputError(f"{path}: field {name!r}: a term frequency of {token!r} must be an "
+                     f"integer, not {tf!r}")

@@ -49,19 +49,6 @@ _SYLLABLES = tuple(
 )
 
 
-@dataclass(frozen=True)
-class SyntheticConfig:
-    seed: int = 0
-    n_products: int = 1000
-    n_heldout: int = 200
-
-    def __post_init__(self):
-        if self.n_products < 1:
-            raise ValueError("n_products must be >= 1")
-        if not 0 <= self.n_heldout <= self.n_products:
-            raise ValueError("n_heldout must be between 0 and n_products")
-
-
 @dataclass
 class SyntheticCorpus:
     products: list
@@ -97,13 +84,16 @@ def _make_aliases(rng: random.Random, n: int) -> list:
     return aliases
 
 
-def generate(config: SyntheticConfig = None) -> SyntheticCorpus:
-    config = config or SyntheticConfig()
-    rng = random.Random(config.seed)
-    aliases = _make_aliases(rng, config.n_products)
+def generate(seed: int = 0, n_products: int = 1000, n_heldout: int = 200) -> SyntheticCorpus:
+    if n_products < 1:
+        raise ValueError("n_products must be >= 1")
+    if not 0 <= n_heldout <= n_products:
+        raise ValueError("n_heldout must be between 0 and n_products")
+    rng = random.Random(seed)
+    aliases = _make_aliases(rng, n_products)
 
     products = []
-    for i in range(config.n_products):
+    for i in range(n_products):
         category = rng.choice(CATEGORIES)
         adj1, adj2 = rng.sample(ADJECTIVES, 2)
         brand = rng.choice(BRANDS)
@@ -121,7 +111,7 @@ def generate(config: SyntheticConfig = None) -> SyntheticCorpus:
         ))
 
     alias_of = {p.id: aliases[i] for i, p in enumerate(products)}
-    stem_sets = {p.id: product_token_set(p).unique for p in products}
+    stem_sets = {p.id: product_token_set(p) for p in products}
 
     engagement = []
     for i, product in enumerate(products):
@@ -150,7 +140,7 @@ def generate(config: SyntheticConfig = None) -> SyntheticCorpus:
         if rng.random() < 0.03:
             engagement.append(_pair(rng, product.id, rng.choice(PRICE_PHRASES)))
 
-    heldout_ids = rng.sample([p.id for p in products], config.n_heldout)
+    heldout_ids = rng.sample([p.id for p in products], n_heldout)
     heldout = []
     for pid in heldout_ids:
         alias = alias_of[pid]

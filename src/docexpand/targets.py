@@ -65,10 +65,10 @@ def build_target_tokens(product: Product, novel_pairs, alpha: float = 0.5) -> li
                 f"novel pair for product {pair.product_id!r} passed to {product.id!r}"
             )
         counts.update(pair.token_counts)
-    unique = product_token_set(product).unique
+    present = product_token_set(product)
     targets = []
     for token, freq in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-        if token in unique:
+        if token in present:
             continue
         targets.append(TargetToken(token=token, frequency=freq, weight=loss_weight(freq, alpha)))
     return targets

@@ -6,13 +6,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from docexpand.corpus import Product
-from docexpand.synthetic import SyntheticConfig, generate
+from docexpand.synthetic import generate
 
 
 @pytest.fixture(scope="session")
 def small_corpus():
     """Seeded synthetic corpus shared by the slower integration tests."""
-    return generate(SyntheticConfig(seed=3, n_products=80, n_heldout=20))
+    return generate(seed=3, n_products=80, n_heldout=20)
 
 
 @pytest.fixture()

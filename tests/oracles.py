@@ -12,12 +12,11 @@ import json
 import math
 from collections import Counter
 
-from docexpand.corpus import EngagementPair, TokenSet
+from docexpand.corpus import EngagementPair
 from docexpand.cutoff import BudgetMatchResult, CutoffSweepResult, SweepRow, candidate_cutoffs
 from docexpand.errors import InputError
 from docexpand.filters import (
     NovelPair,
-    PipelineConfig,
     PipelineResult,
     PipelineStats,
     StageStats,
@@ -131,10 +130,10 @@ def analyze(text):
 
 def product_token_set(product):
     """Reference product analysis: each text field analyzed on its own."""
-    tokens = []
+    tokens = set()
     for value in product.text_fields():
-        tokens.extend(analyze(value))
-    return TokenSet(tokens)
+        tokens.update(analyze(value))
+    return frozenset(tokens)
 
 
 def dump_json(path, obj):
@@ -149,7 +148,7 @@ class JaccardScorer:
 
     def score(self, query, product):
         query_tokens = set(analyze(query))
-        product_tokens = product_token_set(product).unique
+        product_tokens = product_token_set(product)
         union = query_tokens | product_tokens
         if not union:
             return 0.0
@@ -161,9 +160,8 @@ def _stage_row(stage, pairs_in, pairs_out):
                       products_out=len({p.product_id for p in pairs_out}))
 
 
-def run_pipeline(pairs, products, config=None):
+def run_pipeline(pairs, products, rf_threshold=0.0, scorer=None, fmf_enabled=True):
     """Reference filter pipeline: a token-set cache by product id, queries re-analyzed."""
-    config = config or PipelineConfig()
     by_id = {p.id: p for p in products} if not isinstance(products, dict) else products
     for pair in pairs:
         if pair.product_id not in by_id:
@@ -176,11 +174,11 @@ def run_pipeline(pairs, products, config=None):
         return token_sets[pid]
 
     stats = PipelineStats()
-    scorer = config.scorer if config.scorer is not None else JaccardScorer()
+    scorer = scorer if scorer is not None else JaccardScorer()
 
     current = list(pairs)
     kept, dropped = relevance_filter(
-        [(pair, by_id[pair.product_id]) for pair in current], scorer, config.rf_threshold
+        [(pair, by_id[pair.product_id]) for pair in current], scorer, rf_threshold
     )
     stats.dropped_irrelevant = dropped
     stats.rows.append(_stage_row("relevance", current, kept))
@@ -188,7 +186,7 @@ def run_pipeline(pairs, products, config=None):
 
     cleaned = []
     for pair in current:
-        new_query = price_token_filter(pair.query, config.price_patterns)
+        new_query = price_token_filter(pair.query)
         if not new_query:
             stats.dropped_empty_after_price += 1
             continue
@@ -198,13 +196,13 @@ def run_pipeline(pairs, products, config=None):
     stats.rows.append(_stage_row("price_token", current, cleaned))
     current = cleaned
 
-    if config.fmf_enabled:
+    if fmf_enabled:
         matched = []
         for pair in current:
             tokens = analyze(pair.query)
             if not tokens:
                 stats.dropped_empty_query += 1
-            elif all(token in tokens_of(pair.product_id).unique for token in tokens):
+            elif all(token in tokens_of(pair.product_id) for token in tokens):
                 stats.dropped_full_match += 1
             else:
                 matched.append(pair)
@@ -236,7 +234,7 @@ def predict_cooccurrence(model, product, n):
     """Reference predictor: pool every candidate in a Counter, sort all, keep n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    context = product_token_set(product).unique
+    context = product_token_set(product)
     denominator = sum(model.marginals.get(c, 0) for c in context)
     if denominator == 0:
         return []

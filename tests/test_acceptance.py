@@ -17,7 +17,7 @@ import numpy as np
 from docexpand.cli import main
 from docexpand.corpus import product_token_set, split_by_product
 from docexpand.cutoff import tune_cutoff
-from docexpand.filters import PipelineConfig, run_pipeline
+from docexpand.filters import run_pipeline
 from docexpand.metrics import bootstrap_ci, evaluate_records, make_eval_record
 from docexpand.predictor import (
     load_external_predictions,
@@ -25,7 +25,7 @@ from docexpand.predictor import (
     train_cooccurrence,
 )
 from docexpand.retrieval import build_index, eval_recall, match_set, search
-from docexpand.synthetic import SyntheticConfig, generate, generate_price_queries
+from docexpand.synthetic import generate, generate_price_queries
 from docexpand.targets import build_target_tokens, emit_training_instances, loss_weight
 
 import oracles
@@ -89,11 +89,10 @@ def test_criterion_2_loss_weight_exactness():
 
 def test_criterion_3_filter_pipeline_invariants():
     with criterion(3, "filter pipeline novelty, monotonicity, and price-filter idempotence"):
-        corpus = generate(SyntheticConfig(seed=5, n_products=400, n_heldout=50))
+        corpus = generate(seed=5, n_products=400, n_heldout=50)
         assert len(corpus.engagement) >= 500
-        result = run_pipeline(corpus.engagement, corpus.products,
-                              PipelineConfig(rf_threshold=0.02))
-        token_sets = {p.id: product_token_set(p).unique for p in corpus.products}
+        result = run_pipeline(corpus.engagement, corpus.products, rf_threshold=0.02)
+        token_sets = {p.id: product_token_set(p) for p in corpus.products}
         assert result.novel_pairs
         for pair in result.novel_pairs:
             assert not set(pair.novel_tokens) & token_sets[pair.product_id], pair
@@ -110,7 +109,7 @@ def test_criterion_3_filter_pipeline_invariants():
 
 def _trained_model_and_split(corpus):
     split = split_by_product([p.id for p in corpus.products], seed=1)
-    result = run_pipeline(corpus.engagement, corpus.products, PipelineConfig())
+    result = run_pipeline(corpus.engagement, corpus.products)
     by_product = {}
     for pair in result.novel_pairs:
         by_product.setdefault(pair.product_id, []).append(pair)
@@ -127,7 +126,7 @@ def _trained_model_and_split(corpus):
 
 def test_criterion_4_novelty_by_construction_contrast():
     with criterion(4, "reference predictor is 100% novel; query-style baseline is not"):
-        corpus = generate(SyntheticConfig(seed=5, n_products=400, n_heldout=50))
+        corpus = generate(seed=5, n_products=400, n_heldout=50)
         model, split = _trained_model_and_split(corpus)
         by_id = {p.id: p for p in corpus.products}
         predicted_products = 0
@@ -137,7 +136,7 @@ def test_criterion_4_novelty_by_construction_contrast():
             if not predictions:
                 continue
             predicted_products += 1
-            unique = product_token_set(product).unique
+            unique = product_token_set(product)
             for st in predictions:
                 assert st.token not in unique, (pid, st)
         assert predicted_products >= 10
@@ -148,7 +147,7 @@ def test_criterion_4_novelty_by_construction_contrast():
         cases = []
         for pid in sorted(baseline):
             tokens = [st.token for st in baseline.get(pid, [])[:50]]
-            cases.append(([], sorted(product_token_set(by_id[pid]).unique), tokens))
+            cases.append(([], sorted(product_token_set(by_id[pid])), tokens))
         assert cases
         _, _, baseline_pct = oracles.novelty_of(cases)
         assert baseline_pct < 1.0
@@ -188,7 +187,7 @@ def test_criterion_5_cutoff_tuner_optimality():
 def test_criterion_6_retrieval_impact_of_expansion():
     with criterion(6, "gold expansion lifts recall@10 by at least 20 points"):
         start = time.perf_counter()
-        corpus = generate(SyntheticConfig(seed=13, n_products=1000, n_heldout=200))
+        corpus = generate(seed=13, n_products=1000, n_heldout=200)
         assert len(corpus.heldout) == 200
         plain = build_index(corpus.products)
         expanded = build_index(corpus.products, corpus.gold_expansions)
@@ -223,7 +222,7 @@ def test_criterion_7_bm25_hand_check_and_monotonicity():
         assert abs(got["d2"] - 2.0 * idf * norm(2, 3, avg_title)) < 1e-9
         assert "d3" not in got
 
-        corpus = generate(SyntheticConfig(seed=9, n_products=150, n_heldout=40))
+        corpus = generate(seed=9, n_products=150, n_heldout=40)
         plain = build_index(corpus.products)
         expanded = build_index(corpus.products, corpus.gold_expansions)
         queries = [p.query for p in corpus.heldout] + [

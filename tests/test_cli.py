@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from docexpand.cli import main
+from docexpand.cli import OUTDIR_FILES, main
 from docexpand.records import load_json
 
 
@@ -260,7 +260,8 @@ def probe_dir(tmp_path_factory):
                 [{"product_id": "p1", "token": "kid", "score": True}])
     write_jsonl(root / "true_score.jsonl",
                 [{"product_id": "p1", "query": "swim vest", "score": True}])
-    for name, edit in MALFORMED_INDEXES.items():
+    for name, edit in [*MALFORMED_INDEXES.items(),
+                       *((name, edit) for name, (edit, _) in COERCED_INDEXES.items())]:
         index = load_json(root / "work" / "index.json")
         edit(index)
         (root / name).write_text(json.dumps(index), encoding="utf-8")
@@ -287,6 +288,11 @@ def probe_dir(tmp_path_factory):
         {**first_pair, "token_counts": {token: 3 for token in first_pair["novel_tokens"]}}])
     (root / "sidecars" / "summary.json.txt").mkdir(parents=True)
     (root / "sidecars" / "instances.jsonl.meta.json").mkdir()
+    (root / "outdirs" / "synthetic" / "run_config.json").mkdir(parents=True)
+    (root / "outdirs" / "ingested" / "split.json").mkdir(parents=True)
+    write_jsonl(root / "duplicate_products.jsonl", [PRODUCTS[0], PRODUCTS[1], PRODUCTS[0]])
+    write_jsonl(root / "unknown_references.jsonl",
+                [ENGAGEMENT[0], {"product_id": "zzz", "query": "lamp", "atc_count": 1}])
     return root
 
 
@@ -313,6 +319,34 @@ MALFORMED_INDEXES = {
     "huge_length.json": lambda index: index["fields"]["title"]["lengths"].update(p3=10**400),
     "infinite_tf.json": lambda index: index["fields"]["title"]["postings"]["lamp"][0].__setitem__(
         1, math.inf),
+}
+
+
+def _set_tf(value):
+    return lambda index: index["fields"]["title"]["postings"]["lamp"][0].__setitem__(1, value)
+
+
+def _set_title(key, value):
+    return lambda index: index["fields"]["title"].update({key: value})
+
+
+_TF = "field 'title': a term frequency of 'lamp' must be an integer, not "
+_TITLE = "'title' must be an object of 'postings', integer 'lengths' and a finite 'avg_length'"
+# saved indexes holding a value of the wrong JSON type, which load_index never converts:
+# file -> (edit, the error after the file name)
+COERCED_INDEXES = {
+    "tf_2.7.json": (_set_tf(2.7), _TF + "2.7"),
+    "tf_true.json": (_set_tf(True), _TF + "True"),
+    "tf_text.json": (_set_tf("3"), _TF + "'3'"),
+    "length_3.9.json": (_set_title("lengths", {"p1": 2, "p2": 3.9, "p3": 2}), _TITLE),
+    "length_text.json": (_set_title("lengths", {"p1": 2, "p2": "4", "p3": 2}), _TITLE),
+    "avg_length_text.json": (_set_title("avg_length", "3.5"), _TITLE),
+    "k1_text.json": (lambda index: index.update(k1="1.2"), "'k1' must be a finite number"),
+    "b_true.json": (lambda index: index.update(b=True), "'b' must be a finite number"),
+    "weight_text.json": (lambda index: index["field_weights"].update(title="2"),
+                         "'field_weights' must be an object with a finite number for each of"),
+    "doc_ids_object.json": (lambda index: index.update(doc_ids=dict.fromkeys(index["doc_ids"])),
+                            "'doc_ids' must be a list of document ids"),
 }
 
 
@@ -425,7 +459,7 @@ EXIT_CODE_PROBES = {
         "field 'title': a term frequency or length is too large"),
     "index-infinite-tf": (
         ("search", "--index", "{d}/infinite_tf.json", "--query", "lamp"), 3,
-        "infinite_tf.json: malformed expansion-index/1 file: OverflowError"),
+        "infinite_tf.json: field 'title': a term frequency of 'lamp' must be an integer, not inf"),
     "index-zero-avg-length": (
         ("search", "--index", "{d}/zero_avg_length.json", "--query", "lamp"), 3,
         "field 'title' has postings, so its avg_length must be positive"),
@@ -561,6 +595,26 @@ EXIT_CODE_PROBES = {
     "build-targets-alpha-1000": (
         ("build-targets", "--in", "{d}/pairs_count_3", "--split", "all", "--alpha", "1000",
          "--out", "{d}/out/instances.jsonl"), 3, "loss weight 3 ** 1000.0 is too large for a float"),
+    "gen-synthetic-run-config-is-a-directory": (
+        ("gen-synthetic", "--products", "5", "--heldout", "1", "--out", "{d}/outdirs/synthetic"),
+        2, "option --out: {d}/outdirs/synthetic/run_config.json is a directory"),
+    "ingest-split-is-a-directory": (
+        ("ingest", "--products", "{d}/products.jsonl", "--engagement", "{d}/engagement.jsonl",
+         "--out", "{d}/outdirs/ingested"), 2,
+        "option --out: {d}/outdirs/ingested/split.json is a directory"),
+    "ingest-duplicate-product-id": (
+        ("ingest", "--products", "{d}/duplicate_products.jsonl", "--engagement",
+         "{d}/engagement.jsonl", "--out", "{d}/out/ingested"), 3,
+        "duplicate_products.jsonl: line 3: duplicate product id 'p1', first on line 1"),
+    "evaluate-unknown-reference-product": (
+        ("evaluate", "--predictions", "{d}/work/predictions.jsonl",
+         "--references", "{d}/unknown_references.jsonl", "--products", "{d}/products.jsonl",
+         "--report", "{d}/out/eval.json"), 3,
+        "unknown_references.jsonl: line 2: unknown product id 'zzz'"),
+    **{"index-coerced-" + name.removesuffix(".json"): (
+        ("eval-retrieval", "--index", "{d}/" + name, "--pairs", "{d}/engagement.jsonl",
+         "--report", "{d}/out/recall.json"), 3, f"{name}: {message}")
+       for name, (_, message) in COERCED_INDEXES.items()},
 }
 
 
@@ -590,6 +644,30 @@ def test_sidecar_of_the_wrong_kind_exits_2_before_writing(probe_dir, tmp_path, c
     assert code == 2
     assert f"option {argv[-2]}: {out}{sidecar} is a directory" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == [f"artifact.json{sidecar}"]
+
+
+def test_outdir_stages_write_exactly_their_listed_files(data_dir):
+    out = data_dir / "out"
+    assert run(*(arg.format(d=data_dir) for arg in _INGEST)) == 0
+    assert run("filter", "--in", out / "ingested", "--out", out / "filtered") == 0
+    assert run("gen-synthetic", "--products", 5, "--heldout", 1, "--out", out / "synthetic") == 0
+    for stage, name in (("ingest", "ingested"), ("filter", "filtered"),
+                        ("gen-synthetic", "synthetic")):
+        assert sorted(p.name for p in (out / name).iterdir()) == sorted(
+            (*OUTDIR_FILES[stage], "run_config.json")), stage
+
+
+@pytest.mark.parametrize("stage, name", [(stage, name) for stage, names in OUTDIR_FILES.items()
+                                         for name in (*names, "run_config.json")])
+def test_outdir_file_of_the_wrong_kind_exits_2_before_writing(tmp_path, capsys, stage, name):
+    argv = {"ingest": _INGEST, "filter": ("filter", "--in", "{d}/missing", "--out", "{d}/out"),
+            "gen-synthetic": ("gen-synthetic", "--products", "5", "--heldout", "1",
+                              "--out", "{d}/out")}[stage]
+    out = tmp_path / "out" / "ingested" if stage == "ingest" else tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert run(*(arg.format(d=tmp_path) for arg in argv)) == 2
+    assert f"option --out: {out / name} is a directory" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [name]
 
 
 def test_empty_field_weights_keep_the_defaults(probe_dir, tmp_path):

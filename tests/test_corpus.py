@@ -8,7 +8,6 @@ from docexpand.corpus import (
     CatalogSplit,
     EngagementPair,
     Product,
-    TokenSet,
     load_engagement,
     load_products,
     normalize,
@@ -118,33 +117,22 @@ class TestNormalize:
                 assert all(ch.isalnum() for ch in token)
 
 
-class TestTokenSet:
-    def test_multiset_and_unique_views(self):
-        ts = TokenSet(["vest", "vest", "kid"])
-        assert ts.counts["vest"] == 2
-        assert ts.unique == {"vest", "kid"}
-        assert ts.total == 3
-        assert "vest" in ts
-
-
 class TestProductTokenSet:
     def test_title_only(self):
         product = Product(id="p1", title="Swim Vest")
-        assert product_token_set(product).unique == {"swim", "vest"}
+        assert product_token_set(product) == {"swim", "vest"}
 
     def test_all_fields_empty(self):
-        assert product_token_set(Product(id="p1", title="")).unique == frozenset()
+        assert product_token_set(Product(id="p1", title="")) == frozenset()
 
     def test_repeated_token_multiset(self):
-        ts = product_token_set(Product(id="p1", title="vest vest"))
-        assert ts.counts == {"vest": 2}
-        assert ts.unique == {"vest"}
+        assert product_token_set(Product(id="p1", title="vest vest")) == frozenset({"vest"})
 
     def test_all_six_fields_contribute(self):
         product = Product(id="p1", title="Vest", product_type="swimwear",
                           brand="Acme", color="Blue", gender="boys",
                           description="Floaties included")
-        unique = product_token_set(product).unique
+        unique = product_token_set(product)
         assert {"vest", "swimwear", "acm", "blue", "boi", "floati", "includ"} == unique
 
 

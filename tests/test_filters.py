@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from docexpand.corpus import EngagementPair, Product, TokenSet, analyze, product_token_set
+from docexpand.corpus import EngagementPair, Product, analyze, product_token_set
 from docexpand.errors import InputError
 from docexpand.filters import (
     DROP_EMPTY_QUERY,
@@ -11,7 +11,6 @@ from docexpand.filters import (
     ExternalScorer,
     NovelPair,
     JaccardScorer,
-    PipelineConfig,
     ScorerError,
     full_match_filter,
     overlapping_token_filter,
@@ -100,40 +99,37 @@ class TestPriceTokenFilter:
             once = price_token_filter(query)
             assert price_token_filter(once) == once
 
-    def test_custom_patterns(self):
-        assert price_token_filter("red bargain shoes", patterns=(r"\bbargain\b",)) == "red shoes"
-
 
 class TestFullMatchFilter:
     def test_full_match_dropped(self):
-        assert full_match_filter("swim vest", TokenSet(["swim", "vest", "kid"])) == DROP_FULL_MATCH
+        assert full_match_filter("swim vest", frozenset({"swim", "vest", "kid"})) == DROP_FULL_MATCH
 
     def test_novel_token_kept(self):
-        assert full_match_filter("small swim vest", TokenSet(["swim", "vest", "kid"])) == KEEP
+        assert full_match_filter("small swim vest", frozenset({"swim", "vest", "kid"})) == KEEP
 
     def test_empty_product_tokens_kept(self):
-        assert full_match_filter("anything", TokenSet()) == KEEP
+        assert full_match_filter("anything", frozenset()) == KEEP
 
     def test_zero_token_query(self):
-        assert full_match_filter("!!!", TokenSet(["swim"])) == DROP_EMPTY_QUERY
+        assert full_match_filter("!!!", frozenset({"swim"})) == DROP_EMPTY_QUERY
 
 
 class TestOverlappingTokenFilter:
     def test_single_novel_token(self):
         tokens = analyze("swim vest for kid")
-        assert overlapping_token_filter(tokens, TokenSet(["swim", "vest", "for"])) == ["kid"]
+        assert overlapping_token_filter(tokens, frozenset({"swim", "vest", "for"})) == ["kid"]
 
     def test_fully_covered_query(self):
         tokens = analyze("swim vest")
-        assert overlapping_token_filter(tokens, TokenSet(["swim", "vest"])) == []
+        assert overlapping_token_filter(tokens, frozenset({"swim", "vest"})) == []
 
     def test_empty_product_tokens_keeps_everything(self):
         tokens = analyze("swim vest")
-        assert overlapping_token_filter(tokens, TokenSet()) == ["swim", "vest"]
+        assert overlapping_token_filter(tokens, frozenset()) == ["swim", "vest"]
 
     def test_duplicates_collapse_to_first_occurrence(self):
         tokens = ["kid", "float", "kid"]
-        assert overlapping_token_filter(tokens, TokenSet(["swim"])) == ["kid", "float"]
+        assert overlapping_token_filter(tokens, frozenset({"swim"})) == ["kid", "float"]
 
 
 def _pipeline_fixture():
@@ -159,7 +155,7 @@ def _pipeline_fixture():
 class TestRunPipeline:
     def test_hand_built_corpus_stage_counts(self):
         products, pairs, scorer = _pipeline_fixture()
-        result = run_pipeline(pairs, products, PipelineConfig(rf_threshold=0.5, scorer=scorer))
+        result = run_pipeline(pairs, products, rf_threshold=0.5, scorer=scorer)
         flows = [(row.stage, row.pairs_in, row.pairs_out) for row in result.stats.rows]
         assert flows == [
             ("relevance", 10, 8),
@@ -185,14 +181,14 @@ class TestRunPipeline:
         }
 
     def test_empty_input(self):
-        result = run_pipeline([], [Product(id="p", title="t")], PipelineConfig())
+        result = run_pipeline([], [Product(id="p", title="t")])
         assert all(row.pairs_in == 0 and row.pairs_out == 0 for row in result.stats.rows)
         assert result.query_pairs == [] and result.novel_pairs == []
 
     def test_no_mismatch_corpus_empties_both_datasets(self):
         product = Product(id="p", title="swim vest kid")
         pairs = [EngagementPair("p", q, 2) for q in ("swim vest", "kid", "vest kid swim")]
-        result = run_pipeline(pairs, [product], PipelineConfig())
+        result = run_pipeline(pairs, [product])
         assert result.query_pairs == []
         assert result.novel_pairs == []
 
@@ -203,7 +199,7 @@ class TestRunPipeline:
     def test_fmf_disabled_lets_full_matches_reach_otf(self):
         product = Product(id="p", title="swim vest")
         pairs = [EngagementPair("p", "swim vest", 2), EngagementPair("p", "swim ring", 2)]
-        result = run_pipeline(pairs, [product], PipelineConfig(fmf_enabled=False))
+        result = run_pipeline(pairs, [product], fmf_enabled=False)
         stages = [row.stage for row in result.stats.rows]
         assert "full_match" not in stages
         assert len(result.query_pairs) == 2
@@ -213,18 +209,17 @@ class TestRunPipeline:
         # after PTF the query is a full match, so it must be dropped
         product = Product(id="p", title="red lamp")
         pairs = [EngagementPair("p", "red lamp on sale", 2)]
-        result = run_pipeline(pairs, [product], PipelineConfig())
+        result = run_pipeline(pairs, [product])
         assert result.query_pairs == []
         assert result.stats.dropped_full_match == 1
 
 
 class TestPipelineProperties:
     def test_monotone_shrinkage_and_novelty_on_synthetic(self, small_corpus):
-        result = run_pipeline(small_corpus.engagement, small_corpus.products,
-                              PipelineConfig(rf_threshold=0.02))
+        result = run_pipeline(small_corpus.engagement, small_corpus.products, rf_threshold=0.02)
         for row in result.stats.rows:
             assert row.pairs_out <= row.pairs_in
-        token_sets = {p.id: product_token_set(p).unique for p in small_corpus.products}
+        token_sets = {p.id: product_token_set(p) for p in small_corpus.products}
         assert result.novel_pairs
         for pair in result.novel_pairs:
             assert pair.novel_tokens
@@ -239,9 +234,8 @@ class TestPipelineProperties:
                 assert overlapping_token_filter(analyze(cleaned), tokens) == []
 
     def test_determinism(self, small_corpus):
-        config = PipelineConfig(rf_threshold=0.02)
-        a = run_pipeline(small_corpus.engagement, small_corpus.products, config)
-        b = run_pipeline(small_corpus.engagement, small_corpus.products, config)
+        a = run_pipeline(small_corpus.engagement, small_corpus.products, rf_threshold=0.02)
+        b = run_pipeline(small_corpus.engagement, small_corpus.products, rf_threshold=0.02)
         assert a.query_pairs == b.query_pairs
         assert a.novel_pairs == b.novel_pairs
         assert a.stats.as_dict() == b.stats.as_dict()

@@ -83,11 +83,11 @@ class TestPredictCooccurrence:
 
     def test_product_tokens_never_predicted(self, small_corpus):
         from docexpand.corpus import split_by_product
-        from docexpand.filters import PipelineConfig, run_pipeline
+        from docexpand.filters import run_pipeline
         from docexpand.targets import build_target_tokens, emit_training_instances
 
         split = split_by_product([p.id for p in small_corpus.products], seed=1)
-        result = run_pipeline(small_corpus.engagement, small_corpus.products, PipelineConfig())
+        result = run_pipeline(small_corpus.engagement, small_corpus.products)
         by_product = {}
         for pair in result.novel_pairs:
             by_product.setdefault(pair.product_id, []).append(pair)
@@ -102,7 +102,7 @@ class TestPredictCooccurrence:
         for product in small_corpus.products:
             predictions = predict_cooccurrence(model, product, 10)
             predicted_any = predicted_any or bool(predictions)
-            unique = product_token_set(product).unique
+            unique = product_token_set(product)
             for st in predictions:
                 assert st.token not in unique
                 assert 0.0 <= st.score <= 1.0

@@ -24,3 +24,9 @@ def test_quickstart_commands_exit_0(tmp_path, monkeypatch):
     for line in commands:
         assert main(shlex.split(line)[1:]) == 0, line
     assert (tmp_path / "work" / "summary.json").is_file()
+
+
+def test_library_use_imports_resolve():
+    section = README.read_text(encoding="utf-8").split("\n## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
