@@ -30,7 +30,6 @@ from .filters import (
     NovelPair,
     PipelineResult,
     PipelineStats,
-    full_match_filter,
     overlapping_token_filter,
     price_token_filter,
     relevance_filter,
@@ -58,7 +57,6 @@ from .retrieval import (
     SearchResult,
     build_index,
     eval_recall,
-    ndcg_at_10,
     search,
 )
 from .stemmer import stem

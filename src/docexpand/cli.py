@@ -321,6 +321,12 @@ def _check_output(opt: Opt, path: Path, subcommand: str) -> None:
                 f"option {opt.flag}: {found} is {'not ' if must_be_dir else ''}a directory")
 
 
+# a config file's keys are the option names of every subcommand, so one file can serve several
+# stages; a flag spelling such as "min-atc" is refused with the option name it stands for
+_NAME_OF_FLAG = {opt.flag[2:]: opt.name for spec in (*SPECS.values(), _COMMON) for opt in spec}
+_OPTION_NAMES = set(_NAME_OF_FLAG.values())
+
+
 def _parse_config_file(path: str) -> dict:
     source = Path(path)
     if not source.exists():
@@ -339,7 +345,12 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _OPTION_NAMES:
+            name = _NAME_OF_FLAG.get(key.lstrip("-"))
+            hint = f"; the key for --{key.lstrip('-')} is {name!r}" if name else ""
+            raise ConfigError(f"{source}:{lineno}: {key!r} is no option name{hint}")
+        values[key] = value.strip()
     return values
 
 
@@ -366,15 +377,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _split_subset(cfg: dict):
-    path = cfg["split_file"]
-    return None if path is None else CatalogSplit.from_record(load_json(path), path).subset(cfg["split"])
+def _split_subset(path, split: str):
+    """The product ids of ``split`` in the split file ``path``; None (every product) without one."""
+    return None if path is None else CatalogSplit.from_record(load_json(path), path).subset(split)
 
 
 def _reference_tokens(cfg: dict, products):
     """Group analyzed reference-query tokens by product, honoring --split."""
     known = {p.id for p in products}
-    subset = _split_subset(cfg)
+    subset = _split_subset(cfg["split_file"], cfg["split"])
     refs = load_engagement(cfg["references"], min_atc=0, known_ids=known,
                            unknown_product="error")
     grouped = {}
@@ -506,10 +517,7 @@ def _cmd_build_targets(cfg: dict) -> str:
     pairs_path = in_dir / "novel_pairs.jsonl"
     novel_pairs = [NovelPair.from_record(record, pairs_path, lineno)
                    for lineno, record in iter_jsonl(pairs_path)]
-    subset = None
-    if cfg["split"] != "all":
-        split_path = in_dir / "split.json"
-        subset = CatalogSplit.from_record(load_json(split_path), split_path).subset(cfg["split"])
+    subset = _split_subset(None if cfg["split"] == "all" else in_dir / "split.json", cfg["split"])
     by_product = {}
     for pair in novel_pairs:
         by_product.setdefault(pair.product_id, []).append(pair)
@@ -541,7 +549,7 @@ def _cmd_predict(cfg: dict) -> str:
     kind, path = _parse_model(cfg["model"])
     model = load_model(path) if kind == "cooccurrence" else load_external_predictions(path)
     products = load_products(cfg["products"])
-    subset = _split_subset(cfg)
+    subset = _split_subset(cfg["split_file"], cfg["split"])
     predictions = {}
     for product in products:
         if subset is not None and product.id not in subset:

@@ -20,6 +20,7 @@ from .metrics import (MetricsReport, count_precision, count_recall, f1, novelty_
                       report_from_values)
 
 OBSERVED_GRID = "observed"
+MIN_GRID_STEP = 0.0001    # at most 10,001 candidates, each a row of the sweep report
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,8 @@ def candidate_cutoffs(records, grid: str = OBSERVED_GRID) -> list:
         return sorted(observed | {0.0})
     if grid.startswith("step:"):
         step = float(grid.split(":", 1)[1])
-        if not 0.0 < step <= 1.0:
-            raise ValueError("step must be in (0, 1]")
+        if not MIN_GRID_STEP <= step <= 1.0:
+            raise ValueError(f"step must be in [{MIN_GRID_STEP}, 1]")
         n = round(1.0 / step)
         return [round(i * step, 10) for i in range(n + 1)]
     raise ValueError(f"unknown grid spec {grid!r}")

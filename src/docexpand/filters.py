@@ -15,10 +15,6 @@ from .errors import InputError
 from .records import (POSITIVE_COUNT, STRING, STRINGS, TEXT, UNIT_SCORE, Kind, all_of,
                       get_field, iter_jsonl)
 
-KEEP = "keep"
-DROP_FULL_MATCH = "drop_full_match"
-DROP_EMPTY_QUERY = "drop_empty_query"
-
 _AMOUNT = r"\$?\s*\d+(?:[.,]\d+)?(?:\s*(?:dollars?|bucks?|usd))?"
 
 # Price/deal intent phrases removed from queries.
@@ -149,23 +145,6 @@ def price_token_filter(query: str) -> str:
             return text
 
 
-def full_match_filter(query: str, product_tokens: frozenset) -> str:
-    """Decide whether a (cleaned) query still mismatches the product.
-
-    Returns KEEP, DROP_FULL_MATCH when every stemmed query token is already
-    in the product, or DROP_EMPTY_QUERY when nothing survives tokenization.
-    """
-    return _full_match(analyze(query), product_tokens)
-
-
-def _full_match(tokens, product_tokens: frozenset) -> str:
-    if not tokens:
-        return DROP_EMPTY_QUERY
-    if all(token in product_tokens for token in tokens):
-        return DROP_FULL_MATCH
-    return KEEP
-
-
 def overlapping_token_filter(query_tokens, product_tokens: frozenset) -> list:
     """Keep the stemmed query tokens absent from the product's token set.
 
@@ -264,7 +243,7 @@ def run_pipeline(pairs, products, rf_threshold: float = 0.0, scorer=None,
     Each distinct query text and each referenced product is analyzed once
     per call, shared by every stage and by the default Jaccard scorer.
     """
-    by_id = {p.id: p for p in products} if not isinstance(products, dict) else products
+    by_id = {p.id: p for p in products}
     for pair in pairs:
         if pair.product_id not in by_id:
             raise InputError(f"engagement pair references unknown product {pair.product_id!r}")
@@ -292,14 +271,15 @@ def run_pipeline(pairs, products, rf_threshold: float = 0.0, scorer=None,
     stats.rows.append(_stage_row("price_token", current, cleaned))
     current = cleaned
 
-    if fmf_enabled:
+    if fmf_enabled:    # drop queries with no tokens, or with none the product lacks
         matched = []
         for pair in current:
-            decision = _full_match(memo.query(pair.query), memo.product(by_id[pair.product_id]))
-            if decision == DROP_FULL_MATCH:
-                stats.dropped_full_match += 1
-            elif decision == DROP_EMPTY_QUERY:
+            tokens = memo.query(pair.query)
+            product_tokens = memo.product(by_id[pair.product_id])
+            if not tokens:
                 stats.dropped_empty_query += 1
+            elif product_tokens.issuperset(tokens):
+                stats.dropped_full_match += 1
             else:
                 matched.append(pair)
         stats.rows.append(_stage_row("full_match", current, matched))

@@ -78,7 +78,7 @@ def train_cooccurrence(instances, products) -> CooccurrenceModel:
     catalog records are needed alongside the instances. Each co-occurrence
     is incremented by the instance frequency.
     """
-    by_id = {p.id: p for p in products} if not isinstance(products, dict) else products
+    by_id = {p.id: p for p in products}
     contexts = {}
     counts = defaultdict(Counter)
     for instance in instances:
@@ -188,10 +188,10 @@ def load_external_predictions(source) -> dict:
             for pid, entries in table.items()}
 
 
-def write_predictions(path, predictions_by_product: dict, kind: str = "token") -> int:
-    """Write a {product id -> ScoredTokens} mapping in the adapter's format."""
+def write_predictions(path, predictions_by_product: dict) -> int:
+    """Write a {product id -> ScoredTokens} mapping in the adapter's format, kind "token"."""
     rows = (
-        {"product_id": pid, "token": st.token, "score": st.score, "kind": kind}
+        {"product_id": pid, "token": st.token, "score": st.score, "kind": "token"}
         for pid in sorted(predictions_by_product)
         for st in predictions_by_product[pid]
     )

@@ -27,7 +27,6 @@ COUNT = Kind((int,), "a non-negative integer below 2**53", range(2**53).__contai
 POSITIVE_COUNT = Kind((int,), "a positive integer below 2**53", range(1, 2**53).__contains__)
 NUMBER = Kind((int, float), "a finite number", lambda v: abs(v) <= sys.float_info.max)
 UNIT_SCORE = Kind((int, float), "a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-OBJECT = Kind((dict,), "an object")
 STRINGS = Kind((list,), "a list of strings", lambda values: all_of(STRING, values))
 _REQUIRED = object()
 

@@ -13,7 +13,6 @@ each posting's precomputed score contribution, and every search adds
 those up with numpy.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
@@ -23,16 +22,13 @@ import numpy as np
 
 from .corpus import analyze
 from .errors import InputError
-from .records import NUMBER, Kind, all_of, dumps_record, dump_json, get_field, load_json
+from .records import NUMBER, Kind, all_of, dump_json, get_field, load_json
 
 INDEX_FORMAT = "expansion-index/1"
 INDEX_FIELDS = ("title", "attributes", "description", "expansion")
 DEFAULT_FIELD_WEIGHTS = {"title": 2.0, "attributes": 1.0, "description": 1.0, "expansion": 1.0}
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
-
-# Gain mapping for the 3-point judgment scale.
-GAIN_MAP = {"exact": 2, "substitute": 1, "irrelevant": 0}
 
 # the first search checks each id (_build_columns)
 _DOC_IDS = Kind((list,), "a list of document ids")
@@ -89,9 +85,6 @@ class SearchResult:
     @property
     def doc_ids(self) -> list:
         return [doc_id for doc_id, _ in self.hits]
-
-    def __len__(self) -> int:
-        return len(self.hits)
 
 
 def _field_texts(product, expansion_tokens):
@@ -258,17 +251,6 @@ def search(index: InvertedIndex, query: str, k: int) -> SearchResult:
                                       hit_scores[order].tolist())))
 
 
-def match_set(index: InvertedIndex, query: str) -> frozenset:
-    """Documents matching at least one query token in any field."""
-    tokens = set(analyze(query))
-    matched = set()
-    for findex in index.fields.values():
-        for token in tokens:
-            for doc_id, _ in findex.postings.get(token, ()):
-                matched.add(doc_id)
-    return frozenset(matched)
-
-
 @dataclass
 class RecallReport:
     recall: float
@@ -293,22 +275,6 @@ def eval_recall(index: InvertedIndex, pairs, k: int) -> RecallReport:
     return RecallReport(recall=hits / len(pairs), hits=hits, total=len(pairs), defined=True)
 
 
-def ndcg_at_10(judgments, gains: dict = None) -> float:
-    """NDCG over the top 10 ranked judgments on the 3-point scale.
-
-    ``judgments`` is the ranked gain list (ints, or labels mapped through
-    ``gains``; default exact=2, substitute=1, irrelevant=0). Returns 0 when
-    the ideal ordering has zero gain.
-    """
-    mapping = gains or GAIN_MAP
-    values = [mapping[j] if isinstance(j, str) else int(j) for j in judgments]
-    dcg = sum(g / math.log2(i + 2) for i, g in enumerate(values[:10]))
-    ideal = sum(g / math.log2(i + 2) for i, g in enumerate(sorted(values, reverse=True)[:10]))
-    if ideal == 0:
-        return 0.0
-    return dcg / ideal
-
-
 def index_payload(index: InvertedIndex) -> dict:
     return {
         "format": INDEX_FORMAT,
@@ -325,11 +291,6 @@ def index_payload(index: InvertedIndex) -> dict:
             for name, findex in index.fields.items()
         },
     }
-
-
-def index_digest(index: InvertedIndex) -> str:
-    payload = dumps_record(index_payload(index))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def save_index(index: InvertedIndex, path) -> None:

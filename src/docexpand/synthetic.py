@@ -186,18 +186,6 @@ def _pair(rng: random.Random, product_id: str, query: str) -> EngagementPair:
     return EngagementPair(product_id=product_id, query=query, atc_count=atc)
 
 
-def generate_price_queries(seed: int, n: int) -> list:
-    """Random product-ish queries with one or two embedded price phrases."""
-    rng = random.Random(seed)
-    queries = []
-    for _ in range(n):
-        words = [rng.choice(ADJECTIVES), rng.choice(CATEGORIES)]
-        for _ in range(rng.randint(1, 2)):
-            words.insert(rng.randint(0, len(words)), rng.choice(PRICE_PHRASES))
-        queries.append(" ".join(words))
-    return queries
-
-
 def write_corpus(corpus: SyntheticCorpus, out_dir) -> dict:
     """Write the corpus files; returns {filename: record count}."""
     from pathlib import Path

@@ -5,11 +5,13 @@ list.count, independently of the package's Counter-based implementation.
 The kernel references at the end are the package's earlier, direct
 implementations of text analysis, the filter pipeline, indented JSON
 output, co-occurrence prediction, the cutoff sweeps and BM25 search, kept
-here to prove the faster kernels equal to them.
+here to prove the faster kernels equal to them. Last come two helpers the
+property tests share: an index's match set and generated price queries.
 """
 
 import json
 import math
+import random
 from collections import Counter
 
 from docexpand.corpus import EngagementPair
@@ -28,6 +30,7 @@ from docexpand.metrics import evaluate_records, make_eval_record
 from docexpand.predictor import ScoredToken, apply_cutoff
 from docexpand.retrieval import INDEX_FIELDS, SearchResult
 from docexpand.stemmer import stem
+from docexpand.synthetic import ADJECTIVES, CATEGORIES, PRICE_PHRASES
 
 
 def clipped_match(reference, prediction):
@@ -162,7 +165,7 @@ def _stage_row(stage, pairs_in, pairs_out):
 
 def run_pipeline(pairs, products, rf_threshold=0.0, scorer=None, fmf_enabled=True):
     """Reference filter pipeline: a token-set cache by product id, queries re-analyzed."""
-    by_id = {p.id: p for p in products} if not isinstance(products, dict) else products
+    by_id = {p.id: p for p in products}
     for pair in pairs:
         if pair.product_id not in by_id:
             raise InputError(f"engagement pair references unknown product {pair.product_id!r}")
@@ -327,3 +330,26 @@ def search(index, query, k):
                 scores[doc_id] = scores.get(doc_id, 0.0) + weight * idf * norm
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return SearchResult(hits=ranked[:k])
+
+
+def match_set(index, query):
+    """Documents matching at least one query token in any field."""
+    tokens = set(analyze(query))
+    matched = set()
+    for findex in index.fields.values():
+        for token in tokens:
+            for doc_id, _ in findex.postings.get(token, ()):
+                matched.add(doc_id)
+    return frozenset(matched)
+
+
+def generate_price_queries(seed, n):
+    """Random product-ish queries with one or two embedded price phrases."""
+    rng = random.Random(seed)
+    queries = []
+    for _ in range(n):
+        words = [rng.choice(ADJECTIVES), rng.choice(CATEGORIES)]
+        for _ in range(rng.randint(1, 2)):
+            words.insert(rng.randint(0, len(words)), rng.choice(PRICE_PHRASES))
+        queries.append(" ".join(words))
+    return queries

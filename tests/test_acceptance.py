@@ -24,8 +24,8 @@ from docexpand.predictor import (
     predict_cooccurrence,
     train_cooccurrence,
 )
-from docexpand.retrieval import build_index, eval_recall, match_set, search
-from docexpand.synthetic import generate, generate_price_queries
+from docexpand.retrieval import build_index, eval_recall, search
+from docexpand.synthetic import generate
 from docexpand.targets import build_target_tokens, emit_training_instances, loss_weight
 
 import oracles
@@ -100,7 +100,7 @@ def test_criterion_3_filter_pipeline_invariants():
             assert row.pairs_out <= row.pairs_in, row
         from docexpand.filters import price_token_filter
 
-        queries = generate_price_queries(seed=6, n=1000)
+        queries = oracles.generate_price_queries(seed=6, n=1000)
         assert len(queries) == 1000
         for query in queries:
             once = price_token_filter(query)
@@ -230,7 +230,7 @@ def test_criterion_7_bm25_hand_check_and_monotonicity():
         ]
         assert len(queries) == 50
         for query in queries:
-            assert match_set(plain, query) <= match_set(expanded, query), query
+            assert oracles.match_set(plain, query) <= oracles.match_set(expanded, query), query
 
 
 def test_criterion_8_bootstrap_sanity_and_coverage():

@@ -293,6 +293,9 @@ def probe_dir(tmp_path_factory):
     write_jsonl(root / "duplicate_products.jsonl", [PRODUCTS[0], PRODUCTS[1], PRODUCTS[0]])
     write_jsonl(root / "unknown_references.jsonl",
                 [ENGAGEMENT[0], {"product_id": "zzz", "query": "lamp", "atc_count": 1}])
+    (root / "flag_key.cfg").write_text("seed=1\nmin-atc=5\n", encoding="utf-8")
+    (root / "no_option_key.cfg").write_text("# a typo\nmin_act=5\n", encoding="utf-8")
+    (root / "other_stage_key.cfg").write_text("alpha=0.3\n", encoding="utf-8")
     return root
 
 
@@ -381,6 +384,8 @@ _EVALUATE = ("evaluate", "--predictions", "{d}/work/predictions.jsonl",
 _MISSING_EVALUATE = ("evaluate", "--predictions", "{d}/missing/predictions.jsonl",
                      "--references", "{d}/missing/references.jsonl",
                      "--products", "{d}/missing/products.jsonl", "--report", "{d}/out/eval.json")
+_MISSING_INGEST = ("ingest", "--products", "{d}/missing/products.jsonl", "--engagement",
+                   "{d}/missing/engagement.jsonl", "--out", "{d}/out/ingested")
 _MISSING_INDEX = ("index", "--products", "{d}/missing/products.jsonl", "--out", "{d}/out/index.json")
 _NO_VALIDATION = "split_no_validation.json: 'validation' must be a list of product id strings"
 _COUNTS = "novel_pairs.jsonl: line 1: 'token_counts' must be an object of positive integer counts"
@@ -611,6 +616,18 @@ EXIT_CODE_PROBES = {
          "--references", "{d}/unknown_references.jsonl", "--products", "{d}/products.jsonl",
          "--report", "{d}/out/eval.json"), 3,
         "unknown_references.jsonl: line 2: unknown product id 'zzz'"),
+    # a config key is an option name of some subcommand; other subcommands ignore it
+    "config-key-is-a-flag-spelling": (
+        _MISSING_INGEST + ("--config", "{d}/flag_key.cfg"), 2,
+        "{d}/flag_key.cfg:2: 'min-atc' is no option name; the key for --min-atc is 'min_atc'"),
+    "config-key-names-no-option": (_MISSING_INGEST + ("--config", "{d}/no_option_key.cfg"), 2,
+                                   "{d}/no_option_key.cfg:2: 'min_act' is no option name"),
+    "config-key-of-another-stage": (_INGEST + ("--config", "{d}/other_stage_key.cfg"), 0, ""),
+    "tune-cutoff-grid-step-too-small": (
+        ("tune-cutoff", "--predictions", "{d}/missing/predictions.jsonl", "--references",
+         "{d}/missing/references.jsonl", "--products", "{d}/missing/products.jsonl",
+         "--grid", "step:0.00000001", "--report", "{d}/out/cutoff.json"), 2,
+        "option --grid: step must be in [0.0001, 1]"),
     **{"index-coerced-" + name.removesuffix(".json"): (
         ("eval-retrieval", "--index", "{d}/" + name, "--pairs", "{d}/engagement.jsonl",
          "--report", "{d}/out/recall.json"), 3, f"{name}: {message}")

@@ -30,7 +30,7 @@ from docexpand.retrieval import (
     search,
 )
 from docexpand.stemmer import stem
-from docexpand.synthetic import generate, generate_price_queries
+from docexpand.synthetic import generate
 
 import oracles
 
@@ -258,9 +258,9 @@ def test_search_matches_reference_on_random_indexes():
                 expected = oracles.search(index, query, k)
                 assert exact(search(index, query, k)) == exact(expected)
                 compared += bool(expected.hits)
-                boundary_ties += (k < len(everything)
+                boundary_ties += (k < len(everything.hits)
                                   and everything.hits[k - 1][1] == everything.hits[k][1])
-                beyond_matches += 0 < len(everything) < k
+                beyond_matches += 0 < len(everything.hits) < k
             zero_scores += any(score == 0.0 for _, score in everything.hits)
             negative_scores += any(score < 0.0 for _, score in everything.hits)
     assert compared > 5000 and boundary_ties > 400 and zero_scores > 100 and beyond_matches > 1000
@@ -354,7 +354,7 @@ def pipeline_case(seed):
     products = list(corpus.products)
     products.append(Product("sigma", "ΚΑΦΕΣ", "ΣΑΚΟΣ", description="x_y ٣ café"))
     queries = [pair.query for pair in corpus.engagement]
-    queries += generate_price_queries(seed, 40)
+    queries += oracles.generate_price_queries(seed, 40)
     queries += [p.title for p in rng.sample(products, 20)]          # full matches
     queries += ["cheap", "under $5", "!!!", "_", "καφες", "Σ sale", "3-in-1"]
     pairs = list(corpus.engagement)

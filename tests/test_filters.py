@@ -5,20 +5,17 @@ import pytest
 from docexpand.corpus import EngagementPair, Product, analyze, product_token_set
 from docexpand.errors import InputError
 from docexpand.filters import (
-    DROP_EMPTY_QUERY,
-    DROP_FULL_MATCH,
-    KEEP,
     ExternalScorer,
     NovelPair,
     JaccardScorer,
     ScorerError,
-    full_match_filter,
     overlapping_token_filter,
     price_token_filter,
     relevance_filter,
     run_pipeline,
 )
-from docexpand.synthetic import generate_price_queries
+
+import oracles
 
 
 class MapScorer:
@@ -95,23 +92,34 @@ class TestPriceTokenFilter:
         assert price_token_filter("on $5 sale") == ""
 
     def test_idempotent_on_generated_queries(self):
-        for query in generate_price_queries(seed=21, n=300):
+        for query in oracles.generate_price_queries(seed=21, n=300):
             once = price_token_filter(query)
             assert price_token_filter(once) == once
 
 
 class TestFullMatchFilter:
+    """The full-match stage of run_pipeline, on one product and one query."""
+
+    def full_match(self, query, product):
+        stats = run_pipeline([EngagementPair(product.id, query, 2)], [product]).stats
+        return stats.rows[2], stats.dropped_full_match, stats.dropped_empty_query
+
     def test_full_match_dropped(self):
-        assert full_match_filter("swim vest", frozenset({"swim", "vest", "kid"})) == DROP_FULL_MATCH
+        row, full, empty = self.full_match("swim vest", Product(id="p", title="swim vest kid"))
+        assert (row.stage, row.pairs_in, row.pairs_out, full, empty) == ("full_match", 1, 0, 1, 0)
 
     def test_novel_token_kept(self):
-        assert full_match_filter("small swim vest", frozenset({"swim", "vest", "kid"})) == KEEP
+        product = Product(id="p", title="swim vest kid")
+        row, full, empty = self.full_match("small swim vest", product)
+        assert (row.stage, row.pairs_in, row.pairs_out, full, empty) == ("full_match", 1, 1, 0, 0)
 
     def test_empty_product_tokens_kept(self):
-        assert full_match_filter("anything", frozenset()) == KEEP
+        row, full, empty = self.full_match("anything", Product(id="p", title=""))
+        assert (row.stage, row.pairs_in, row.pairs_out, full, empty) == ("full_match", 1, 1, 0, 0)
 
     def test_zero_token_query(self):
-        assert full_match_filter("!!!", frozenset({"swim"})) == DROP_EMPTY_QUERY
+        row, full, empty = self.full_match("!!!", Product(id="p", title="swim"))
+        assert (row.stage, row.pairs_in, row.pairs_out, full, empty) == ("full_match", 1, 0, 0, 1)
 
 
 class TestOverlappingTokenFilter:
@@ -230,7 +238,7 @@ class TestPipelineProperties:
         for pair in small_corpus.engagement:
             tokens = token_sets[pair.product_id]
             cleaned = price_token_filter(pair.query)
-            if full_match_filter(cleaned, tokens) != KEEP:
+            if set(oracles.analyze(cleaned)) <= tokens:     # the query is dropped as a full match
                 assert overlapping_token_filter(analyze(cleaned), tokens) == []
 
     def test_determinism(self, small_corpus):
