@@ -31,7 +31,7 @@ from .corpus import (
 )
 from .cutoff import ScoredRecord, budget_match_cutoff, candidate_cutoffs, tune_cutoff
 from .errors import ConfigError, InputError
-from .filters import ExternalScorer, NovelPair, run_pipeline
+from .filters import ExternalScorer, NovelPair, StageStats, run_pipeline
 from .metrics import evaluate_records, make_eval_record
 from .predictor import (
     apply_cutoff,
@@ -314,7 +314,10 @@ def _check_output(opt: Opt, path: Path, subcommand: str) -> None:
         sidecars = (".meta.json", ".txt") if REPORTS.get(subcommand) == opt.name else (".meta.json",)
         targets = [path, *(Path(f"{path}{s}") for s in sidecars)]
     for target in targets:
-        found = next((p for p in (target, *target.parents) if p.exists()), None)
+        try:
+            found = next((p for p in (target, *target.parents) if p.exists()), None)
+        except OSError as exc:    # such as a name too long: exists() passes only a missing file
+            raise ConfigError(f"option {opt.flag}: {exc.filename}: {exc.strerror}") from None
         must_be_dir = found != target
         if found is not None and found.is_dir() != must_be_dir:
             raise ConfigError(
@@ -329,9 +332,13 @@ _OPTION_NAMES = set(_NAME_OF_FLAG.values())
 
 def _parse_config_file(path: str) -> dict:
     source = Path(path)
-    if not source.exists():
+    try:
+        found, is_dir = source.exists(), source.is_dir()
+    except OSError as exc:
+        raise ConfigError(f"config file {source}: {exc.strerror}") from None
+    if not found:
         raise ConfigError(f"config file not found: {source}")
-    if source.is_dir():
+    if is_dir:
         raise ConfigError(f"config file is a directory: {source}")
     try:
         text = source.read_text(encoding="utf-8")
@@ -429,7 +436,7 @@ def render_metrics_row(label, m: dict) -> list:
 
 _METRIC_HEADERS = ("cutoff", "rouge_p", "rouge_r", "rouge_f1",
                    "nrouge_p", "nrouge_r", "nrouge_f1", "total", "novel", "pct")
-_STAGE_COLUMNS = ("stage", "pairs_in", "pairs_out", "products_out")
+_STAGE_COLUMNS = StageStats._fields
 _STATS_COUNTS = ("novel_token_pairs", "dropped_irrelevant", "dropped_empty_after_price",
                  "dropped_full_match", "dropped_empty_query")
 _STAGE_ROWS = Kind((list,), "a list of objects, each a string stage and counts "
@@ -475,8 +482,8 @@ def _cmd_ingest(cfg: dict) -> str:
                            unknown_product=cfg["unknown"])
     split = split_by_product([p.id for p in products], ratios=ratios, seed=cfg["seed"])
     out = Path(cfg["out"])
-    write_jsonl(out / "products.jsonl", (p.as_record() for p in products))
-    write_jsonl(out / "pairs.jsonl", (p.as_record() for p in load.pairs))
+    write_jsonl(out / "products.jsonl", (p._asdict() for p in products))
+    write_jsonl(out / "pairs.jsonl", (p._asdict() for p in load.pairs))
     dump_json(out / "split.json", split.as_record())
     dump_json(out / "ingest_stats.json", {
         "n_products": len(products),
@@ -498,12 +505,12 @@ def _cmd_filter(cfg: dict) -> str:
     result = run_pipeline(pairs, products, rf_threshold=cfg["rf_threshold"], scorer=scorer,
                           fmf_enabled=cfg["fmf"] == "on")
     out = Path(cfg["out"])
-    write_jsonl(out / "query_pairs.jsonl", (p.as_record() for p in result.query_pairs))
-    write_jsonl(out / "novel_pairs.jsonl", (p.as_record() for p in result.novel_pairs))
+    write_jsonl(out / "query_pairs.jsonl", (p._asdict() for p in result.query_pairs))
+    write_jsonl(out / "novel_pairs.jsonl", (p._asdict() for p in result.novel_pairs))
     stats = result.stats.as_dict()
     dump_json(out / "pipeline_stats.json", {"config": cfg, **stats})
     write_text(out / "pipeline_stats.txt", render_stats(stats))
-    write_jsonl(out / "products.jsonl", (p.as_record() for p in products))
+    write_jsonl(out / "products.jsonl", (p._asdict() for p in products))
     split_path = in_dir / "split.json"
     if split_path.exists():
         dump_json(out / "split.json", load_json(split_path))
@@ -531,7 +538,7 @@ def _cmd_build_targets(cfg: dict) -> str:
         targets = build_target_tokens(product, pairs, alpha=cfg["alpha"])
         if targets:
             instances.extend(emit_training_instances(product, targets))
-    write_jsonl(cfg["out"], (inst.as_record() for inst in instances))
+    write_jsonl(cfg["out"], (inst._asdict() for inst in instances))
     return (f"build-targets: {len(instances)} training instances "
             f"for {len({i.product_id for i in instances})} products")
 
@@ -664,7 +671,11 @@ def _cmd_eval_retrieval(cfg: dict) -> str:
 
 def _cmd_report(cfg: dict) -> str:
     in_dir = Path(cfg["in_dir"])
-    if not in_dir.is_dir():
+    try:
+        is_dir = in_dir.is_dir()
+    except OSError as exc:
+        raise InputError(f"input directory {in_dir}: {exc.strerror}") from None
+    if not is_dir:
         raise InputError(f"not a directory: {in_dir}")
     merged = {section: [] for section in _SECTIONS}
     for path in sorted(in_dir.rglob("*.json")):

@@ -1,7 +1,7 @@
 """Catalog ingestion, text analysis, and the product-wise dataset split.
 
-Products and engagement pairs arrive as JSONL records (see README for the
-field lists). A single analyzer -- lowercase, split on non-alphanumerics,
+Products and engagement pairs arrive as JSONL records whose keys are the
+fields of ``Product`` and ``EngagementPair``. A single analyzer -- lowercase, split on non-alphanumerics,
 Porter stem -- is shared by every downstream stage so that novelty checks
 (query token absent from the product) are judged consistently at the stem
 level.
@@ -11,14 +11,13 @@ import logging
 import random
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError
 from .records import COUNT, STRINGS, TEXT, Kind, get_field, iter_jsonl, source_name
 from .stemmer import stem
 
 log = logging.getLogger(__name__)
-
-PRODUCT_TEXT_FIELDS = ("title", "product_type", "brand", "color", "gender", "description")
 
 DEFAULT_MIN_ATC = 2
 
@@ -27,8 +26,7 @@ _PRODUCT_IDS = Kind((list,), "a list of product id strings", STRINGS.test)
 _OPTIONAL_TEXT = Kind((str, type(None)), "a string or null")
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     """One catalog record; ``title`` and ``id`` are mandatory, the rest optional."""
 
     id: str
@@ -39,23 +37,19 @@ class Product:
     gender: str = ""
     description: str = ""
 
-    def text_fields(self):
-        return tuple(getattr(self, name) for name in PRODUCT_TEXT_FIELDS)
-
-    def as_record(self) -> dict:
-        return {"id": self.id, **{name: getattr(self, name) for name in PRODUCT_TEXT_FIELDS}}
+    def text_fields(self) -> tuple:
+        return self[1:]
 
 
-@dataclass(frozen=True)
-class EngagementPair:
+PRODUCT_TEXT_FIELDS = Product._fields[1:]
+
+
+class EngagementPair(NamedTuple):
     """A (product, query) pair with its add-to-cart count."""
 
     product_id: str
     query: str
     atc_count: int = 0
-
-    def as_record(self) -> dict:
-        return {"product_id": self.product_id, "query": self.query, "atc_count": self.atc_count}
 
 
 @dataclass(frozen=True)

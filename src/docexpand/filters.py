@@ -9,6 +9,7 @@ how many pairs flowed in and out.
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .corpus import EngagementPair, analyze, product_token_set
 from .errors import InputError
@@ -161,8 +162,7 @@ def overlapping_token_filter(query_tokens, product_tokens: frozenset) -> list:
     return novel
 
 
-@dataclass(frozen=True)
-class NovelPair:
+class NovelPair(NamedTuple):
     """A product's novel query tokens from one source query.
 
     ``token_counts`` keeps the pre-collapse occurrence count of each novel
@@ -172,15 +172,7 @@ class NovelPair:
     product_id: str
     novel_tokens: tuple
     source_query: str
-    token_counts: dict = field(default_factory=dict)
-
-    def as_record(self) -> dict:
-        return {
-            "product_id": self.product_id,
-            "novel_tokens": list(self.novel_tokens),
-            "source_query": self.source_query,
-            "token_counts": dict(self.token_counts),
-        }
+    token_counts: dict
 
     @classmethod
     def from_record(cls, record: dict, source, line) -> "NovelPair":
@@ -193,20 +185,11 @@ class NovelPair:
         )
 
 
-@dataclass(frozen=True)
-class StageStats:
+class StageStats(NamedTuple):
     stage: str
     pairs_in: int
     pairs_out: int
     products_out: int
-
-    def as_record(self) -> dict:
-        return {
-            "stage": self.stage,
-            "pairs_in": self.pairs_in,
-            "pairs_out": self.pairs_out,
-            "products_out": self.products_out,
-        }
 
 
 @dataclass
@@ -220,7 +203,7 @@ class PipelineStats:
 
     def as_dict(self) -> dict:
         return {
-            "stages": [row.as_record() for row in self.rows],
+            "stages": [row._asdict() for row in self.rows],
             "dropped_irrelevant": self.dropped_irrelevant,
             "dropped_empty_after_price": self.dropped_empty_after_price,
             "dropped_full_match": self.dropped_full_match,

@@ -11,6 +11,7 @@ logic treats identically.
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,7 @@ _MARGINALS = Kind((dict,), "an object of non-negative integers below 2**53",
                   lambda marginals: all_of(COUNT, marginals.values()))
 
 
-@dataclass(frozen=True)
-class ScoredToken:
+class ScoredToken(NamedTuple):
     token: str
     score: float
 
@@ -88,7 +88,7 @@ def train_cooccurrence(instances, products) -> CooccurrenceModel:
         if instance.product_id not in contexts:
             contexts[instance.product_id] = product_token_set(product)
         for context in contexts[instance.product_id]:
-            counts[context][instance.target.token] += instance.target.frequency
+            counts[context][instance.target_token] += instance.frequency
     marginals = {context: sum(targets.values()) for context, targets in counts.items()}
     vocabulary = tuple(sorted({t for targets in counts.values() for t in targets}))
     return CooccurrenceModel(

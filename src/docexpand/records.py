@@ -29,6 +29,8 @@ NUMBER = Kind((int, float), "a finite number", lambda v: abs(v) <= sys.float_inf
 UNIT_SCORE = Kind((int, float), "a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 STRINGS = Kind((list,), "a list of strings", lambda values: all_of(STRING, values))
 _REQUIRED = object()
+# the C decoder raises RecursionError, not JSONDecodeError, on arrays or objects nested this deep
+_TOO_DEEP = "nested too deeply"
 
 
 def all_of(kind: Kind, values) -> bool:
@@ -58,9 +60,9 @@ def source_name(source) -> str:
 def iter_jsonl(source):
     """Yield (line_number, record) from a JSONL path, file object, or lines.
 
-    Blank lines are skipped. Malformed JSON or a non-object line raises
-    InputError naming the offending line; a file that is not UTF-8 raises
-    InputError naming the file.
+    Blank lines are skipped. Malformed JSON (nested too deeply, too) or a
+    non-object line raises InputError naming the offending line; a file
+    that is not UTF-8 raises InputError naming the file.
     """
     name = source_name(source)
     close = isinstance(source, (str, os.PathLike))
@@ -74,6 +76,8 @@ def iter_jsonl(source):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{name}:{lineno}: invalid JSON record: {exc.msg}") from exc
+            except RecursionError:
+                raise InputError(f"{name}:{lineno}: invalid JSON record: {_TOO_DEEP}") from None
             if not isinstance(record, dict):
                 raise InputError(f"{name}:{lineno}: expected a JSON object")
             yield lineno, record
@@ -87,9 +91,13 @@ def iter_jsonl(source):
 def _input_file(path) -> Path:
     """``path``, once it is known to exist and not to be a directory (a pipe still reads)."""
     path = Path(path)
-    if not path.exists():
+    try:
+        found, is_dir = path.exists(), path.is_dir()
+    except OSError as exc:    # such as a name too long: exists() passes only a missing file
+        raise InputError(f"input file {path}: {exc.strerror}") from None
+    if not found:
         raise InputError(f"input file not found: {path}")
-    if path.is_dir():
+    if is_dir:
         raise InputError(f"input is a directory, not a file: {path}")
     return path
 
@@ -275,6 +283,8 @@ def load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise InputError(f"{path}: invalid JSON: {_TOO_DEEP}") from None
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 

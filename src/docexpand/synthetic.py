@@ -193,13 +193,13 @@ def write_corpus(corpus: SyntheticCorpus, out_dir) -> dict:
     out_dir = Path(out_dir)
     written = {}
     written["products.jsonl"] = write_jsonl(
-        out_dir / "products.jsonl", (p.as_record() for p in corpus.products)
+        out_dir / "products.jsonl", (p._asdict() for p in corpus.products)
     )
     written["engagement.jsonl"] = write_jsonl(
-        out_dir / "engagement.jsonl", (p.as_record() for p in corpus.engagement)
+        out_dir / "engagement.jsonl", (p._asdict() for p in corpus.engagement)
     )
     written["heldout_pairs.jsonl"] = write_jsonl(
-        out_dir / "heldout_pairs.jsonl", (p.as_record() for p in corpus.heldout)
+        out_dir / "heldout_pairs.jsonl", (p._asdict() for p in corpus.heldout)
     )
     written["gold_expansions.jsonl"] = write_jsonl(
         out_dir / "gold_expansions.jsonl",

@@ -8,34 +8,25 @@ surviving token becomes its own training instance carrying the weight
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import PRODUCT_TEXT_FIELDS, Product, product_token_set
 from .errors import InputError
 from .records import NUMBER, POSITIVE_COUNT, STRING, TEXT, get_field, iter_jsonl
 
 
-@dataclass(frozen=True)
-class TargetToken:
+class TargetToken(NamedTuple):
     token: str
     frequency: int
     weight: float
 
 
-@dataclass(frozen=True)
-class TrainingInstance:
+class TrainingInstance(NamedTuple):
     product_id: str
     input_text: str
-    target: TargetToken
-
-    def as_record(self) -> dict:
-        return {
-            "product_id": self.product_id,
-            "input_text": self.input_text,
-            "target_token": self.target.token,
-            "frequency": self.target.frequency,
-            "weight": self.target.weight,
-        }
+    target_token: str
+    frequency: int
+    weight: float
 
 
 def loss_weight(frequency: int, alpha: float) -> float:
@@ -89,17 +80,14 @@ def emit_training_instances(product: Product, targets) -> list:
     if not targets:
         raise ValueError(f"no targets for product {product.id!r}")
     input_text = serialize_product_input(product)
-    return [
-        TrainingInstance(product_id=product.id, input_text=input_text, target=target)
-        for target in targets
-    ]
+    return [TrainingInstance(product.id, input_text, *target) for target in targets]
 
 
 def load_training_instances(source) -> list:
     return [TrainingInstance(
         product_id=get_field(record, "product_id", TEXT, source, lineno),
         input_text=get_field(record, "input_text", STRING, source, lineno),
-        target=TargetToken(token=get_field(record, "target_token", TEXT, source, lineno),
-                           frequency=get_field(record, "frequency", POSITIVE_COUNT, source, lineno),
-                           weight=get_field(record, "weight", NUMBER, source, lineno)),
+        target_token=get_field(record, "target_token", TEXT, source, lineno),
+        frequency=get_field(record, "frequency", POSITIVE_COUNT, source, lineno),
+        weight=get_field(record, "weight", NUMBER, source, lineno),
     ) for lineno, record in iter_jsonl(source)]

@@ -201,4 +201,4 @@ class TestSplitByProduct:
 
 def test_engagement_pair_roundtrip():
     pair = EngagementPair("p1", "swim vest", 4)
-    assert pair.as_record() == {"product_id": "p1", "query": "swim vest", "atc_count": 4}
+    assert pair._asdict() == {"product_id": "p1", "query": "swim vest", "atc_count": 4}

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from docexpand.filters import (
     relevance_filter,
     run_pipeline,
 )
+from docexpand.records import dumps_record
 
 import oracles
 
@@ -265,8 +267,11 @@ class TestExternalScorer:
 class TestNovelPairRecord:
     PAIR = NovelPair("p1", ("kid", "float"), "kid float", {"kid": 2, "float": 1})
 
+    # the row as a JSONL line holds it: novel_tokens becomes a list
+    RECORD = json.loads(dumps_record(PAIR._asdict()))
+
     def test_roundtrip(self):
-        assert NovelPair.from_record(self.PAIR.as_record(), "pairs.jsonl", 1) == self.PAIR
+        assert NovelPair.from_record(self.RECORD, "pairs.jsonl", 1) == self.PAIR
 
     @pytest.mark.parametrize("field, value, message", [
         ("product_id", "", "'product_id' must be a non-empty string"),
@@ -278,7 +283,7 @@ class TestNovelPairRecord:
         ("token_counts", {"kid": 10**400}, "'token_counts' must be an object of positive integer"),
     ])
     def test_malformed_field_names_file_line_and_key(self, field, value, message):
-        record = {**self.PAIR.as_record(), field: value}
+        record = {**self.RECORD, field: value}
         with pytest.raises(InputError, match=f"pairs.jsonl: line 3: {message}"):
             NovelPair.from_record(record, "pairs.jsonl", 3)
 

@@ -15,12 +15,11 @@ from docexpand.predictor import (
     train_cooccurrence,
     write_predictions,
 )
-from docexpand.targets import TargetToken, TrainingInstance
+from docexpand.targets import TrainingInstance
 
 
 def instance(pid, token, freq):
-    return TrainingInstance(product_id=pid, input_text="unused",
-                            target=TargetToken(token, freq, float(freq) ** 0.5))
+    return TrainingInstance(pid, "unused", token, freq, float(freq) ** 0.5)
 
 
 SWIM = Product(id="p1", title="Swim Vest")

@@ -122,13 +122,13 @@ class TestEmitTrainingInstances:
         instances = emit_training_instances(product, targets)
         assert len(instances) == 3
         assert len({i.input_text for i in instances}) == 1
-        assert [i.target.token for i in instances] == ["kid", "float", "ring"]
+        assert [i.target_token for i in instances] == ["kid", "float", "ring"]
 
     def test_weight_carried_through(self):
         product = Product(id="p1", title="t")
         instance = emit_training_instances(product, [TargetToken("kid", 2, math.sqrt(2))])[0]
-        assert instance.target.weight == math.sqrt(2)
-        record = instance.as_record()
+        assert instance.weight == math.sqrt(2)
+        record = instance._asdict()
         assert record["weight"] == math.sqrt(2) and record["frequency"] == 2
 
     def test_empty_targets_rejected(self):
@@ -143,7 +143,7 @@ def test_instances_roundtrip_through_jsonl(tmp_path):
     targets = build_target_tokens(product, [pair("p1", {"kid": 4})])
     instances = emit_training_instances(product, targets)
     path = tmp_path / "instances.jsonl"
-    write_jsonl(path, (i.as_record() for i in instances))
+    write_jsonl(path, (i._asdict() for i in instances))
     assert load_training_instances(path) == instances
 
 
