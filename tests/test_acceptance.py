@@ -9,10 +9,15 @@ Each test prints a single [criterion N] PASS/FAIL line (visible with
 import filecmp
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
+import docexpand
 import numpy as np
 from docexpand.cli import main
 from docexpand.corpus import product_token_set, split_by_product
@@ -30,6 +35,7 @@ from docexpand.targets import build_target_tokens, emit_training_instances, loss
 
 import oracles
 from test_cutoff import srec, sweep_oracle
+from test_readme import quickstart_commands
 
 
 @contextmanager
@@ -323,3 +329,35 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
                 assert_no_diffs(sub)
 
         assert_no_diffs(comparison)
+
+
+# Runs each README Quickstart command given as an argument through cli.main, in order.
+_README_CHAIN = """import shlex, sys
+from docexpand.cli import main
+for line in sys.argv[1:]:
+    if main(shlex.split(line)[1:]) != 0:
+        sys.exit(f"exit != 0: {line}")
+"""
+
+
+def test_criterion_9_across_hash_seeds(tmp_path):
+    """String hashes, and so set order, change with PYTHONHASHSEED; no artifact may."""
+    with criterion(9, "the README chain is byte-identical under PYTHONHASHSEED 1 and 2"):
+        src = str(Path(docexpand.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        children = {}
+        for seed in ("1", "2"):    # both chains run at once, each in its own directory
+            (tmp_path / seed).mkdir()
+            children[seed] = subprocess.Popen(
+                [sys.executable, "-c", _README_CHAIN, *quickstart_commands()],
+                cwd=tmp_path / seed, env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        outputs = {seed: child.communicate(timeout=300) for seed, child in children.items()}
+        for seed, child in children.items():
+            assert child.returncode == 0, outputs[seed][1]
+        assert outputs["1"][0] == outputs["2"][0]
+        trees = {seed: {p.relative_to(tmp_path / seed): p.read_bytes()
+                        for p in (tmp_path / seed).rglob("*") if p.is_file()} for seed in children}
+        assert Path("work/summary.json") in trees["1"]
+        assert sorted(trees["1"]) == sorted(trees["2"])
+        assert [name for name in trees["1"] if trees["1"][name] != trees["2"][name]] == []

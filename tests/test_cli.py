@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import shutil
 from pathlib import Path
 
@@ -296,6 +298,13 @@ def probe_dir(tmp_path_factory):
     (root / "flag_key.cfg").write_text("seed=1\nmin-atc=5\n", encoding="utf-8")
     (root / "no_option_key.cfg").write_text("# a typo\nmin_act=5\n", encoding="utf-8")
     (root / "other_stage_key.cfg").write_text("alpha=0.3\n", encoding="utf-8")
+    # deeper than the JSON decoder's recursion limit
+    deep = "[" * 100_000 + "]" * 100_000 + "\n"
+    (root / "deep.jsonl").write_text(deep, encoding="utf-8")
+    (root / "deep.json").write_text(deep, encoding="utf-8")
+    (root / "deep_report").mkdir()
+    (root / "deep_report" / "deep.json").write_text(deep, encoding="utf-8")
+    shutil.copy(root / "work" / "retrieval_report.json", root / "deep_report")
     return root
 
 
@@ -389,6 +398,9 @@ _MISSING_INGEST = ("ingest", "--products", "{d}/missing/products.jsonl", "--enga
 _MISSING_INDEX = ("index", "--products", "{d}/missing/products.jsonl", "--out", "{d}/out/index.json")
 _NO_VALIDATION = "split_no_validation.json: 'validation' must be a list of product id strings"
 _COUNTS = "novel_pairs.jsonl: line 1: 'token_counts' must be an object of positive integer counts"
+# a path component longer than a file name may be
+_LONG = "x" * 300
+_TOO_LONG = os.strerror(errno.ENAMETOOLONG)
 
 
 def _build_targets(name):
@@ -628,6 +640,26 @@ EXIT_CODE_PROBES = {
          "{d}/missing/references.jsonl", "--products", "{d}/missing/products.jsonl",
          "--grid", "step:0.00000001", "--report", "{d}/out/cutoff.json"), 2,
         "option --grid: step must be in [0.0001, 1]"),
+    "ingest-json-nested-too-deeply": (
+        ("ingest", "--products", "{d}/deep.jsonl", "--engagement", "{d}/engagement.jsonl",
+         "--out", "{d}/out/ingested"), 3, "deep.jsonl:1: invalid JSON record: nested too deeply"),
+    "search-index-nested-too-deeply": (
+        ("search", "--index", "{d}/deep.json", "--query", "lamp"), 3,
+        "deep.json: invalid JSON: nested too deeply"),
+    "report-skips-json-nested-too-deeply": (_report("deep_report"), 0, ""),
+    # stat() fails with ENAMETOOLONG, which Path.exists() and is_dir() raise
+    "ingest-products-name-too-long": (
+        ("ingest", "--products", f"{{d}}/{_LONG}.jsonl", "--engagement", "{d}/engagement.jsonl",
+         "--out", "{d}/out/ingested"), 3, f"input file {{d}}/{_LONG}.jsonl: {_TOO_LONG}"),
+    "ingest-out-name-too-long": (
+        ("ingest", "--products", "{d}/products.jsonl", "--engagement", "{d}/engagement.jsonl",
+         "--out", f"{{d}}/{_LONG}"), 2, f"option --out: {{d}}/{_LONG}/products.jsonl: {_TOO_LONG}"),
+    "search-index-name-too-long": (
+        ("search", "--index", f"{{d}}/{_LONG}.json", "--query", "lamp"), 3,
+        f"input file {{d}}/{_LONG}.json: {_TOO_LONG}"),
+    "config-name-too-long": (_INGEST + ("--config", f"{{d}}/{_LONG}.cfg"), 2,
+                             f"config file {{d}}/{_LONG}.cfg: {_TOO_LONG}"),
+    "report-in-name-too-long": (_report(_LONG), 3, f"input directory {{d}}/{_LONG}: {_TOO_LONG}"),
     **{"index-coerced-" + name.removesuffix(".json"): (
         ("eval-retrieval", "--index", "{d}/" + name, "--pairs", "{d}/engagement.jsonl",
          "--report", "{d}/out/recall.json"), 3, f"{name}: {message}")
@@ -685,6 +717,12 @@ def test_outdir_file_of_the_wrong_kind_exits_2_before_writing(tmp_path, capsys, 
     assert run(*(arg.format(d=tmp_path) for arg in argv)) == 2
     assert f"option --out: {out / name} is a directory" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == [name]
+
+
+def test_report_skips_json_nested_too_deeply(probe_dir):
+    assert run(*(arg.format(d=probe_dir) for arg in _report("deep_report"))) == 0
+    report = load_json(probe_dir / "out" / "report.json")
+    assert [entry["source"] for entry in report["retrieval"]] == ["retrieval_report.json"]
 
 
 def test_empty_field_weights_keep_the_defaults(probe_dir, tmp_path):

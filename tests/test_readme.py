@@ -5,6 +5,9 @@ import shlex
 from pathlib import Path
 
 from docexpand.cli import main
+from docexpand.corpus import EngagementPair, Product
+from docexpand.filters import NovelPair
+from docexpand.targets import TrainingInstance
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +33,13 @@ def test_library_use_imports_resolve():
     section = README.read_text(encoding="utf-8").split("\n## Library use", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_file_formats_table_lists_each_row_types_fields():
+    section = README.read_text(encoding="utf-8").split("\n## File formats", 1)[1].split("\n## ")[0]
+    cells = dict(re.findall(r"^\| (.+?) \| (.+) \|$", section, re.M))
+    for row, row_type in (("products", Product),
+                          ("engagement / references / test pairs", EngagementPair),
+                          ("novel pairs", NovelPair), ("training instances", TrainingInstance)):
+        keys = tuple(dict.fromkeys(re.findall(r"`(\w+)`", cells[row])))    # first mention each
+        assert keys == row_type._fields, row

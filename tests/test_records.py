@@ -9,9 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from docexpand.corpus import EngagementPair, Product, load_engagement, load_products
 from docexpand.errors import InputError
 from docexpand import records
-from docexpand.records import dump_json, get_field, write_jsonl, write_text
+from docexpand.filters import NovelPair, StageStats
+from docexpand.predictor import ScoredToken
+from docexpand.records import dump_json, get_field, iter_jsonl, write_jsonl, write_text
+from docexpand.targets import TargetToken, TrainingInstance, load_training_instances
 
 
 def failing_rows():
@@ -198,3 +202,35 @@ def test_get_field_returns_the_value_or_the_default():
     assert get_field({}, "x", records.COUNT, "f.jsonl", 1, 7) == 7
     with pytest.raises(InputError, match=r"^split.json: 'x' must be a finite number$"):
         get_field({}, "x", records.NUMBER, "split.json")
+
+
+# row type -> (rows, the reader of a JSONL file of them)
+ROWS = {
+    Product: ([Product("p1", "Swim Vest", brand="Acme"),
+               Product("p2", "Lamp", "lamp", "Lumina", "Teal", "unisex", "Bright.")],
+              load_products),
+    EngagementPair: ([EngagementPair("p1", "swim vest", 4), EngagementPair("p2", "lamp")],
+                     lambda path: load_engagement(path, min_atc=0).pairs),
+    NovelPair: ([NovelPair("p1", ("kid", "float"), "kid float", {"kid": 2, "float": 1})],
+                lambda path: [NovelPair.from_record(record, path, lineno)
+                              for lineno, record in iter_jsonl(path)]),
+    TrainingInstance: ([TrainingInstance("p1", "title: Swim Vest", "kid", 2, 2 ** 0.5)],
+                       load_training_instances),
+}
+
+
+@pytest.mark.parametrize("row_type", ROWS, ids=lambda row_type: row_type.__name__)
+def test_row_roundtrips_through_its_writer_and_reader(tmp_path, row_type):
+    rows, read = ROWS[row_type]
+    path = tmp_path / "rows.jsonl"
+    assert write_jsonl(path, (row._asdict() for row in rows)) == len(rows)
+    loaded = read(path)
+    assert loaded == rows
+    assert {type(row) for row in loaded} == {row_type}
+
+
+def test_rows_are_named_tuples_whose_fields_are_their_keys():
+    for row_type in (*ROWS, StageStats, TargetToken, ScoredToken):
+        assert issubclass(row_type, tuple) and row_type._fields, row_type
+    assert TrainingInstance._fields == ("product_id", "input_text", "target_token", "frequency",
+                                        "weight")
