@@ -20,7 +20,6 @@ from .corpus import (
 from .cutoff import (
     BudgetMatchResult,
     CutoffSweepResult,
-    ScoredRecord,
     budget_match_cutoff,
     tune_cutoff,
 )
@@ -38,11 +37,11 @@ from .filters import (
 from .metrics import (
     EvalRecord,
     MetricsReport,
+    ScoredRecord,
     bootstrap_ci,
     evaluate_records,
     f1,
     make_eval_record,
-    novelty_stats,
 )
 from .predictor import (
     CooccurrenceModel,

@@ -29,10 +29,10 @@ from .corpus import (
     product_token_set,
     split_by_product,
 )
-from .cutoff import ScoredRecord, budget_match_cutoff, candidate_cutoffs, tune_cutoff
+from .cutoff import budget_match_cutoff, candidate_cutoffs, tune_cutoff
 from .errors import ConfigError, InputError
 from .filters import ExternalScorer, NovelPair, StageStats, run_pipeline
-from .metrics import evaluate_records, make_eval_record
+from .metrics import ScoredRecord, evaluate_records
 from .predictor import (
     apply_cutoff,
     load_external_predictions,
@@ -87,6 +87,7 @@ def _within(interval: str):
 
 _POSITIVE = _within("[1, inf)")
 _NON_NEGATIVE = _within("[0, inf)")
+_FINITE = _within("(-inf, inf)")    # refuses nan too, which no comparison admits
 
 
 def _parse_ratios(text: str) -> tuple:
@@ -179,7 +180,8 @@ SPECS = {
         Opt("references", "--references", "path", required=True,
             help="held-out relevant queries, engagement JSONL format"),
         Opt("products", "--products", "path", required=True),
-        Opt("cutoff", "--cutoff", "float", default=0.0, help="confidence cutoff (strict >)"),
+        Opt("cutoff", "--cutoff", "float", default=0.0, check=_FINITE,
+            help="confidence cutoff (strict >)"),
         Opt("top", "--top", "int", default=10, check=_POSITIVE),
         Opt("split", "--split", "choice", choices=("train", "validation", "test")),
         Opt("split_file", "--split-file", "path"),
@@ -206,7 +208,8 @@ SPECS = {
     "index": (
         Opt("products", "--products", "path", required=True),
         Opt("expansions", "--expansions", "path", help="prediction JSONL used as the expansion field"),
-        Opt("cutoff", "--cutoff", "float", default=0.0, help="confidence cutoff on expansion tokens"),
+        Opt("cutoff", "--cutoff", "float", default=0.0, check=_FINITE,
+            help="confidence cutoff on expansion tokens"),
         Opt("top", "--top", "int", default=10, check=_POSITIVE,
             help="max expansion tokens per product"),
         Opt("field_weights", "--field-weights", "str", check=_parse_field_weights,
@@ -308,6 +311,8 @@ def _convert(opt: Opt, raw):
 def _check_output(opt: Opt, path: Path, subcommand: str) -> None:
     """Refuse an output path when a file the stage writes there (in a directory, or
     beside a file: its sidecars), or its nearest existing parent, is of the wrong kind."""
+    if "\0" in str(path):    # exists() is False for such a path, and the first write raises
+        raise ConfigError(f"option {opt.flag}: a path cannot hold a NUL byte: {str(path)!r}")
     if opt.kind == "outdir":
         targets = [path / name for name in (*OUTDIR_FILES[subcommand], "run_config.json")]
     else:
@@ -583,11 +588,8 @@ def _scored_records(cfg: dict, products):
 
 def _cmd_evaluate(cfg: dict) -> str:
     products = load_products(cfg["products"])
-    scored, token_sets = _scored_records(cfg, products)
-    records = [make_eval_record(r.product_id, r.reference, token_sets[r.product_id],
-                                [st.token for st in apply_cutoff(r.predictions, cfg["cutoff"])])
-               for r in scored]
-    report = evaluate_records(records, token_sets, resamples=cfg["bootstrap"],
+    records, token_sets = _scored_records(cfg, products)
+    report = evaluate_records(records, token_sets, cfg["cutoff"], resamples=cfg["bootstrap"],
                               level=cfg["level"], seed=cfg["seed"])
     text = render_table(_METRIC_HEADERS, [render_metrics_row(_f(cfg["cutoff"], 2), report.as_dict())])
     _write_report(cfg, {"metrics": report.as_dict()}, text)

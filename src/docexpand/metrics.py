@@ -11,12 +11,27 @@ Degenerate cases are explicit: an empty prediction scores precision 1
 against an empty reference and 0 otherwise, and records with an empty
 reference are excluded from the corresponding recall/F1 means, with the
 exclusion count visible in the report.
+
+One engine computes every report: ``sweep`` walks a list of confidence
+cutoffs from the highest down, the way an ROC curve is traced.
+Predictions are sorted by score once and admitted as the cutoff falls
+below their score, so each cutoff costs only the records whose retained
+predictions changed. ``evaluate_records`` is its row at one cutoff.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class ScoredRecord:
+    """One product's held-out reference tokens and its scored predictions."""
+
+    product_id: str
+    reference: tuple      # analyzed reference tokens, with multiplicity
+    predictions: tuple    # ScoredToken entries
 
 
 @dataclass(frozen=True)
@@ -24,24 +39,14 @@ class EvalRecord:
     product_id: str
     reference: Counter          # tokens from held-out queries, with multiplicity
     novel_reference: Counter    # reference restricted to tokens absent from the product
-    prediction: Counter         # predicted tokens, with multiplicity
 
 
-def make_eval_record(product_id, reference_tokens, product_tokens, prediction_tokens) -> EvalRecord:
-    """Build a record, deriving the novel reference from the product tokens."""
+def make_eval_record(product_id, reference_tokens, product_tokens) -> EvalRecord:
+    """Build a record's two reference views, deriving the novel one from the product tokens."""
     unique = frozenset(product_tokens)
     reference = Counter(reference_tokens)
     novel_reference = Counter({t: c for t, c in reference.items() if t not in unique})
-    return EvalRecord(
-        product_id=product_id,
-        reference=reference,
-        novel_reference=novel_reference,
-        prediction=Counter(prediction_tokens),
-    )
-
-
-def _clipped_match(reference: Counter, prediction: Counter) -> int:
-    return sum(min(count, prediction[token]) for token, count in reference.items())
+    return EvalRecord(product_id=product_id, reference=reference, novel_reference=novel_reference)
 
 
 def count_precision(match: int, predicted: int, reference_total: int) -> float:
@@ -58,16 +63,6 @@ def count_recall(match: int, reference_total: int):
     return match / reference_total
 
 
-def record_precision(reference: Counter, prediction: Counter) -> float:
-    return count_precision(_clipped_match(reference, prediction), sum(prediction.values()),
-                           sum(reference.values()))
-
-
-def record_recall(reference: Counter, prediction: Counter):
-    """Clipped recall, or None when the reference is empty."""
-    return count_recall(_clipped_match(reference, prediction), sum(reference.values()))
-
-
 def f1(precision: float, recall: float) -> float:
     if precision + recall == 0:
         return 0.0
@@ -80,16 +75,6 @@ class NoveltyStats:
     mean_novel: float
     novel_pct: float          # fraction in [0, 1]; rendered as a percentage in reports
     defined: bool             # False when no tokens were predicted at all
-
-
-def novelty_stats(records, product_tokens: dict) -> NoveltyStats:
-    """Average predicted-token counts and the novel fraction among them."""
-    sum_total = sum_novel = 0
-    for record in records:
-        unique = frozenset(product_tokens[record.product_id])
-        sum_total += sum(record.prediction.values())
-        sum_novel += sum(c for t, c in record.prediction.items() if t not in unique)
-    return novelty_from_counts(len(records), sum_total, sum_novel)
 
 
 def novelty_from_counts(n_records: int, sum_total: int, sum_novel: int) -> NoveltyStats:
@@ -145,48 +130,103 @@ class MetricsReport:
     ci: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in _METRIC_NAMES}
-        out.update(
-            total_tokens=self.total_tokens,
-            novel_tokens=self.novel_tokens,
-            novel_pct=self.novel_pct,
-            novelty_defined=self.novelty_defined,
-            n_products=self.n_products,
-            recall_excluded=self.recall_excluded,
-            novel_recall_excluded=self.novel_recall_excluded,
-        )
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ci"}
         if self.ci:
             out["ci"] = {k: list(v) for k, v in self.ci.items()}
         return out
 
 
-def evaluate_records(records, product_tokens: dict, resamples: int = 0, level: float = 0.95,
-                     seed: int = 0) -> MetricsReport:
-    """Full corpus report over eval records.
+class _View:
+    """One reference view (full or novel) of every record, scored incrementally.
+
+    Recall and F1 lists hold only the records with a non-empty reference,
+    in record order.
+    """
+
+    def __init__(self, references):
+        self.references = references
+        self.totals = [sum(r.values()) for r in references]
+        self.matches = [0] * len(references)
+        included = [i for i, total in enumerate(self.totals) if total]
+        self.slots = {i: slot for slot, i in enumerate(included)}
+        self.precision = [0.0] * len(references)
+        self.recall = [0.0] * len(included)
+        self.f1 = [0.0] * len(included)
+
+    def rescore(self, i, predicted):
+        p = count_precision(self.matches[i], predicted, self.totals[i])
+        self.precision[i] = p
+        slot = self.slots.get(i)
+        if slot is not None:
+            r = count_recall(self.matches[i], self.totals[i])
+            self.recall[slot] = r
+            self.f1[slot] = f1(p, r)
+
+
+def sweep(records, product_tokens: dict, cutoffs):
+    """Yield (cutoff, per-metric value lists, NoveltyStats) for each cutoff, highest first.
+
+    ``records`` are ScoredRecords and ``product_tokens`` maps product id to
+    its unique token set. A row scores the predictions scoring strictly
+    above its cutoff. The value lists, keyed by metric name, hold one value
+    per record in record order (recall and F1 only for records with a
+    non-empty reference); they are updated in place by the next row, so
+    read them before advancing. Admitting a prediction updates its record's
+    clipped match counts in O(1), and only the records that changed are
+    re-scored.
+    """
+    n = len(records)
+    uniques = [frozenset(product_tokens[record.product_id]) for record in records]
+    views = [make_eval_record(record.product_id, record.reference, unique)
+             for record, unique in zip(records, uniques)]
+    full = _View([view.reference for view in views])
+    novel = _View([view.novel_reference for view in views])
+    per_metric = {
+        "rouge_precision": full.precision, "rouge_recall": full.recall, "rouge_f1": full.f1,
+        "nrouge_precision": novel.precision, "nrouge_recall": novel.recall,
+        "nrouge_f1": novel.f1,
+    }
+    predictions = [Counter() for _ in records]
+    predicted = [0] * n
+    sum_total = sum_novel = 0
+    for i in range(n):
+        full.rescore(i, 0)
+        novel.rescore(i, 0)
+    admissions = sorted(((p.score, i, p.token) for i, record in enumerate(records)
+                         for p in record.predictions), key=lambda a: a[0], reverse=True)
+    next_admission = 0
+    for cutoff in sorted(cutoffs, reverse=True):
+        changed = set()
+        while next_admission < len(admissions) and admissions[next_admission][0] > cutoff:
+            _, i, token = admissions[next_admission]
+            next_admission += 1
+            predictions[i][token] += 1
+            count = predictions[i][token]
+            predicted[i] += 1
+            full.matches[i] += count <= full.references[i][token]
+            novel.matches[i] += count <= novel.references[i][token]
+            sum_total += 1
+            sum_novel += token not in uniques[i]
+            changed.add(i)
+        for i in changed:
+            full.rescore(i, predicted[i])
+            novel.rescore(i, predicted[i])
+        yield cutoff, per_metric, novelty_from_counts(n, sum_total, sum_novel)
+
+
+def evaluate_records(records, product_tokens: dict, cutoff: float = 0.0, resamples: int = 0,
+                     level: float = 0.95, seed: int = 0) -> MetricsReport:
+    """Corpus report over ScoredRecords, retaining predictions scoring strictly above ``cutoff``.
 
     ``product_tokens`` maps product id to its unique token set (needed for
-    prediction novelty accounting). When ``resamples`` is positive, a
-    percentile CI at ``level`` is attached for each of the six metric means,
-    resampling the per-product values; 0 turns bootstrapping off.
+    the novel reference and prediction novelty accounting). When
+    ``resamples`` is positive, a percentile CI at ``level`` is attached for
+    each of the six metric means, resampling the per-product values; 0
+    turns bootstrapping off.
     """
     if not records:
         raise ValueError("records must be non-empty")
-    per_metric = {name: [] for name in _METRIC_NAMES}
-    for record in records:
-        p = record_precision(record.reference, record.prediction)
-        r = record_recall(record.reference, record.prediction)
-        per_metric["rouge_precision"].append(p)
-        if r is not None:
-            per_metric["rouge_recall"].append(r)
-            per_metric["rouge_f1"].append(f1(p, r))
-        np_ = record_precision(record.novel_reference, record.prediction)
-        nr = record_recall(record.novel_reference, record.prediction)
-        per_metric["nrouge_precision"].append(np_)
-        if nr is not None:
-            per_metric["nrouge_recall"].append(nr)
-            per_metric["nrouge_f1"].append(f1(np_, nr))
-
-    novelty = novelty_stats(records, product_tokens)
+    [(_, per_metric, novelty)] = sweep(records, product_tokens, [cutoff])
     ci = {}
     if resamples:
         for i, name in enumerate(_METRIC_NAMES):

@@ -1,10 +1,11 @@
 """Brute-force oracles for the metric engine and the fast kernels.
 
 The metric oracles work on plain token lists with naive loops and
-list.count, independently of the package's Counter-based implementation.
+list.count, independently of the package's incremental sweep; the
+reference cutoff tuner runs them in full at every candidate cutoff.
 The kernel references at the end are the package's earlier, direct
 implementations of text analysis, the filter pipeline, indented JSON
-output, co-occurrence prediction, the cutoff sweeps and BM25 search, kept
+output, co-occurrence prediction, budget matching and BM25 search, kept
 here to prove the faster kernels equal to them. Last come two helpers the
 property tests share: an index's match set and generated price queries.
 """
@@ -26,7 +27,7 @@ from docexpand.filters import (
     price_token_filter,
     relevance_filter,
 )
-from docexpand.metrics import evaluate_records, make_eval_record
+from docexpand.metrics import MetricsReport
 from docexpand.predictor import ScoredToken, apply_cutoff
 from docexpand.retrieval import INDEX_FIELDS, SearchResult
 from docexpand.stemmer import stem
@@ -254,27 +255,24 @@ def predict_cooccurrence(model, product, n):
     return candidates[:n]
 
 
-def _records_at_cutoff(records, product_tokens, cutoff):
-    return [
-        make_eval_record(
-            record.product_id,
-            record.reference,
-            product_tokens[record.product_id],
-            [p.token for p in apply_cutoff(record.predictions, cutoff)],
-        )
-        for record in records
-    ]
+def report_at_cutoff(records, product_tokens, cutoff):
+    """Reference report: the list oracles over the predictions scoring strictly above cutoff."""
+    cases = [(list(record.reference), list(product_tokens[record.product_id]),
+              [p.token for p in record.predictions if p.score > cutoff]) for record in records]
+    metrics = corpus_metrics(cases)
+    total, novel, pct = novelty_of(cases)
+    return MetricsReport(**metrics, total_tokens=total, novel_tokens=novel, novel_pct=pct,
+                         novelty_defined=any(case[2] for case in cases), n_products=len(cases))
 
 
 def tune_cutoff(records, product_tokens, grid="observed"):
-    """Reference tuner: a full evaluate_records at every candidate cutoff."""
+    """Reference tuner: a full brute-force report at every candidate cutoff."""
     if not any(record.predictions for record in records):
         raise ValueError("no predictions to tune over")
     rows = []
     for cutoff in candidate_cutoffs(records, grid):
-        report = evaluate_records(_records_at_cutoff(records, product_tokens, cutoff),
-                                  product_tokens)
-        rows.append(SweepRow(cutoff=cutoff, report=report))
+        rows.append(SweepRow(cutoff=cutoff,
+                             report=report_at_cutoff(records, product_tokens, cutoff)))
     chosen = rows[0].cutoff
     best = rows[0].report.nrouge_f1
     for row in rows[1:]:

@@ -23,8 +23,9 @@ from docexpand.cli import main
 from docexpand.corpus import product_token_set, split_by_product
 from docexpand.cutoff import tune_cutoff
 from docexpand.filters import run_pipeline
-from docexpand.metrics import bootstrap_ci, evaluate_records, make_eval_record
+from docexpand.metrics import ScoredRecord, bootstrap_ci, evaluate_records
 from docexpand.predictor import (
+    ScoredToken,
     load_external_predictions,
     predict_cooccurrence,
     train_cooccurrence,
@@ -62,7 +63,8 @@ def test_criterion_1_metric_oracle_equivalence():
                 product = rng.sample(vocab, rng.randint(0, 8))
                 prediction = [rng.choice(vocab) for _ in range(rng.randint(0, 8))]
                 cases.append((reference, product, prediction))
-            records = [make_eval_record(f"p{i}", ref, prod, pred)
+            # every prediction scores 1.0, so the default cutoff 0.0 keeps them all
+            records = [ScoredRecord(f"p{i}", tuple(ref), tuple(ScoredToken(t, 1.0) for t in pred))
                        for i, (ref, prod, pred) in enumerate(cases)]
             token_sets = {f"p{i}": frozenset(c[1]) for i, c in enumerate(cases)}
             report = evaluate_records(records, token_sets)
@@ -73,10 +75,11 @@ def test_criterion_1_metric_oracle_equivalence():
             for record, (ref, prod, pred) in zip(records, cases):
                 p = oracles.precision_of(ref, pred)
                 r = oracles.recall_of(ref, pred)
-                from docexpand.metrics import record_precision, record_recall
-
-                assert abs(record_precision(record.reference, record.prediction) - p) < 1e-12
-                got_r = record_recall(record.reference, record.prediction)
+                # a one-record report holds that record's values; an empty
+                # reference is excluded from the recall mean
+                alone = evaluate_records([record], token_sets)
+                assert abs(alone.rouge_precision - p) < 1e-12
+                got_r = None if alone.recall_excluded else alone.rouge_recall
                 assert (r is None and got_r is None) or abs(got_r - r) < 1e-12
             total_records += len(records)
         elapsed = time.perf_counter() - start

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import shlex
 import shutil
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 
 from docexpand.cli import OUTDIR_FILES, main
 from docexpand.records import load_json
+
+from test_readme import quickstart_commands
 
 
 def write_jsonl(path, records):
@@ -298,6 +301,7 @@ def probe_dir(tmp_path_factory):
     (root / "flag_key.cfg").write_text("seed=1\nmin-atc=5\n", encoding="utf-8")
     (root / "no_option_key.cfg").write_text("# a typo\nmin_act=5\n", encoding="utf-8")
     (root / "other_stage_key.cfg").write_text("alpha=0.3\n", encoding="utf-8")
+    (root / "nul_out.cfg").write_text(f"out={root}/out/o\0x\n", encoding="utf-8")
     # deeper than the JSON decoder's recursion limit
     deep = "[" * 100_000 + "]" * 100_000 + "\n"
     (root / "deep.jsonl").write_text(deep, encoding="utf-8")
@@ -452,6 +456,14 @@ EXIT_CODE_PROBES = {
         _EVALUATE + ("--bootstrap", "10", "--seed", "1", "--level", "1.5"), 2, "--level"),
     "evaluate-seed-negative": (_EVALUATE + ("--bootstrap", "10", "--seed", "-1"), 2, "--seed"),
     "evaluate-bootstrap-negative": (_EVALUATE + ("--bootstrap", "-5"), 2, "--bootstrap"),
+    "evaluate-cutoff-nan": (_MISSING_EVALUATE + ("--cutoff", "nan"), 2,
+                            "option --cutoff: nan is outside (-inf, inf)"),
+    "index-cutoff-inf": (_MISSING_INDEX + ("--cutoff", "inf"), 2,
+                         "option --cutoff: inf is outside (-inf, inf)"),
+    # only a config line can carry a NUL byte; Path.exists() is False for such a path
+    "gen-synthetic-out-holds-nul": (
+        ("gen-synthetic", "--products", "5", "--heldout", "1", "--config", "{d}/nul_out.cfg"), 2,
+        "option --out: a path cannot hold a NUL byte"),
     "index-k1-negative": (
         ("index", "--products", "{d}/products.jsonl", "--k1", "-1", "--b", "0",
          "--out", "{d}/out/index.json"), 2, "--k1"),
@@ -730,3 +742,25 @@ def test_empty_field_weights_keep_the_defaults(probe_dir, tmp_path):
     assert run(*index, tmp_path / "default.json") == 0
     assert run(*index, tmp_path / "empty.json", "--field-weights", "") == 0
     assert load_json(tmp_path / "empty.json") == load_json(tmp_path / "default.json")
+
+
+def test_evaluate_at_a_cutoff_writes_tune_cutoffs_row_for_it(tmp_path, monkeypatch):
+    """One metric engine: evaluate at C equals the sweep's row at C on the same split."""
+    monkeypatch.chdir(tmp_path)
+    # the chain up to tune-cutoff, which sweeps the validation split
+    chain = [line for line in quickstart_commands()[:8]
+             if not line.startswith("docexpand evaluate ")]
+    assert chain[-1].startswith("docexpand tune-cutoff ")
+    for line in chain:
+        assert main(shlex.split(line)[1:]) == 0, line
+    sweep = load_json(tmp_path / "work" / "cutoff_report.json")
+    rows = {row["cutoff"]: row["metrics"] for row in sweep["rows"]}
+    for cutoff in (0.0, sweep["chosen"]):
+        out = tmp_path / f"eval_{cutoff}.json"
+        assert run("evaluate", "--predictions", "work/predictions.jsonl",
+                   "--references", "work/filtered/query_pairs.jsonl",
+                   "--products", "data/products.jsonl", "--split", "validation",
+                   "--split-file", "work/filtered/split.json", "--cutoff", repr(cutoff),
+                   "--report", out) == 0
+        assert load_json(out)["metrics"] == rows[cutoff]
+    assert sweep["chosen"] != 0.0    # the two checks are of different rows

@@ -1,0 +1,51 @@
+"""The benchmark's tracer still finds every function it wraps.
+
+``perfbench/tracing.py::install`` looks each traced function up by name, so
+renaming or deleting one makes every traced benchmark run fail. This runs
+the tracer in a child interpreter, as the benchmark does, over the README
+chain's ``evaluate`` and ``tune-cutoff`` stages.
+"""
+
+import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+from docexpand.cli import main
+
+from test_readme import quickstart_commands
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CHILD = """
+import json, sys
+import docexpand.cli
+import tracing
+
+tracer = tracing.Tracer("tier-1")
+tracing.install(tracer)
+tracer.phase = "timed"
+for argv in json.loads(sys.argv[1]):
+    assert docexpand.cli.main(argv) == 0, argv
+print(json.dumps({
+    "metrics.evaluate": len(tracer.durations("metrics.evaluate")),
+    "cutoff.tune": len(tracer.durations("cutoff.tune")),
+    "metrics.make_eval_record.calls": tracer.counter("metrics.make_eval_record.calls"),
+}))
+"""
+
+
+def test_traced_evaluate_and_tune_cutoff_record_their_spans(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line)[1:] for line in quickstart_commands()]
+    for argv in commands[:6]:    # gen-synthetic ... predict
+        assert main(argv) == 0, argv
+    assert [argv[0] for argv in commands[6:8]] == ["evaluate", "tune-cutoff"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands[6:8])], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert all(count > 0 for count in counts.values()), counts
