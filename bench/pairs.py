@@ -12,12 +12,18 @@ speed drifting over a long run does not favour either side.
 The file at the repository root is rewritten after every pair. It holds
 every run's metrics, ``correct``, ``attempted`` and ``failed``, and per
 workload and metric each side's median and quartiles, the change's median
-over the parent's, and how many pairs the change won (ties count for
-neither side; "better" comes from BENCHMARK.json).
+over the parent's, how many pairs the change won (ties count for neither
+side; "better" comes from BENCHMARK.json), the median and quartiles of the
+per-pair ratios change / parent, and the exact two-sided sign-test p-value
+of the win count with ties dropped. Both sides of a pair run the same seed
+one right after the other, so a pair's ratio cancels slow CPU drift.
+A second run for the same ``--pr`` keeps the file's sets and appends its
+own to the file's ``sets`` list.
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import shutil
@@ -66,6 +72,13 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided binomial p-value of ``wins`` against ``losses`` at even odds."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
 def summarize(runs: list, better: dict) -> dict:
     pairs = {}
     for run in runs:
@@ -78,12 +91,16 @@ def summarize(runs: list, better: dict) -> dict:
             continue
         parent, change = spread([a for a, _ in both]), spread([b for _, b in both])
         sign = 1 if direction == "lower" else -1
+        wins = sum(sign * (b - a) < 0 for a, b in both)
+        losses = sum(sign * (b - a) > 0 for a, b in both)
         summary[name] = {
             "parent": parent,
             "change": change,
             "change_over_parent": change["median"] / parent["median"],
-            "change_wins": sum(sign * (b - a) < 0 for a, b in both),
+            "change_wins": wins,
             "pairs": len(both),
+            "pair_ratio": spread([b / a for a, b in both if a]),
+            "sign_test_p": sign_test_p(wins, losses),
         }
     return summary
 
@@ -104,6 +121,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     out = ROOT / f"BENCH_{args.pr}.json"
+    earlier = json.loads(out.read_text(encoding="utf-8")) if out.exists() else None
     record = {
         "pr": args.pr,
         "parent": sides["parent"][0],
@@ -123,7 +141,9 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {pair} {side}: correct={result['correct']} "
                       f"wall_s={result['metrics'].get('wall_s')}", flush=True)
             record["workloads"][workload] = {"runs": runs, "summary": summarize(runs, better)}
-            out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            kept = record if earlier is None else {
+                **earlier, "sets": [*earlier.get("sets", []), record]}
+            out.write_text(json.dumps(kept, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     for _, checkout in sides.values():
         shutil.rmtree(checkout, ignore_errors=True)
     return 0 if all(r["correct"] and r["failed"] == 0

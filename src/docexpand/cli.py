@@ -610,8 +610,7 @@ def _cmd_tune_cutoff(cfg: dict) -> str:
     }
     if cfg.get("budget_target") is not None:
         try:
-            budget = budget_match_cutoff(records, token_sets, cfg["budget_target"],
-                                         grid=cfg["grid"])
+            budget = budget_match_cutoff(sweep.rows, cfg["budget_target"])
         except ValueError as exc:
             raise ConfigError(f"--budget-target: {exc}") from None
         payload["budget"] = {

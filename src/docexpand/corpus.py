@@ -24,6 +24,7 @@ DEFAULT_MIN_ATC = 2
 _ALNUM_RUN = re.compile(r"[^\W_]+")
 _PRODUCT_IDS = Kind((list,), "a list of product id strings", STRINGS.test)
 _OPTIONAL_TEXT = Kind((str, type(None)), "a string or null")
+_OPTIONAL_TYPES = frozenset(_OPTIONAL_TEXT.types)    # None stands for a missing key, too
 
 
 class Product(NamedTuple):
@@ -42,6 +43,7 @@ class Product(NamedTuple):
 
 
 PRODUCT_TEXT_FIELDS = Product._fields[1:]
+_OPTIONAL_FIELDS = PRODUCT_TEXT_FIELDS[1:]
 
 
 class EngagementPair(NamedTuple):
@@ -113,15 +115,20 @@ def load_products(source) -> list:
     products = []
     seen = {}
     for lineno, record in iter_jsonl(source):
-        pid = get_field(record, "id", TEXT, source, lineno)
-        title = get_field(record, "title", TEXT, source, lineno)
+        get = record.get
+        pid, title = get("id"), get("title")
+        if not (type(pid) is str and type(title) is str and pid.strip() and title.strip()):
+            pid = get_field(record, "id", TEXT, source, lineno)
+            title = get_field(record, "title", TEXT, source, lineno)
         if pid in seen:
             raise InputError(f"{source_name(source)}: line {lineno}: duplicate product id "
                              f"{pid!r}, first on line {seen[pid]}")
         seen[pid] = lineno
-        extras = {key: get_field(record, key, _OPTIONAL_TEXT, source, lineno, "") or ""
-                  for key in PRODUCT_TEXT_FIELDS[1:]}
-        products.append(Product(id=pid, title=title, **extras))
+        extras = [get(key) for key in _OPTIONAL_FIELDS]
+        if not _OPTIONAL_TYPES.issuperset(map(type, extras)):
+            extras = [get_field(record, key, _OPTIONAL_TEXT, source, lineno, "")
+                      for key in _OPTIONAL_FIELDS]
+        products.append(Product(pid, title, *[value or "" for value in extras]))
     return products
 
 
@@ -146,9 +153,13 @@ def load_engagement(source, min_atc: int = DEFAULT_MIN_ATC, known_ids=None,
         raise ValueError("unknown_product must be 'skip' or 'error'")
     result = EngagementLoad()
     for lineno, record in iter_jsonl(source):
-        pid = get_field(record, "product_id", TEXT, source, lineno)
-        query = get_field(record, "query", TEXT, source, lineno)
-        atc = get_field(record, "atc_count", COUNT, source, lineno, 0)
+        get = record.get
+        pid, query, atc = get("product_id"), get("query"), get("atc_count", 0)
+        if not (type(pid) is str and type(query) is str and type(atc) is int
+                and pid.strip() and query.strip() and 0 <= atc < 2**53):
+            pid = get_field(record, "product_id", TEXT, source, lineno)
+            query = get_field(record, "query", TEXT, source, lineno)
+            atc = get_field(record, "atc_count", COUNT, source, lineno, 0)
         if known_ids is not None and pid not in known_ids:
             if unknown_product == "error":
                 raise InputError(f"{source_name(source)}: line {lineno}: unknown product id "

@@ -7,8 +7,9 @@ same quality. A budget-matching variant finds the smallest cutoff whose
 retained novel-token volume stays within a target, for like-for-like
 comparisons between predictors.
 
-Both walk the candidates once, from the highest cutoff down, with
-``metrics.sweep``, the engine every metric report comes from.
+The tuner walks the candidates once, from the highest cutoff down, with
+``metrics.sweep``, the engine every metric report comes from; the budget
+match reads the tuner's rows.
 """
 
 from dataclasses import dataclass
@@ -76,12 +77,13 @@ class BudgetMatchResult:
     target_reachable: bool
 
 
-def budget_match_cutoff(records, product_tokens: dict, target: float,
-                        grid: str = OBSERVED_GRID) -> BudgetMatchResult:
+def budget_match_cutoff(rows, target: float) -> BudgetMatchResult:
     """Smallest cutoff whose retained mean novel-token count is <= target.
 
-    When even full retention (cutoff 0.0) stays below the target, the
-    target cannot be matched from below; 0.0 is returned with
+    ``rows`` are a ``tune_cutoff`` result's rows, lowest cutoff first; each
+    report's ``novel_tokens`` is the mean novel-token count it retains.
+    When even full retention (the lowest cutoff) stays below the target,
+    the target cannot be matched from below; that cutoff is returned with
     ``target_reachable=False``. When even the highest candidate retains
     more than the target (a ``step:`` grid can end below the top score),
     no cutoff matches and ValueError is raised.
@@ -89,15 +91,15 @@ def budget_match_cutoff(records, product_tokens: dict, target: float,
     if target <= 0:
         raise ValueError("target must be > 0")
     matched = None
-    for cutoff, _, novelty in sweep(records, product_tokens, candidate_cutoffs(records, grid)):
+    for row in reversed(rows):
+        cutoff, mean_novel = row.cutoff, row.report.novel_tokens
         # the retained volume only grows as the cutoff falls
-        if novelty.mean_novel > target:
+        if mean_novel > target:
             if matched is None:
                 raise ValueError(f"the highest candidate cutoff {cutoff} already retains "
-                                 f"{novelty.mean_novel} novel tokens per product, above {target}")
+                                 f"{mean_novel} novel tokens per product, above {target}")
             break
-        matched = BudgetMatchResult(cutoff=cutoff, mean_novel=novelty.mean_novel,
-                                    target_reachable=True)
+        matched = BudgetMatchResult(cutoff=cutoff, mean_novel=mean_novel, target_reachable=True)
     else:
         # even full retention (the lowest cutoff) stays within the target;
         # it is matched only when it meets the target exactly

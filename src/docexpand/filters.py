@@ -177,12 +177,17 @@ class NovelPair(NamedTuple):
     @classmethod
     def from_record(cls, record: dict, source, line) -> "NovelPair":
         """Read one novel-pairs row; ``source`` and ``line`` name it in errors."""
-        return cls(
-            product_id=get_field(record, "product_id", TEXT, source, line),
-            novel_tokens=tuple(get_field(record, "novel_tokens", STRINGS, source, line)),
-            source_query=get_field(record, "source_query", STRING, source, line),
-            token_counts=get_field(record, "token_counts", _TOKEN_COUNTS, source, line),
-        )
+        get = record.get
+        pid, tokens, query, counts = (get("product_id"), get("novel_tokens"),
+                                      get("source_query"), get("token_counts"))
+        if not (type(pid) is str and type(tokens) is list and type(query) is str
+                and type(counts) is dict and pid.strip() and all_of(STRING, tokens)
+                and all_of(POSITIVE_COUNT, counts.values())):
+            pid = get_field(record, "product_id", TEXT, source, line)
+            tokens = get_field(record, "novel_tokens", STRINGS, source, line)
+            query = get_field(record, "source_query", STRING, source, line)
+            counts = get_field(record, "token_counts", _TOKEN_COUNTS, source, line)
+        return cls(pid, tuple(tokens), query, counts)
 
 
 class StageStats(NamedTuple):

@@ -172,20 +172,37 @@ def load_external_predictions(source) -> dict:
     has no ``token``.
     """
     table = defaultdict(dict)
+    analyzed = {}    # text -> its stems; a product's tokens recur across a file's rows
     for lineno, record in iter_jsonl(source):
-        pid = get_field(record, "product_id", TEXT, source, lineno)
-        text = get_field(record, "token", TEXT, source, lineno, record.get("text"))
-        score = get_field(record, "score", UNIT_SCORE, source, lineno)
-        kind = get_field(record, "kind", _PREDICTION_KIND, source, lineno, "token")
-        stems = analyze(text)
+        get = record.get
+        pid, text = get("product_id"), get("token", get("text"))
+        score, kind = get("score"), get("kind", "token")
+        if not (type(pid) is str and type(text) is str and type(kind) is str
+                and (type(score) is float or type(score) is int) and pid.strip()
+                and text.strip() and 0.0 <= score <= 1.0 and kind in PREDICTION_KINDS):
+            pid = get_field(record, "product_id", TEXT, source, lineno)
+            text = get_field(record, "token", TEXT, source, lineno, get("text"))
+            score = get_field(record, "score", UNIT_SCORE, source, lineno)
+            kind = get_field(record, "kind", _PREDICTION_KIND, source, lineno, "token")
+        stems = analyzed.get(text)
+        if stems is None:
+            stems = analyzed[text] = analyze(text)
         if kind == "token" and len(stems) != 1:
             raise InputError(f"{source_name(source)}: line {lineno}: token text {text!r} must "
                              "analyze to exactly one token")
+        entries = table[pid]
+        score = float(score)
         for stem in stems:
-            table[pid][stem] = max(float(score), table[pid].get(stem, -1.0))
-    return {pid: sorted((ScoredToken(token, score) for token, score in entries.items()),
-                        key=lambda st: (-st.score, st.token))
+            # max(score, kept): a later equal score replaces the kept one
+            if not entries.get(stem, -1.0) > score:
+                entries[stem] = score
+    return {pid: [ScoredToken(*entry) for entry in sorted(entries.items(), key=_by_score)]
             for pid, entries in table.items()}
+
+
+def _by_score(entry) -> tuple:
+    token, score = entry
+    return -score, token
 
 
 def write_predictions(path, predictions_by_product: dict) -> int:

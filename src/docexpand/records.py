@@ -11,7 +11,7 @@ import os
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
-from json.encoder import encode_basestring
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 
 from .errors import InputError
@@ -31,6 +31,10 @@ STRINGS = Kind((list,), "a list of strings", lambda values: all_of(STRING, value
 _REQUIRED = object()
 # the C decoder raises RecursionError, not JSONDecodeError, on arrays or objects nested this deep
 _TOO_DEEP = "nested too deeply"
+# and ValueError on an integer longer than sys.get_int_max_str_digits() digits
+_TOO_LONG = "an integer has too many digits"
+# json.loads(line) for a stripped line is this scanner's value when it spans the whole line
+_scan_once = json.JSONDecoder().scan_once
 
 
 def all_of(kind: Kind, values) -> bool:
@@ -73,12 +77,20 @@ def iter_jsonl(source):
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{name}:{lineno}: invalid JSON record: {exc.msg}") from exc
-            except RecursionError:
-                raise InputError(f"{name}:{lineno}: invalid JSON record: {_TOO_DEEP}") from None
-            if not isinstance(record, dict):
+                record, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = None
+            if end != len(line):
+                # json.loads raises what the scanner met, or what follows the value
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InputError(f"{name}:{lineno}: invalid JSON record: {exc.msg}") from exc
+                except RecursionError:
+                    raise InputError(f"{name}:{lineno}: invalid JSON record: {_TOO_DEEP}") from None
+                except ValueError:
+                    raise InputError(f"{name}:{lineno}: invalid JSON record: {_TOO_LONG}") from None
+            if type(record) is not dict:
                 raise InputError(f"{name}:{lineno}: expected a JSON object")
             yield lineno, record
     except UnicodeDecodeError as exc:
@@ -103,12 +115,23 @@ def _input_file(path) -> Path:
 
 
 # One compact encoder for every JSONL row: json.dumps with these arguments
-# builds a new JSONEncoder on each call.
+# builds a new JSONEncoder on each call, and JSONEncoder.encode a new C
+# encoder. This is the C encoder encode builds, built once; its markers dict
+# holds the containers being encoded, so it is emptied after a failed row.
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+_MARKERS = {}
+_encode_row = c_make_encoder(
+    _MARKERS, _RECORD_ENCODER.default, encode_basestring, None, _RECORD_ENCODER.key_separator,
+    _RECORD_ENCODER.item_separator, True, False, True)
 
 
 def dumps_record(record: dict) -> str:
-    return _RECORD_ENCODER.encode(record)
+    """``json.dumps(record, sort_keys=True, ensure_ascii=False)``, raising the same errors."""
+    try:
+        return "".join(_encode_row(record, 0))
+    except BaseException:
+        _MARKERS.clear()
+        raise
 
 
 @contextmanager
@@ -219,12 +242,15 @@ def _write_indented(fh, obj) -> None:
         if not obj:
             append("{}" if is_dict else "[]")
             return
-        if level == len(levels):
-            indent = "\n" + "  " * (level + 1)
-            outer = "\n" + "  " * level
+        while len(levels) < level + 2:
+            indent = "\n" + "  " * (len(levels) + 1)
+            outer = "\n" + "  " * len(levels)
             levels.append((indent, "," + indent, outer + "]", outer + "}"))
         lead, separator, close_list, close_dict = levels[level]
         level += 1
+        # a posting, [str, int], is written whole with the next level's strings
+        pair_lead, pair_separator, pair_close, _ = levels[level]
+        pair_lead = "[" + pair_lead
         nested = False
         if is_dict:
             append("{")
@@ -250,6 +276,10 @@ def _write_indented(fh, obj) -> None:
                 append(prefix + int.__repr__(value))
             elif cls is float:
                 append(prefix + _float_text(value))
+            elif ((cls is list or cls is tuple) and len(value) == 2
+                  and type(value[0]) is str and type(value[1]) is int):
+                append(prefix + pair_lead + encode_basestring(value[0]) + pair_separator
+                       + int.__repr__(value[1]) + pair_close)
             elif isinstance(value, (list, tuple, dict)):
                 if id(value) in writing:
                     raise ValueError("Circular reference detected")
@@ -287,6 +317,8 @@ def load_json(path):
             raise InputError(f"{path}: invalid JSON: {_TOO_DEEP}") from None
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+        except ValueError:
+            raise InputError(f"{path}: invalid JSON: {_TOO_LONG}") from None
 
 
 def write_meta(artifact_path, config: dict) -> Path:

@@ -7,12 +7,15 @@ surviving token becomes its own training instance carrying the weight
 ``frequency ** alpha``.
 """
 
+import sys
 from collections import Counter
 from typing import NamedTuple
 
 from .corpus import PRODUCT_TEXT_FIELDS, Product, product_token_set
 from .errors import InputError
 from .records import NUMBER, POSITIVE_COUNT, STRING, TEXT, get_field, iter_jsonl
+
+_MAX_FLOAT = sys.float_info.max    # NUMBER's bound
 
 
 class TargetToken(NamedTuple):
@@ -84,10 +87,20 @@ def emit_training_instances(product: Product, targets) -> list:
 
 
 def load_training_instances(source) -> list:
-    return [TrainingInstance(
-        product_id=get_field(record, "product_id", TEXT, source, lineno),
-        input_text=get_field(record, "input_text", STRING, source, lineno),
-        target_token=get_field(record, "target_token", TEXT, source, lineno),
-        frequency=get_field(record, "frequency", POSITIVE_COUNT, source, lineno),
-        weight=get_field(record, "weight", NUMBER, source, lineno),
-    ) for lineno, record in iter_jsonl(source)]
+    instances = []
+    for lineno, record in iter_jsonl(source):
+        get = record.get
+        row = (get("product_id"), get("input_text"), get("target_token"), get("frequency"),
+               get("weight"))
+        pid, input_text, target, frequency, weight = row
+        if not (type(pid) is str and type(input_text) is str and type(target) is str
+                and type(frequency) is int and (type(weight) is float or type(weight) is int)
+                and pid.strip() and target.strip() and 0 < frequency < 2**53
+                and abs(weight) <= _MAX_FLOAT):
+            row = (get_field(record, "product_id", TEXT, source, lineno),
+                   get_field(record, "input_text", STRING, source, lineno),
+                   get_field(record, "target_token", TEXT, source, lineno),
+                   get_field(record, "frequency", POSITIVE_COUNT, source, lineno),
+                   get_field(record, "weight", NUMBER, source, lineno))
+        instances.append(TrainingInstance._make(row))
+    return instances

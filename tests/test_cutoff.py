@@ -126,27 +126,27 @@ class TestBudgetMatch:
 
     def test_matched_budget_picks_smallest_cutoff_within_target(self):
         records, token_sets = self._records()
-        result = budget_match_cutoff(records, token_sets, target=3.2)
+        result = budget_match_cutoff(tune_cutoff(records, token_sets).rows, target=3.2)
         assert result.cutoff == 0.29
         assert result.mean_novel == pytest.approx(3.2)
         assert result.target_reachable
 
     def test_unreachable_target_flagged(self):
         records, token_sets = self._records()
-        result = budget_match_cutoff(records, token_sets, target=50.0)
+        result = budget_match_cutoff(tune_cutoff(records, token_sets).rows, target=50.0)
         assert result.cutoff == 0.0
         assert not result.target_reachable
 
     def test_target_at_largest_cutoff(self):
         records, token_sets = self._records()
-        result = budget_match_cutoff(records, token_sets, target=2.6)
+        result = budget_match_cutoff(tune_cutoff(records, token_sets).rows, target=2.6)
         assert result.cutoff == 0.33
         assert result.mean_novel == pytest.approx(2.6)
 
     def test_target_must_be_positive(self):
         records, token_sets = self._records()
         with pytest.raises(ValueError):
-            budget_match_cutoff(records, token_sets, target=0.0)
+            budget_match_cutoff(tune_cutoff(records, token_sets).rows, target=0.0)
 
     def test_retained_means_non_increasing(self):
         records, token_sets = self._records()

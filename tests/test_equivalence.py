@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from docexpand import filters
 from docexpand.corpus import EngagementPair, Product, analyze, normalize, product_token_set
-from docexpand.cutoff import ScoredRecord, budget_match_cutoff, tune_cutoff
+from docexpand.cutoff import ScoredRecord, SweepRow, budget_match_cutoff, tune_cutoff
+from docexpand.metrics import report_from_values, sweep
 from docexpand.predictor import (
     CooccurrenceModel,
     ScoredToken,
@@ -125,14 +126,14 @@ def random_records(rng):
     return records, token_sets
 
 
-def outcome(budget_match, records, token_sets, target, grid):
+def outcome(budget_match, *args):
     """The result, or the error type when no candidate meets the target.
 
     A step grid can top out below the highest score (step:0.3 ends at
     0.9), and then no cutoff may retain few enough tokens.
     """
     try:
-        return budget_match(records, token_sets, target, grid=grid)
+        return budget_match(*args)
     except ValueError as exc:
         return type(exc)
 
@@ -154,7 +155,7 @@ def test_sweep_matches_reference_on_random_records():
             assert result.chosen == expected.chosen
             means = sorted({row.report.novel_tokens for row in expected.rows} - {0.0})
             for target in means + [0.5, 1.0, 3.0, 1000.0]:
-                assert outcome(budget_match_cutoff, records, token_sets, target, grid) == \
+                assert outcome(budget_match_cutoff, result.rows, target) == \
                     outcome(oracles.budget_match_cutoff, records, token_sets, target, grid)
             compared += 1
     assert compared > 500
@@ -216,7 +217,10 @@ def test_sweep_matches_reference_on_drawn_records(case, grid):
 
 
 def test_budget_match_on_no_records():
-    assert budget_match_cutoff([], {}, 2.0) == oracles.budget_match_cutoff([], {}, 2.0)
+    # tune_cutoff rejects records without predictions; the sweep's one row retains all
+    [(cutoff, per_metric, novelty)] = sweep([], {}, [0.0])
+    rows = [SweepRow(cutoff, report_from_values(per_metric, novelty, 0))]
+    assert budget_match_cutoff(rows, 2.0) == oracles.budget_match_cutoff([], {}, 2.0)
 
 
 def random_index(rng, expand=True):
