@@ -190,9 +190,9 @@ def load_external_predictions(source) -> dict:
         if kind == "token" and len(stems) != 1:
             raise InputError(f"{source_name(source)}: line {lineno}: token text {text!r} must "
                              "analyze to exactly one token")
-        entries = table[pid]
         score = float(score)
         for stem in stems:
+            entries = table[pid]    # a text with no tokens adds no product
             # max(score, kept): a later equal score replaces the kept one
             if not entries.get(stem, -1.0) > score:
                 entries[stem] = score

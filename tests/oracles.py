@@ -5,17 +5,18 @@ list.count, independently of the package's incremental sweep; the
 reference cutoff tuner runs them in full at every candidate cutoff.
 The kernel references at the end are the package's earlier, direct
 implementations of text analysis, the filter pipeline, indented JSON
-output, co-occurrence prediction, budget matching and BM25 search, kept
-here to prove the faster kernels equal to them. Last come two helpers the
+output, the JSONL row readers, co-occurrence prediction, budget matching
+and BM25 search, kept here to prove the faster kernels equal to them. Last come two helpers the
 property tests share: an index's match set and generated price queries.
 """
 
 import json
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
-from docexpand.corpus import EngagementPair
+from docexpand import corpus
+from docexpand.corpus import PRODUCT_TEXT_FIELDS, EngagementLoad, EngagementPair, Product
 from docexpand.cutoff import BudgetMatchResult, CutoffSweepResult, SweepRow, candidate_cutoffs
 from docexpand.errors import InputError
 from docexpand.filters import (
@@ -29,9 +30,12 @@ from docexpand.filters import (
 )
 from docexpand.metrics import MetricsReport
 from docexpand.predictor import ScoredToken, apply_cutoff
+from docexpand.records import (COUNT, NUMBER, POSITIVE_COUNT, STRING, STRINGS, TEXT, UNIT_SCORE,
+                               Kind, all_of, get_field, iter_jsonl, source_name)
 from docexpand.retrieval import INDEX_FIELDS, SearchResult
 from docexpand.stemmer import stem
 from docexpand.synthetic import ADJECTIVES, CATEGORIES, PRICE_PHRASES
+from docexpand.targets import TrainingInstance
 
 
 def clipped_match(reference, prediction):
@@ -145,6 +149,87 @@ def dump_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, ensure_ascii=False, indent=2)
         fh.write("\n")
+
+
+# The JSONL readers as they were, calling get_field once per field in order:
+# the package's readers test a row's fields at once and must accept the same
+# rows and raise the same first message.
+_OPTIONAL_TEXT = Kind((str, type(None)), "a string or null")
+_PREDICTION_KIND = Kind((str,), "one of ('token', 'query')", ("token", "query").__contains__)
+_TOKEN_COUNTS = Kind((dict,), "an object of positive integer counts below 2**53",
+                     lambda counts: all_of(POSITIVE_COUNT, counts.values()))
+
+
+def load_products(source):
+    products = []
+    seen = {}
+    for lineno, record in iter_jsonl(source):
+        pid = get_field(record, "id", TEXT, source, lineno)
+        title = get_field(record, "title", TEXT, source, lineno)
+        if pid in seen:
+            raise InputError(f"{source_name(source)}: line {lineno}: duplicate product id "
+                             f"{pid!r}, first on line {seen[pid]}")
+        seen[pid] = lineno
+        extras = {key: get_field(record, key, _OPTIONAL_TEXT, source, lineno, "") or ""
+                  for key in PRODUCT_TEXT_FIELDS[1:]}
+        products.append(Product(id=pid, title=title, **extras))
+    return products
+
+
+def load_engagement(source, min_atc, known_ids=None, unknown_product="skip"):
+    result = EngagementLoad()
+    for lineno, record in iter_jsonl(source):
+        pid = get_field(record, "product_id", TEXT, source, lineno)
+        query = get_field(record, "query", TEXT, source, lineno)
+        atc = get_field(record, "atc_count", COUNT, source, lineno, 0)
+        if known_ids is not None and pid not in known_ids:
+            if unknown_product == "error":
+                raise InputError(f"{source_name(source)}: line {lineno}: unknown product id "
+                                 f"{pid!r}")
+            result.skipped_unknown_product += 1
+            continue
+        if atc < min_atc:
+            result.dropped_below_min_atc += 1
+            continue
+        result.pairs.append(EngagementPair(product_id=pid, query=query.strip(), atc_count=atc))
+    return result
+
+
+def load_external_predictions(source):
+    table = defaultdict(dict)
+    for lineno, record in iter_jsonl(source):
+        pid = get_field(record, "product_id", TEXT, source, lineno)
+        text = get_field(record, "token", TEXT, source, lineno, record.get("text"))
+        score = get_field(record, "score", UNIT_SCORE, source, lineno)
+        kind = get_field(record, "kind", _PREDICTION_KIND, source, lineno, "token")
+        stems = corpus.analyze(text)
+        if kind == "token" and len(stems) != 1:
+            raise InputError(f"{source_name(source)}: line {lineno}: token text {text!r} must "
+                             "analyze to exactly one token")
+        for token in stems:
+            table[pid][token] = max(float(score), table[pid].get(token, -1.0))
+    return {pid: sorted((ScoredToken(token, score) for token, score in entries.items()),
+                        key=lambda st: (-st.score, st.token))
+            for pid, entries in table.items()}
+
+
+def load_training_instances(source):
+    return [TrainingInstance(
+        product_id=get_field(record, "product_id", TEXT, source, lineno),
+        input_text=get_field(record, "input_text", STRING, source, lineno),
+        target_token=get_field(record, "target_token", TEXT, source, lineno),
+        frequency=get_field(record, "frequency", POSITIVE_COUNT, source, lineno),
+        weight=get_field(record, "weight", NUMBER, source, lineno),
+    ) for lineno, record in iter_jsonl(source)]
+
+
+def novel_pair_from_record(record, source, line):
+    return NovelPair(
+        product_id=get_field(record, "product_id", TEXT, source, line),
+        novel_tokens=tuple(get_field(record, "novel_tokens", STRINGS, source, line)),
+        source_query=get_field(record, "source_query", STRING, source, line),
+        token_counts=get_field(record, "token_counts", _TOKEN_COUNTS, source, line),
+    )
 
 
 class JaccardScorer:

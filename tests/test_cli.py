@@ -4,6 +4,7 @@ import math
 import os
 import shlex
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -307,6 +308,12 @@ def probe_dir(tmp_path_factory):
     (root / "deep.jsonl").write_text(deep, encoding="utf-8")
     (root / "deep.json").write_text(deep, encoding="utf-8")
     (root / "deep_report").mkdir()
+    (root / "many_digits.jsonl").write_text(
+        json.dumps(ENGAGEMENT[0]) + '\n{"product_id": "p1", "query": "vest", "atc_count": '
+        + _MANY_DIGITS + "}\n", encoding="utf-8")
+    (root / "many_digits.json").write_text('{"format": ' + _MANY_DIGITS + "}", encoding="utf-8")
+    (root / "array_line.jsonl").write_text(json.dumps(PRODUCTS[0]) + "\n[1, 2]\n",
+                                           encoding="utf-8")
     (root / "deep_report" / "deep.json").write_text(deep, encoding="utf-8")
     shutil.copy(root / "work" / "retrieval_report.json", root / "deep_report")
     return root
@@ -405,6 +412,10 @@ _COUNTS = "novel_pairs.jsonl: line 1: 'token_counts' must be an object of positi
 # a path component longer than a file name may be
 _LONG = "x" * 300
 _TOO_LONG = os.strerror(errno.ENAMETOOLONG)
+# a JSON integer of more digits than int() converts; an interpreter without that limit
+# reads it, and then the key's own check refuses it
+_MANY_DIGITS = "7" * 5000
+_DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(_MANY_DIGITS)
 
 
 def _build_targets(name):
@@ -659,6 +670,22 @@ EXIT_CODE_PROBES = {
         ("search", "--index", "{d}/deep.json", "--query", "lamp"), 3,
         "deep.json: invalid JSON: nested too deeply"),
     "report-skips-json-nested-too-deeply": (_report("deep_report"), 0, ""),
+    "ingest-atc-count-too-many-digits": (
+        ("ingest", "--products", "{d}/products.jsonl", "--engagement", "{d}/many_digits.jsonl",
+         "--out", "{d}/out/ingested"), 3,
+        "many_digits.jsonl:2: invalid JSON record: an integer has too many digits" if _DIGIT_LIMIT
+        else "many_digits.jsonl: line 2: 'atc_count' must be a non-negative integer"),
+    "predict-model-format-too-many-digits": (
+        ("predict", "--model", "cooccurrence:{d}/many_digits.json", "--products",
+         "{d}/products.jsonl", "--out", "{d}/out/pred.jsonl"), 3,
+        "many_digits.json: invalid JSON: an integer has too many digits" if _DIGIT_LIMIT
+        else "many_digits.json: 'format' must be 'cooccurrence-model/1'"),
+    "ingest-line-not-an-object": (
+        ("ingest", "--products", "{d}/array_line.jsonl", "--engagement", "{d}/engagement.jsonl",
+         "--out", "{d}/out/ingested"), 3, "array_line.jsonl:2: expected a JSON object"),
+    "predict-model-is-a-list": (
+        ("predict", "--model", "cooccurrence:{d}/list.json", "--products", "{d}/products.jsonl",
+         "--out", "{d}/out/pred.jsonl"), 3, "list.json: not a cooccurrence-model/1 file"),
     # stat() fails with ENAMETOOLONG, which Path.exists() and is_dir() raise
     "ingest-products-name-too-long": (
         ("ingest", "--products", f"{{d}}/{_LONG}.jsonl", "--engagement", "{d}/engagement.jsonl",

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tempfile
 from enum import IntEnum
 from pathlib import Path
@@ -95,6 +96,10 @@ SCALARS = st.one_of(
 )
 STR_KEYS = st.one_of(TEXT, TEXT.map(Text))
 NUMBER_KEYS = st.one_of(st.booleans(), INTS, FLOATS, st.sampled_from(list(Level)))
+# [doc id, tf] postings, which dump_json writes whole, and pairs it must not take for one
+POSTINGS = st.tuples(st.one_of(TEXT, TEXT, TEXT.map(Text)),
+                     st.one_of(INTS, INTS, st.booleans(), st.sampled_from(list(Level)))).flatmap(
+    lambda pair: st.sampled_from([list(pair), pair]))
 
 
 def containers(children):
@@ -108,7 +113,7 @@ def containers(children):
     )
 
 
-JSON_TREES = st.recursive(SCALARS, containers, max_leaves=40)
+JSON_TREES = st.recursive(st.one_of(SCALARS, POSTINGS), containers, max_leaves=40)
 
 
 @settings(max_examples=300, deadline=None)
@@ -122,6 +127,13 @@ def test_dump_json_writes_the_reference_bytes(obj):
         dump_json(path, obj)
         assert path.read_bytes() == reference_bytes(obj)
         assert [p.name for p in Path(tmp).iterdir()] == ["obj.json"]
+
+
+def test_dump_json_writes_postings_at_every_depth(tmp_path):
+    postings = [["d1", 3], ("é\n", -2 ** 70), ["d2", True], ("d3", Level.LOW), [Text("d4"), 1]]
+    obj = {"top": postings, "deep": [[[postings]]], "pair": ["d", 1], "tuple": ("d", 0)}
+    dump_json(tmp_path / "postings.json", obj)
+    assert (tmp_path / "postings.json").read_bytes() == reference_bytes(obj)
 
 
 def test_dump_json_chunked_writes_match(tmp_path):
@@ -176,6 +188,43 @@ def test_dump_json_repeats_shared_containers(tmp_path):
     obj = shared_not_circular()
     dump_json(tmp_path / "shared.json", obj)
     assert (tmp_path / "shared.json").read_bytes() == reference_bytes(obj)
+
+
+def test_dumps_record_after_a_failed_row_encodes_like_json_dumps():
+    def reference(obj):
+        return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+
+    row = {"a": [1, {"b": "é"}], "z": {1, 2}}              # not JSON serializable
+    looped = {"a": [1]}
+    looped["a"].append(looped)                              # a container inside itself
+    for bad, error, fix in ((row, TypeError, lambda: row.pop("z")),
+                            (looped, ValueError, lambda: looped["a"].pop())):
+        for encode in (reference, records.dumps_record):
+            with pytest.raises(error):
+                encode(bad)
+        fix()
+        # the same containers again: no mark of the failed row is left behind
+        assert records.dumps_record(bad) == reference(bad)
+        assert records.dumps_record({"next": [bad, "ü"]}) == reference({"next": [bad, "ü"]})
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no limit on an int's digits")
+def test_an_integer_with_too_many_digits_is_an_input_error(tmp_path):
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        lines = ['{"id": "p1", "title": "a"}', '{"atc_count": ' + "7" * 700 + "}"]
+        with pytest.raises(InputError, match=r"^<lines>:2: invalid JSON record: an integer has "
+                                             r"too many digits$"):
+            list(iter_jsonl(lines))
+        path = tmp_path / "model.json"
+        path.write_text('{"format": ' + "7" * 700 + "}", encoding="utf-8")
+        with pytest.raises(InputError, match=r"model.json: invalid JSON: an integer has too "
+                                             r"many digits$"):
+            records.load_json(path)
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 @pytest.mark.parametrize("record, kind, message", [
