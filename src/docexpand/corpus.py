@@ -124,11 +124,13 @@ def load_products(source) -> list:
             raise InputError(f"{source_name(source)}: line {lineno}: duplicate product id "
                              f"{pid!r}, first on line {seen[pid]}")
         seen[pid] = lineno
-        extras = [get(key) for key in _OPTIONAL_FIELDS]
+        extras = tuple(map(get, _OPTIONAL_FIELDS))
         if not _OPTIONAL_TYPES.issuperset(map(type, extras)):
             extras = [get_field(record, key, _OPTIONAL_TEXT, source, lineno, "")
                       for key in _OPTIONAL_FIELDS]
-        products.append(Product(pid, title, *[value or "" for value in extras]))
+        if None in extras:
+            extras = [value or "" for value in extras]
+        products.append(Product(pid, title, *extras))
     return products
 
 

@@ -11,6 +11,7 @@ import os
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
+from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 
@@ -176,6 +177,7 @@ def dump_json(path, obj) -> None:
 
 _INFINITY = float("inf")
 _CHUNK_PARTS = 4096   # encoded parts buffered between writes
+_CONTAINERS = (list, tuple, dict)
 
 
 def _float_text(value) -> str:
@@ -217,21 +219,26 @@ def _write_indented(fh, obj) -> None:
 
     On Python 3.10 and 3.11 ``json.dump`` with an indent always runs the
     pure-Python generator encoder and calls ``fh.write`` once per token.
-    This writes the same text without generators: it encodes scalars
-    inline in each container's loop, recurses only into containers,
-    encodes strings with the C ``encode_basestring`` and writes whenever
-    ``_CHUNK_PARTS`` parts are buffered, so memory stays bounded however
-    large ``obj`` is. Key sorting, number formatting and the errors raised
+    This writes the same text without generators: a container that holds
+    no container is one call of a C encoder whose item separator is the
+    level's newline and indent; any other container encodes its scalars
+    inline in its loop and recurses only into containers. Strings go
+    through the C ``encode_basestring``, and the text is written whenever
+    ``_CHUNK_PARTS`` parts are buffered, so memory stays bounded by that
+    many parts. Key sorting, number formatting and the errors raised
     (TypeError for an unserializable value or key, ValueError for a
-    container inside itself) follow ``json.encoder._make_iterencode``.
-    No class subclasses two of str, int, float, list, tuple and dict, so
-    testing the exact types first and subclasses after picks what its
-    order of ``isinstance`` tests picks.
+    container inside itself) follow ``json.encoder._make_iterencode``,
+    which the C encoder matches for scalars and keys. No class subclasses
+    two of str, int, float, list, tuple and dict, so testing the exact
+    types first and subclasses after picks what its order of
+    ``isinstance`` tests picks.
     """
     parts = []
     append = parts.append
     writing = set()   # ids of the containers that have a container being written inside
-    levels = []       # per nesting level: (first lead, item separator, "]" and "}" closers)
+    # per nesting level: first lead, item separator, "]" and "}" closers, and the C
+    # encoder of a container holding no container (which cannot hold itself: no markers)
+    levels = []
 
     def flush():
         fh.write("".join(parts))
@@ -245,11 +252,17 @@ def _write_indented(fh, obj) -> None:
         while len(levels) < level + 2:
             indent = "\n" + "  " * (len(levels) + 1)
             outer = "\n" + "  " * len(levels)
-            levels.append((indent, "," + indent, outer + "]", outer + "}"))
-        lead, separator, close_list, close_dict = levels[level]
+            levels.append((indent, "," + indent, outer + "]", outer + "}", c_make_encoder(
+                None, _RECORD_ENCODER.default, encode_basestring, None, ": ", "," + indent,
+                True, False, True)))
+        lead, separator, close_list, close_dict, encode_flat = levels[level]
+        if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
+            text = "".join(encode_flat(obj, 0))    # "{...}" or "[...]" without the newlines
+            append(text[0] + lead + text[1:-1] + (close_dict if is_dict else close_list))
+            return
         level += 1
         # a posting, [str, int], is written whole with the next level's strings
-        pair_lead, pair_separator, pair_close, _ = levels[level]
+        pair_lead, pair_separator, pair_close, _, _ = levels[level]
         pair_lead = "[" + pair_lead
         nested = False
         if is_dict:
@@ -280,7 +293,7 @@ def _write_indented(fh, obj) -> None:
                   and type(value[0]) is str and type(value[1]) is int):
                 append(prefix + pair_lead + encode_basestring(value[0]) + pair_separator
                        + int.__repr__(value[1]) + pair_close)
-            elif isinstance(value, (list, tuple, dict)):
+            elif isinstance(value, _CONTAINERS):
                 if id(value) in writing:
                     raise ValueError("Circular reference detected")
                 if not nested:
@@ -294,7 +307,7 @@ def _write_indented(fh, obj) -> None:
         if nested:
             writing.discard(id(obj))
 
-    if isinstance(obj, (list, tuple, dict)):
+    if isinstance(obj, _CONTAINERS):
         container(obj, 0)
     else:
         append(_scalar_text(obj))
