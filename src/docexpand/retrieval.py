@@ -14,6 +14,7 @@ those up with numpy.
 """
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import NamedTuple
@@ -101,12 +102,19 @@ def _field_texts(product, expansion_tokens):
 
 def build_index(products, expansions: dict = None, field_weights: dict = None,
                 k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> InvertedIndex:
-    """Index the catalog; ``expansions`` maps product id to stemmed tokens."""
-    products = list(products)
+    """Index the catalog; ``expansions`` maps product id to stemmed tokens.
+
+    One pass in doc-id order appends each posting to its token's list, so every list
+    comes out sorted. A document's postings with equal tf share one ``(doc_id, tf)``.
+    """
+    by_id = {}
+    for product in products:
+        if product.id in by_id:
+            raise InputError(f"duplicate product id {product.id!r}")
+        by_id[product.id] = product
     expansions = dict(expansions or {})
-    known = {p.id for p in products}
     for pid in expansions:
-        if pid not in known:
+        if pid not in by_id:
             raise InputError(f"expansion references unknown product {pid!r}")
     weights = dict(DEFAULT_FIELD_WEIGHTS)
     if field_weights:
@@ -115,22 +123,22 @@ def build_index(products, expansions: dict = None, field_weights: dict = None,
             raise ValueError(f"unknown index fields: {sorted(unknown)}")
         weights.update(field_weights)
 
-    doc_ids = tuple(sorted(known))
+    doc_ids = tuple(sorted(by_id))
     fields = {name: FieldIndex() for name in INDEX_FIELDS}
-    tf_maps = {name: {} for name in INDEX_FIELDS}
-    for product in products:
-        texts = _field_texts(product, expansions.get(product.id, ()))
+    postings = {name: defaultdict(list) for name in INDEX_FIELDS}
+    for doc_id in doc_ids:
+        texts = _field_texts(by_id[doc_id], expansions.get(doc_id, ()))
+        shared = {}     # tf -> this document's (doc_id, tf)
         for name in INDEX_FIELDS:
             tokens = texts[name]
-            fields[name].lengths[product.id] = len(tokens)
-            for token in tokens:
-                tf_maps[name].setdefault(token, {})
-                tf_maps[name][token][product.id] = tf_maps[name][token].get(product.id, 0) + 1
+            fields[name].lengths[doc_id] = len(tokens)
+            field_postings = postings[name]
+            for token, tf in Counter(tokens).items():
+                posting = shared.get(tf) or shared.setdefault(tf, (doc_id, tf))
+                field_postings[token].append(posting)
     for name in INDEX_FIELDS:
         findex = fields[name]
-        findex.postings = {
-            token: sorted(docs.items()) for token, docs in sorted(tf_maps[name].items())
-        }
+        findex.postings = {token: postings[name][token] for token in sorted(postings[name])}
         findex.avg_length = (
             sum(findex.lengths.values()) / len(doc_ids) if doc_ids else 0.0
         )
@@ -318,6 +326,7 @@ def load_index(path) -> InvertedIndex:
                 lengths=raw["lengths"],
                 avg_length=float(raw["avg_length"]),
             )
+            raw["postings"] = None      # the decoded lists, converted above, can go
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed {INDEX_FORMAT} file: "
                          f"{exc.__class__.__name__}: {exc}") from exc

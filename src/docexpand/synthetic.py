@@ -141,14 +141,14 @@ def generate(seed: int = 0, n_products: int = 1000, n_heldout: int = 200) -> Syn
             engagement.append(_pair(rng, product.id, rng.choice(PRICE_PHRASES)))
 
     heldout_ids = rng.sample([p.id for p in products], n_heldout)
+    type_of = {p.id: p.product_type for p in products}
     heldout = []
     for pid in heldout_ids:
         alias = alias_of[pid]
         if rng.random() < 0.5:
             query = alias
         else:
-            category = next(p.product_type for p in products if p.id == pid)
-            query = f"{alias} {category}"
+            query = f"{alias} {type_of[pid]}"
         heldout.append(EngagementPair(product_id=pid, query=query, atc_count=rng.randint(5, 60)))
 
     gold_expansions = {pid: [stem(alias)] for pid, alias in alias_of.items()}

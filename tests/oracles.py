@@ -32,7 +32,8 @@ from docexpand.metrics import MetricsReport
 from docexpand.predictor import ScoredToken, apply_cutoff
 from docexpand.records import (COUNT, NUMBER, POSITIVE_COUNT, STRING, STRINGS, TEXT, UNIT_SCORE,
                                Kind, all_of, get_field, iter_jsonl, source_name)
-from docexpand.retrieval import INDEX_FIELDS, SearchResult
+from docexpand.retrieval import (DEFAULT_B, DEFAULT_FIELD_WEIGHTS, DEFAULT_K1, INDEX_FIELDS,
+                                 FieldIndex, InvertedIndex, SearchResult, _field_texts)
 from docexpand.stemmer import stem
 from docexpand.synthetic import ADJECTIVES, CATEGORIES, PRICE_PHRASES
 from docexpand.targets import TrainingInstance
@@ -386,6 +387,44 @@ def budget_match_cutoff(records, product_tokens, target, grid="observed"):
         if mean_novel <= target:
             return BudgetMatchResult(cutoff=cutoff, mean_novel=mean_novel, target_reachable=True)
     raise ValueError("even the highest candidate cutoff retains more than the target")
+
+
+def build_index(products, expansions: dict = None, field_weights: dict = None,
+                k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> InvertedIndex:
+    """Reference builder, two passes: a dict of term-frequency dicts, then sorted postings."""
+    products = list(products)
+    expansions = dict(expansions or {})
+    known = {p.id for p in products}
+    for pid in expansions:
+        if pid not in known:
+            raise InputError(f"expansion references unknown product {pid!r}")
+    weights = dict(DEFAULT_FIELD_WEIGHTS)
+    if field_weights:
+        unknown = set(field_weights) - set(INDEX_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown index fields: {sorted(unknown)}")
+        weights.update(field_weights)
+
+    doc_ids = tuple(sorted(known))
+    fields = {name: FieldIndex() for name in INDEX_FIELDS}
+    tf_maps = {name: {} for name in INDEX_FIELDS}
+    for product in products:
+        texts = _field_texts(product, expansions.get(product.id, ()))
+        for name in INDEX_FIELDS:
+            tokens = texts[name]
+            fields[name].lengths[product.id] = len(tokens)
+            for token in tokens:
+                tf_maps[name].setdefault(token, {})
+                tf_maps[name][token][product.id] = tf_maps[name][token].get(product.id, 0) + 1
+    for name in INDEX_FIELDS:
+        findex = fields[name]
+        findex.postings = {
+            token: sorted(docs.items()) for token, docs in sorted(tf_maps[name].items())
+        }
+        findex.avg_length = (
+            sum(findex.lengths.values()) / len(doc_ids) if doc_ids else 0.0
+        )
+    return InvertedIndex(fields=fields, doc_ids=doc_ids, field_weights=weights, k1=k1, b=b)
 
 
 def search(index, query, k):

@@ -26,6 +26,7 @@ from docexpand.retrieval import (
     INDEX_FIELDS,
     build_index,
     eval_recall,
+    index_payload,
     load_index,
     save_index,
     search,
@@ -223,8 +224,9 @@ def test_budget_match_on_no_records():
     assert budget_match_cutoff(rows, 2.0) == oracles.budget_match_cutoff([], {}, 2.0)
 
 
-def random_index(rng, expand=True):
-    """Few distinct tokens (long postings lists, many equal scores), ids out of numeric order."""
+def random_catalog(rng, expand=True):
+    """build_index's arguments: few distinct tokens (long postings lists, many equal scores),
+    ids out of numeric order, empty fields, repeated and empty expansions."""
     vocab = TOKENS[:rng.randint(2, 16)]
 
     def text(most):
@@ -237,8 +239,32 @@ def random_index(rng, expand=True):
                   for p in products if expand and rng.random() < 0.6}
     weights = {name: rng.choice([0.0, 0.5, 1.0, 2.0, 3.7, -1.0]) for name in INDEX_FIELDS
                if rng.random() < 0.4}
-    return build_index(products, expansions, weights, k1=rng.choice([1.2, 0.0, 0.9, 2.5]),
-                       b=rng.choice([0.75, 0.0, 1.0, 0.3]))
+    return (products, expansions, weights), {"k1": rng.choice([1.2, 0.0, 0.9, 2.5]),
+                                             "b": rng.choice([0.75, 0.0, 1.0, 0.3])}
+
+
+def random_index(rng, expand=True):
+    args, options = random_catalog(rng, expand)
+    return build_index(*args, **options)
+
+
+def test_build_index_matches_reference_on_random_catalogs():
+    rng = random.Random(31)
+    for trial in range(300):
+        args, options = random_catalog(rng, expand=trial % 5 != 0)
+        index, expected = build_index(*args, **options), oracles.build_index(*args, **options)
+        assert index_payload(index) == index_payload(expected)
+        for name in INDEX_FIELDS:    # tokens sorted, as the reference sorts them
+            assert list(index.fields[name].postings) == list(expected.fields[name].postings)
+
+
+def test_build_index_shares_one_posting_per_document_and_tf(small_corpus):
+    index = build_index(small_corpus.products, small_corpus.gold_expansions)
+    assert index_payload(index) == index_payload(
+        oracles.build_index(small_corpus.products, small_corpus.gold_expansions))
+    postings = [posting for findex in index.fields.values()
+                for plist in findex.postings.values() for posting in plist]
+    assert len({id(posting) for posting in postings}) == len(set(postings)) < len(postings)
 
 
 def random_query(rng):

@@ -42,6 +42,11 @@ class TestBuildIndex:
         with pytest.raises(InputError, match="ghost"):
             build_index([Product(id="d1", title="mug")], {"ghost": ["kid"]})
 
+    def test_repeated_product_id(self):
+        # merged, the two would give tfs that sum to 3 against a length of 1
+        with pytest.raises(InputError, match="duplicate product id 'd1'"):
+            build_index([Product(id="d1", title="lamp lamp"), Product(id="d1", title="mug")])
+
     def test_unknown_field_weight_rejected(self):
         with pytest.raises(ValueError):
             build_index([Product(id="d1", title="mug")], field_weights={"body": 1.0})
