@@ -671,6 +671,20 @@ def _cmd_eval_retrieval(cfg: dict) -> str:
             f"({report.hits}/{report.total})")
 
 
+# subcommands whose JSON outputs hold no report section
+_NOT_REPORTS = ("index", "train")
+
+
+def _written_by(path: Path):
+    """The subcommand that path's ``.meta.json`` sidecar names, or None without a readable one."""
+    try:
+        meta = load_json(Path(f"{path}.meta.json"))
+    except InputError:
+        return None
+    config = meta.get("config") if isinstance(meta, dict) else None
+    return config.get("subcommand") if isinstance(config, dict) else None
+
+
 def _cmd_report(cfg: dict) -> str:
     in_dir = Path(cfg["in_dir"])
     try:
@@ -682,6 +696,8 @@ def _cmd_report(cfg: dict) -> str:
     merged = {section: [] for section in _SECTIONS}
     for path in sorted(in_dir.rglob("*.json")):
         if path.name.endswith(".meta.json") or path.name == "run_config.json":
+            continue
+        if _written_by(path) in _NOT_REPORTS:    # an index or a model: large, and no section
             continue
         try:
             data = load_json(path)

@@ -43,6 +43,8 @@ class ScorerError(InputError):
 class AnalysisMemo:
     """Analyzed query texts and product token sets, each computed once.
 
+    A product's distinct tokens are kept as a tuple, which its readers only
+    test for membership and which is a fraction of a frozenset's size.
     Entries are keyed by value, the text or the ``Product``, never by
     product id, and are never evicted: make one per run and drop it with
     the run, as ``run_pipeline`` does.
@@ -60,10 +62,10 @@ class AnalysisMemo:
             tokens = self._queries[text] = tuple(analyze(text))
         return tokens
 
-    def product(self, product) -> frozenset:
+    def product(self, product) -> tuple:
         tokens = self._products.get(product)
         if tokens is None:
-            tokens = self._products[product] = product_token_set(product)
+            tokens = self._products[product] = tuple(product_token_set(product))
         return tokens
 
 
@@ -81,10 +83,10 @@ class JaccardScorer:
         memo = self.memo if self.memo is not None else AnalysisMemo()
         query_tokens = set(memo.query(query))
         product_tokens = memo.product(product)
-        union = query_tokens | product_tokens
+        union = query_tokens.union(product_tokens)
         if not union:
             return 0.0
-        return len(query_tokens & product_tokens) / len(union)
+        return len(query_tokens.intersection(product_tokens)) / len(union)
 
 
 class ExternalScorer:
@@ -146,8 +148,8 @@ def price_token_filter(query: str) -> str:
             return text
 
 
-def overlapping_token_filter(query_tokens, product_tokens: frozenset) -> list:
-    """Keep the stemmed query tokens absent from the product's token set.
+def overlapping_token_filter(query_tokens, product_tokens) -> list:
+    """Keep the stemmed query tokens not in ``product_tokens``, a set or a tuple.
 
     Duplicates within one query collapse to their first occurrence; input
     order is preserved.
@@ -266,7 +268,7 @@ def run_pipeline(pairs, products, rf_threshold: float = 0.0, scorer=None,
             product_tokens = memo.product(by_id[pair.product_id])
             if not tokens:
                 stats.dropped_empty_query += 1
-            elif product_tokens.issuperset(tokens):
+            elif all(token in product_tokens for token in tokens):
                 stats.dropped_full_match += 1
             else:
                 matched.append(pair)

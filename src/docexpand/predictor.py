@@ -9,7 +9,7 @@ sorted by score descending and then by token, that the downstream cutoff
 logic treats identically.
 """
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -79,23 +79,26 @@ def train_cooccurrence(instances, products) -> CooccurrenceModel:
     is incremented by the instance frequency.
     """
     by_id = {p.id: p for p in products}
-    contexts = {}
-    counts = defaultdict(Counter)
+    contexts = {}    # product id -> its distinct tokens, as a tuple
+    counts = {}
     for instance in instances:
-        product = by_id.get(instance.product_id)
-        if product is None:
-            raise InputError(f"training instance references unknown product {instance.product_id!r}")
-        if instance.product_id not in contexts:
-            contexts[instance.product_id] = product_token_set(product)
-        for context in contexts[instance.product_id]:
-            counts[context][instance.target_token] += instance.frequency
+        context = contexts.get(instance.product_id)
+        if context is None:
+            product = by_id.get(instance.product_id)
+            if product is None:
+                raise InputError(f"training instance references unknown product "
+                                 f"{instance.product_id!r}")
+            context = contexts[instance.product_id] = tuple(product_token_set(product))
+        target, frequency = instance.target_token, instance.frequency
+        for token in context:
+            row = counts.get(token)
+            if row is None:
+                row = counts[token] = {}
+            row[target] = row.get(target, 0) + frequency
+    del contexts    # freed before the model lays out its CSR rows
     marginals = {context: sum(targets.values()) for context, targets in counts.items()}
     vocabulary = tuple(sorted({t for targets in counts.values() for t in targets}))
-    return CooccurrenceModel(
-        counts={c: dict(t) for c, t in counts.items()},
-        marginals=marginals,
-        vocabulary=vocabulary,
-    )
+    return CooccurrenceModel(counts=counts, marginals=marginals, vocabulary=vocabulary)
 
 
 def predict_cooccurrence(model: CooccurrenceModel, product: Product, n: int) -> list:

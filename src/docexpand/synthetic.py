@@ -111,7 +111,6 @@ def generate(seed: int = 0, n_products: int = 1000, n_heldout: int = 200) -> Syn
         ))
 
     alias_of = {p.id: aliases[i] for i, p in enumerate(products)}
-    stem_sets = {p.id: product_token_set(p) for p in products}
 
     engagement = []
     for i, product in enumerate(products):
@@ -128,8 +127,8 @@ def generate(seed: int = 0, n_products: int = 1000, n_heldout: int = 200) -> Syn
             engagement.append(_pair(rng, product.id, query))
         if rng.random() < 0.2:
             other = products[(i + rng.randint(1, len(products) - 1)) % len(products)]
-            foreign = [w for w in other.title.lower().split()
-                       if not set(analyze(w)) & stem_sets[product.id]]
+            own = product_token_set(product)    # only this branch reads a product's tokens
+            foreign = [w for w in other.title.lower().split() if own.isdisjoint(analyze(w))]
             if len(foreign) >= 2:
                 engagement.append(_pair(rng, product.id, " ".join(foreign[:2])))
         if rng.random() < 0.30 and engagement:

@@ -5,9 +5,10 @@ list.count, independently of the package's incremental sweep; the
 reference cutoff tuner runs them in full at every candidate cutoff.
 The kernel references at the end are the package's earlier, direct
 implementations of text analysis, the filter pipeline, indented JSON
-output, the JSONL row readers, co-occurrence prediction, budget matching
-and BM25 search, kept here to prove the faster kernels equal to them. Last come two helpers the
-property tests share: an index's match set and generated price queries.
+output, the JSONL row readers, co-occurrence training and prediction,
+budget matching and BM25 search, kept here to prove the faster kernels
+equal to them. Last come two helpers the property tests share: an
+index's match set and generated price queries.
 """
 
 import json
@@ -29,7 +30,7 @@ from docexpand.filters import (
     relevance_filter,
 )
 from docexpand.metrics import MetricsReport
-from docexpand.predictor import ScoredToken, apply_cutoff
+from docexpand.predictor import CooccurrenceModel, ScoredToken, apply_cutoff
 from docexpand.records import (COUNT, NUMBER, POSITIVE_COUNT, STRING, STRINGS, TEXT, UNIT_SCORE,
                                Kind, all_of, get_field, iter_jsonl, source_name)
 from docexpand.retrieval import (DEFAULT_B, DEFAULT_FIELD_WEIGHTS, DEFAULT_K1, INDEX_FIELDS,
@@ -318,6 +319,34 @@ def run_pipeline(pairs, products, rf_threshold=0.0, scorer=None, fmf_enabled=Tru
     ))
     stats.novel_token_pairs = sum(len(p.novel_tokens) for p in novel_pairs)
     return PipelineResult(query_pairs=query_pairs, novel_pairs=novel_pairs, stats=stats)
+
+
+def train_cooccurrence(instances, products) -> CooccurrenceModel:
+    """Reference trainer: a Counter per context token over frozenset contexts, copied to dicts.
+
+    The package's earlier trainer, verbatim but for the qualified
+    ``corpus.product_token_set``: this module's own ``product_token_set``
+    builds its frozenset another way, and so may iterate it in another
+    order, which would change the counts' key order.
+    """
+    by_id = {p.id: p for p in products}
+    contexts = {}
+    counts = defaultdict(Counter)
+    for instance in instances:
+        product = by_id.get(instance.product_id)
+        if product is None:
+            raise InputError(f"training instance references unknown product {instance.product_id!r}")
+        if instance.product_id not in contexts:
+            contexts[instance.product_id] = corpus.product_token_set(product)
+        for context in contexts[instance.product_id]:
+            counts[context][instance.target_token] += instance.frequency
+    marginals = {context: sum(targets.values()) for context, targets in counts.items()}
+    vocabulary = tuple(sorted({t for targets in counts.values() for t in targets}))
+    return CooccurrenceModel(
+        counts={c: dict(t) for c, t in counts.items()},
+        marginals=marginals,
+        vocabulary=vocabulary,
+    )
 
 
 def predict_cooccurrence(model, product, n):

@@ -208,6 +208,49 @@ class TestPipelineSmoke:
         assert (data_dir / "products.jsonl").read_bytes() == before
 
 
+class TestReportCommand:
+    def test_index_and_model_are_never_decoded(self, data_dir, monkeypatch):
+        from docexpand import cli
+
+        work = _run_pipeline(data_dir, with_bootstrap=False)
+        summary = (work / "summary.json").read_bytes()
+        decoded = []
+
+        def recording(path):
+            decoded.append(Path(path).name)
+            return load_json(path)
+
+        monkeypatch.setattr(cli, "load_json", recording)
+        assert run("report", "--in", work, "--out", work / "summary.json") == 0
+        assert "eval_report.json" in decoded and "index.json.meta.json" in decoded
+        assert not {"index.json", "model.json"} & set(decoded)
+        assert (work / "summary.json").read_bytes() == summary
+
+    @pytest.mark.parametrize(
+        "sidecar", [None, "{", "[]", '{"config": {"subcommand": "eval-retrieval"}}'],
+        ids=["missing", "invalid", "not-an-object", "another-stage"])
+    def test_a_report_named_index_json_is_merged_unless_its_sidecar_says_index(
+            self, data_dir, tmp_path, sidecar):
+        work = _run_pipeline(data_dir, with_bootstrap=False)
+        scanned = tmp_path / "scanned"
+        scanned.mkdir()
+        shutil.copy(work / "retrieval_report.json", scanned / "index.json")
+        if sidecar is not None:
+            (scanned / "index.json.meta.json").write_text(sidecar, encoding="utf-8")
+        assert run("report", "--in", scanned, "--out", tmp_path / "summary.json") == 0
+        summary = load_json(tmp_path / "summary.json")
+        assert [entry["source"] for entry in summary["retrieval"]] == ["index.json"]
+
+    def test_a_report_is_skipped_when_its_sidecar_names_index(self, data_dir, tmp_path):
+        work = _run_pipeline(data_dir, with_bootstrap=False)
+        scanned = tmp_path / "scanned"
+        scanned.mkdir()
+        shutil.copy(work / "retrieval_report.json", scanned / "retrieval_report.json")
+        shutil.copy(work / "index.json.meta.json", scanned / "retrieval_report.json.meta.json")
+        assert run("report", "--in", scanned, "--out", tmp_path / "summary.json") == 0
+        assert load_json(tmp_path / "summary.json")["retrieval"] == []
+
+
 class TestSearchCommand:
     def test_prints_ranked_rows(self, data_dir, capsys):
         work = _run_pipeline(data_dir, with_bootstrap=False)

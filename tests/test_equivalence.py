@@ -6,6 +6,8 @@ lists, reports and floats of the references they replaced.
 
 import itertools
 import random
+import tempfile
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from docexpand.predictor import (
     load_model,
     predict_cooccurrence,
     save_model,
+    train_cooccurrence,
 )
 from docexpand.filters import ExternalScorer, run_pipeline
 from docexpand.retrieval import (
@@ -33,6 +36,7 @@ from docexpand.retrieval import (
 )
 from docexpand.stemmer import stem
 from docexpand.synthetic import generate
+from docexpand.targets import TrainingInstance
 
 import oracles
 
@@ -106,6 +110,51 @@ def test_predict_after_roundtrip_with_unsorted_vocabulary(tmp_path):
             product = random_product(rng, i)
             assert predict_cooccurrence(loaded, product, 5) == oracles.predict_cooccurrence(
                 model, product, 5)
+
+
+@st.composite
+def training_cases(draw):
+    """Products over a 12-token vocabulary, some with no tokens; instances repeat products."""
+    vocab = st.sampled_from(TOKENS[:12])
+    products = [Product(id=f"p{i}", title=" ".join(draw(st.lists(vocab, max_size=6))),
+                        description=" ".join(draw(st.lists(vocab, max_size=3))))
+                for i in range(draw(st.integers(min_value=1, max_value=6)))]
+    instances = draw(st.lists(st.builds(
+        TrainingInstance, st.sampled_from([p.id for p in products]), st.just("q"), vocab,
+        st.integers(min_value=1, max_value=50), st.just(1.0)), max_size=40))
+    return instances, products
+
+
+def model_layout(model):
+    """Every key order the model carries, with its values."""
+    return (list(model.counts.items()), [list(t.items()) for t in model.counts.values()],
+            list(model.marginals.items()), model.vocabulary)
+
+
+@settings(max_examples=200, deadline=None)
+@given(training_cases())
+@example(([TrainingInstance("p0", "q", "aa", 2, 1.0), TrainingInstance("p0", "q", "ab", 1, 1.0),
+           TrainingInstance("p1", "q", "aa", 3, 1.0), TrainingInstance("p0", "q", "aa", 4, 1.0)],
+          [Product(id="p0", title="ba bb bc"), Product(id="p1", title="bb bd")]))
+def test_train_matches_reference_on_drawn_instances(case):
+    instances, products = case
+    got = train_cooccurrence(instances, products)
+    want = oracles.train_cooccurrence(instances, products)
+    assert model_layout(got) == model_layout(want)
+    with tempfile.TemporaryDirectory() as work:
+        save_model(got, Path(work) / "got.json")
+        save_model(want, Path(work) / "want.json")
+        assert (Path(work) / "got.json").read_bytes() == (Path(work) / "want.json").read_bytes()
+
+
+def test_train_matches_reference_on_synthetic_instances(small_corpus):
+    result = run_pipeline(small_corpus.engagement, small_corpus.products)
+    instances = [TrainingInstance(pair.product_id, pair.source_query, token, count, 1.0)
+                 for pair in result.novel_pairs for token, count in pair.token_counts.items()]
+    assert len({i.product_id for i in instances}) < len(instances)    # products repeat
+    got = train_cooccurrence(instances, small_corpus.products)
+    assert model_layout(got) == model_layout(
+        oracles.train_cooccurrence(instances, small_corpus.products))
 
 
 def random_records(rng):

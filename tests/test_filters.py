@@ -6,6 +6,7 @@ import pytest
 from docexpand.corpus import EngagementPair, Product, analyze, product_token_set
 from docexpand.errors import InputError
 from docexpand.filters import (
+    AnalysisMemo,
     ExternalScorer,
     NovelPair,
     JaccardScorer,
@@ -59,6 +60,12 @@ class TestRelevanceFilter:
         pair = EngagementPair("p", "vest swim", 2)
         kept, _ = relevance_filter([(pair, product)], JaccardScorer(), threshold=1.0)
         assert kept == [pair]
+
+    @pytest.mark.parametrize("memo", [None, AnalysisMemo()], ids=["fresh", "memo"])
+    def test_no_tokens_on_either_side_scores_zero(self, memo):
+        product = Product(id="p", title="!!", description="--")
+        assert product_token_set(product) == frozenset() and analyze("?? &") == []
+        assert JaccardScorer(memo).score("?? &", product) == 0.0
 
     def test_scorer_failure_names_pair(self):
         product = Product(id="p9", title="t")
