@@ -226,11 +226,13 @@ class TestReportCommand:
         assert not {"index.json", "model.json"} & set(decoded)
         assert (work / "summary.json").read_bytes() == summary
 
-    @pytest.mark.parametrize(
-        "sidecar", [None, "{", "[]", '{"config": {"subcommand": "eval-retrieval"}}'],
-        ids=["missing", "invalid", "not-an-object", "another-stage"])
+    @pytest.mark.parametrize("sidecar, merged", [
+        (None, True), ("{", True), ("[]", True),
+        ('{"config": {"subcommand": "eval-retrieval"}}', True),
+        ('{"config": {"subcommand": "index"}}', False),
+    ], ids=["missing", "invalid", "not-an-object", "another-stage", "index"])
     def test_a_report_named_index_json_is_merged_unless_its_sidecar_says_index(
-            self, data_dir, tmp_path, sidecar):
+            self, data_dir, tmp_path, sidecar, merged):
         work = _run_pipeline(data_dir, with_bootstrap=False)
         scanned = tmp_path / "scanned"
         scanned.mkdir()
@@ -239,16 +241,7 @@ class TestReportCommand:
             (scanned / "index.json.meta.json").write_text(sidecar, encoding="utf-8")
         assert run("report", "--in", scanned, "--out", tmp_path / "summary.json") == 0
         summary = load_json(tmp_path / "summary.json")
-        assert [entry["source"] for entry in summary["retrieval"]] == ["index.json"]
-
-    def test_a_report_is_skipped_when_its_sidecar_names_index(self, data_dir, tmp_path):
-        work = _run_pipeline(data_dir, with_bootstrap=False)
-        scanned = tmp_path / "scanned"
-        scanned.mkdir()
-        shutil.copy(work / "retrieval_report.json", scanned / "retrieval_report.json")
-        shutil.copy(work / "index.json.meta.json", scanned / "retrieval_report.json.meta.json")
-        assert run("report", "--in", scanned, "--out", tmp_path / "summary.json") == 0
-        assert load_json(tmp_path / "summary.json")["retrieval"] == []
+        assert [entry["source"] for entry in summary["retrieval"]] == ["index.json"] * merged
 
 
 class TestSearchCommand:
