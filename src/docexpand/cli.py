@@ -605,7 +605,7 @@ def _cmd_tune_cutoff(cfg: dict) -> str:
         raise InputError(str(exc)) from None
     payload = {
         "chosen": sweep.chosen,
-        "chosen_metrics": sweep.chosen_row().report.as_dict(),
+        "chosen_metrics": sweep.chosen_row.report.as_dict(),
         "rows": [{"cutoff": row.cutoff, "metrics": row.report.as_dict()} for row in sweep.rows],
     }
     if cfg.get("budget_target") is not None:
@@ -624,7 +624,7 @@ def _cmd_tune_cutoff(cfg: dict) -> str:
     text += f"\nchosen cutoff: {sweep.chosen}\n"
     _write_report(cfg, payload, text)
     return (f"tune-cutoff: chosen={sweep.chosen} "
-            f"nrouge_f1={sweep.chosen_row().report.nrouge_f1:.4f}")
+            f"nrouge_f1={sweep.chosen_row.report.nrouge_f1:.4f}")
 
 
 def _cmd_index(cfg: dict) -> str:
@@ -783,5 +783,5 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # pragma: no cover - runs only in a child interpreter
     sys.exit(main())

@@ -30,13 +30,11 @@ class SweepRow:
 @dataclass
 class CutoffSweepResult:
     rows: list
-    chosen: float
+    chosen_row: SweepRow
 
-    def chosen_row(self) -> SweepRow:
-        for row in self.rows:
-            if row.cutoff == self.chosen:
-                return row
-        raise LookupError("chosen cutoff missing from sweep rows")
+    @property
+    def chosen(self) -> float:
+        return self.chosen_row.cutoff
 
 
 def candidate_cutoffs(records, grid: str = OBSERVED_GRID) -> list:
@@ -57,17 +55,14 @@ def tune_cutoff(records, product_tokens: dict, grid: str = OBSERVED_GRID) -> Cut
     """Sweep candidate cutoffs and select the nROUGE-F1 maximizer."""
     if not any(record.predictions for record in records):
         raise ValueError("no predictions to tune over")
-    rows = [SweepRow(cutoff=cutoff, report=report_from_values(per_metric, novelty, len(records)))
-            for cutoff, per_metric, novelty in sweep(records, product_tokens,
-                                                     candidate_cutoffs(records, grid))]
+    rows = [SweepRow(cutoff=cutoff, report=report_from_values(per_metric, totals, len(records)))
+            for cutoff, per_metric, totals in sweep(records, product_tokens,
+                                                    candidate_cutoffs(records, grid))]
+    # the sweep runs from the highest cutoff down and max keeps the first maximum,
+    # so ties go to the larger cutoff
+    chosen_row = max(rows, key=lambda row: row.report.nrouge_f1)
     rows.reverse()
-    chosen = rows[0].cutoff
-    best = rows[0].report.nrouge_f1
-    for row in rows[1:]:
-        if row.report.nrouge_f1 >= best:   # >= sends ties to the larger cutoff
-            best = row.report.nrouge_f1
-            chosen = row.cutoff
-    return CutoffSweepResult(rows=rows, chosen=chosen)
+    return CutoffSweepResult(rows=rows, chosen_row=chosen_row)
 
 
 @dataclass

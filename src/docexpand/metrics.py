@@ -49,44 +49,10 @@ def make_eval_record(product_id, reference_tokens, product_tokens) -> EvalRecord
     return EvalRecord(product_id=product_id, reference=reference, novel_reference=novel_reference)
 
 
-def count_precision(match: int, predicted: int, reference_total: int) -> float:
-    """Clipped precision from counts; an empty prediction scores 1 only on an empty reference."""
-    if predicted == 0:
-        return 1.0 if reference_total == 0 else 0.0
-    return match / predicted
-
-
-def count_recall(match: int, reference_total: int):
-    """Clipped recall from counts, or None when the reference is empty."""
-    if reference_total == 0:
-        return None
-    return match / reference_total
-
-
 def f1(precision: float, recall: float) -> float:
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
-
-
-@dataclass
-class NoveltyStats:
-    mean_total: float
-    mean_novel: float
-    novel_pct: float          # fraction in [0, 1]; rendered as a percentage in reports
-    defined: bool             # False when no tokens were predicted at all
-
-
-def novelty_from_counts(n_records: int, sum_total: int, sum_novel: int) -> NoveltyStats:
-    """Novelty stats from corpus totals of predicted and novel predicted tokens."""
-    if n_records == 0 or sum_total == 0:
-        return NoveltyStats(0.0, 0.0, 0.0, defined=False)
-    return NoveltyStats(
-        mean_total=sum_total / n_records,
-        mean_novel=sum_novel / n_records,
-        novel_pct=sum_novel / sum_total,
-        defined=True,
-    )
 
 
 def bootstrap_ci(values, resamples: int = 1000, level: float = 0.95, seed=0):
@@ -122,8 +88,8 @@ class MetricsReport:
     nrouge_f1: float
     total_tokens: float
     novel_tokens: float
-    novel_pct: float
-    novelty_defined: bool
+    novel_pct: float              # fraction in [0, 1]; rendered as a percentage in reports
+    novelty_defined: bool         # False when no tokens were predicted at all
     n_products: int
     recall_excluded: int          # records with an empty reference
     novel_recall_excluded: int    # records with an empty novel reference
@@ -154,26 +120,29 @@ class _View:
         self.f1 = [0.0] * len(included)
 
     def rescore(self, i, predicted):
-        p = count_precision(self.matches[i], predicted, self.totals[i])
+        match, total = self.matches[i], self.totals[i]
+        # clipped precision: an empty prediction scores 1 only on an empty reference
+        p = match / predicted if predicted else (1.0 if total == 0 else 0.0)
         self.precision[i] = p
         slot = self.slots.get(i)
-        if slot is not None:
-            r = count_recall(self.matches[i], self.totals[i])
+        if slot is not None:    # a slot exists only for a non-empty reference
+            r = match / total
             self.recall[slot] = r
             self.f1[slot] = f1(p, r)
 
 
 def sweep(records, product_tokens: dict, cutoffs):
-    """Yield (cutoff, per-metric value lists, NoveltyStats) for each cutoff, highest first.
+    """Yield (cutoff, per-metric value lists, (predicted, novel)) for each cutoff, highest first.
 
     ``records`` are ScoredRecords and ``product_tokens`` maps product id to
     its unique token set. A row scores the predictions scoring strictly
     above its cutoff. The value lists, keyed by metric name, hold one value
     per record in record order (recall and F1 only for records with a
     non-empty reference); they are updated in place by the next row, so
-    read them before advancing. Admitting a prediction updates its record's
-    clipped match counts in O(1), and only the records that changed are
-    re-scored.
+    read them before advancing. ``predicted`` counts the retained tokens
+    over all records and ``novel`` the novel ones among them. Admitting a
+    prediction updates its record's clipped match counts in O(1), and only
+    the records that changed are re-scored.
     """
     n = len(records)
     uniques = [frozenset(product_tokens[record.product_id]) for record in records]
@@ -211,7 +180,7 @@ def sweep(records, product_tokens: dict, cutoffs):
         for i in changed:
             full.rescore(i, predicted[i])
             novel.rescore(i, predicted[i])
-        yield cutoff, per_metric, novelty_from_counts(n, sum_total, sum_novel)
+        yield cutoff, per_metric, (sum_total, sum_novel)
 
 
 def evaluate_records(records, product_tokens: dict, cutoff: float = 0.0, resamples: int = 0,
@@ -226,31 +195,33 @@ def evaluate_records(records, product_tokens: dict, cutoff: float = 0.0, resampl
     """
     if not records:
         raise ValueError("records must be non-empty")
-    [(_, per_metric, novelty)] = sweep(records, product_tokens, [cutoff])
+    [(_, per_metric, totals)] = sweep(records, product_tokens, [cutoff])
     ci = {}
     if resamples:
         for i, name in enumerate(_METRIC_NAMES):
             values = per_metric[name]
             if values:
                 ci[name] = bootstrap_ci(values, resamples, level, seed=[seed, i])
-    return report_from_values(per_metric, novelty, len(records), ci)
+    return report_from_values(per_metric, totals, len(records), ci)
 
 
-def report_from_values(per_metric: dict, novelty: NoveltyStats, n_products: int,
+def report_from_values(per_metric: dict, totals: tuple, n_products: int,
                        ci: dict = None) -> MetricsReport:
-    """Corpus report from per-record metric values, each list in record order.
+    """Corpus report from a ``sweep`` row: per-record metric values, each list in record
+    order, and the (predicted, novel) token totals.
 
     Recall and F1 lists hold only the records whose reference is non-empty.
     """
     def mean(values):
         return sum(values) / len(values) if values else 0.0
 
+    predicted, novel = totals
     return MetricsReport(
         **{name: mean(per_metric[name]) for name in _METRIC_NAMES},
-        total_tokens=novelty.mean_total,
-        novel_tokens=novelty.mean_novel,
-        novel_pct=novelty.novel_pct,
-        novelty_defined=novelty.defined,
+        total_tokens=predicted / n_products if predicted else 0.0,
+        novel_tokens=novel / n_products if predicted else 0.0,
+        novel_pct=novel / predicted if predicted else 0.0,
+        novelty_defined=predicted > 0,
         n_products=n_products,
         recall_excluded=n_products - len(per_metric["rouge_recall"]),
         novel_recall_excluded=n_products - len(per_metric["nrouge_recall"]),

@@ -388,13 +388,13 @@ def tune_cutoff(records, product_tokens, grid="observed"):
     for cutoff in candidate_cutoffs(records, grid):
         rows.append(SweepRow(cutoff=cutoff,
                              report=report_at_cutoff(records, product_tokens, cutoff)))
-    chosen = rows[0].cutoff
+    chosen = rows[0]
     best = rows[0].report.nrouge_f1
     for row in rows[1:]:
         if row.report.nrouge_f1 >= best:
             best = row.report.nrouge_f1
-            chosen = row.cutoff
-    return CutoffSweepResult(rows=rows, chosen=chosen)
+            chosen = row
+    return CutoffSweepResult(rows=rows, chosen_row=chosen)
 
 
 def budget_match_cutoff(records, product_tokens, target, grid="observed"):

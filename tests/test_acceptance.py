@@ -183,7 +183,7 @@ def test_criterion_5_cutoff_tuner_optimality():
                 continue
             evaluated += 1
             result = tune_cutoff(records, token_sets)
-            assert result.chosen_row().report.nrouge_f1 == sweep_oracle(records, token_sets)
+            assert result.chosen_row.report.nrouge_f1 == sweep_oracle(records, token_sets)
             retained = []
             for cutoff in [row.cutoff for row in result.rows]:
                 retained.append(sum(

@@ -1,0 +1,48 @@
+"""bench/census.py's collector lists exactly the lines a run missed, less the pragma'd ones."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("census", ROOT / "bench" / "census.py")
+census = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(census)
+
+MODULE = '''\
+def pick(flag):
+    if flag:
+        return "yes"
+    return "no"
+
+
+def never():
+    return 1
+
+
+def guarded(x):
+    try:
+        return 1 / x
+    except ZeroDivisionError:  # pragma: no cover - a reason
+        print("divided by zero")
+        return None
+
+
+def skipped(x):  # pragma: no cover - a reason
+    return x
+'''
+
+
+def test_collector_lists_the_lines_no_call_ran(tmp_path, monkeypatch):
+    (tmp_path / "censused.py").write_text(MODULE, encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "censused", raising=False)
+    with census.LineCollector(tmp_path) as collector:
+        import censused
+        assert censused.pick(True) == "yes"
+        assert censused.guarded(2) == 0.5
+    assert census.missing_lines(tmp_path / "censused.py", collector.hits) == [4, 8]
+
+
+def test_pragma_excludes_the_whole_statement_it_starts():
+    assert census.excluded_lines(MODULE) == {14, 15, 16, 19, 20}

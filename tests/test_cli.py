@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from docexpand.cli import OUTDIR_FILES, main
-from docexpand.records import load_json
+from docexpand.predictor import load_external_predictions
+from docexpand.records import iter_jsonl, load_json
+from docexpand.retrieval import load_index, search
 
 from test_readme import quickstart_commands
 
@@ -338,6 +340,9 @@ def probe_dir(tmp_path_factory):
     (root / "flag_key.cfg").write_text("seed=1\nmin-atc=5\n", encoding="utf-8")
     (root / "no_option_key.cfg").write_text("# a typo\nmin_act=5\n", encoding="utf-8")
     (root / "other_stage_key.cfg").write_text("alpha=0.3\n", encoding="utf-8")
+    (root / "bad_choice.cfg").write_text("unknown=maybe\n", encoding="utf-8")
+    (root / "split_all_train.json").write_text(
+        json.dumps({"train": ["p1", "p2", "p3"], "validation": [], "test": []}), encoding="utf-8")
     (root / "nul_out.cfg").write_text(f"out={root}/out/o\0x\n", encoding="utf-8")
     # deeper than the JSON decoder's recursion limit
     deep = "[" * 100_000 + "]" * 100_000 + "\n"
@@ -544,6 +549,21 @@ EXIT_CODE_PROBES = {
          "{d}/engagement.jsonl", "--report", "{d}/out/recall.json"), 3,
         "doc_ids must be sorted"),
     "non-utf8-config": (_INGEST + ("--config", "{d}/latin1.jsonl"), 2, "latin1.jsonl"),
+    "ingest-ratios-not-integers": (_INGEST + ("--ratios", "a,b,c"), 2,
+                                   "option --ratios: expects three integers, got 'a,b,c'"),
+    "config-choice-not-a-choice": (_INGEST + ("--config", "{d}/bad_choice.cfg"), 2,
+                                   "option --unknown must be one of ('skip', 'error'), "
+                                   "got 'maybe'"),
+    "config-file-missing": (_INGEST + ("--config", "{d}/missing/ingest.cfg"), 2,
+                            "config file not found: {d}/missing/ingest.cfg"),
+    "evaluate-no-reference-in-split": (
+        _EVALUATE + ("--split", "test", "--split-file", "{d}/split_all_train.json"), 3,
+        "no reference queries left after filtering"),
+    "tune-cutoff-no-prediction-in-split": (
+        ("tune-cutoff", "--predictions", "{d}/empty.jsonl", "--references",
+         "{d}/engagement.jsonl", "--products", "{d}/products.jsonl",
+         "--report", "{d}/out/tuned.json"), 3, "no predictions to tune over"),
+    "report-in-is-a-file": (_report("products.jsonl"), 3, "not a directory: {d}/products.jsonl"),
     "index-weight-inf": (_INDEX + ("--field-weights", "title:inf"), 2,
                          "weight for field 'title' must be finite"),
     "index-weight-nan": (_INDEX + ("--field-weights", "title:nan"), 2,
@@ -805,6 +825,53 @@ def test_empty_field_weights_keep_the_defaults(probe_dir, tmp_path):
     assert run(*index, tmp_path / "default.json") == 0
     assert run(*index, tmp_path / "empty.json", "--field-weights", "") == 0
     assert load_json(tmp_path / "empty.json") == load_json(tmp_path / "default.json")
+
+
+def test_field_weights_reach_the_index_and_scale_its_scores(probe_dir, tmp_path):
+    index = ("index", "--products", probe_dir / "products.jsonl", "--out")
+    assert run(*index, tmp_path / "default.json") == 0
+    assert run(*index, tmp_path / "title_3.json", "--field-weights", "title:3") == 0
+    assert load_json(tmp_path / "title_3.json")["field_weights"]["title"] == 3.0
+    # "desk" is only in p2's title, whose default weight is 2
+    default, weighted = (dict(search(load_index(tmp_path / name), "desk", 3).hits)
+                         for name in ("default.json", "title_3.json"))
+    assert list(weighted) == ["p2"]
+    assert weighted["p2"] == pytest.approx(1.5 * default["p2"])
+
+
+@pytest.fixture(scope="module")
+def synthetic_dir(tmp_path_factory):
+    """A small gen-synthetic catalog and the split its ingest writes."""
+    root = tmp_path_factory.mktemp("synthetic")
+    assert run("gen-synthetic", "--seed", 2, "--products", 40, "--heldout", 10,
+               "--out", root / "data") == 0
+    assert run("ingest", "--products", root / "data" / "products.jsonl", "--engagement",
+               root / "data" / "engagement.jsonl", "--out", root / "ingested") == 0
+    return root
+
+
+def test_predict_with_an_external_model_writes_its_top_entries(synthetic_dir, tmp_path):
+    model = synthetic_dir / "data" / "baseline_query_predictions.jsonl"
+    out = tmp_path / "predictions.jsonl"
+    assert run("predict", "--model", f"external:{model}", "--products",
+               synthetic_dir / "data" / "products.jsonl", "--top", 2, "--out", out) == 0
+    table = load_external_predictions(model)
+    assert any(len(entries) > 2 for entries in table.values())
+    assert [row for _, row in iter_jsonl(out)] == [
+        {"product_id": pid, "token": token, "score": score, "kind": "token"}
+        for pid in sorted(table) for token, score in table[pid][:2]]
+
+
+def test_predict_on_a_split_writes_only_that_splits_products(synthetic_dir, tmp_path):
+    model = synthetic_dir / "data" / "gold_expansions.jsonl"    # a token for every product
+    split_file = synthetic_dir / "ingested" / "split.json"
+    out = tmp_path / "predictions.jsonl"
+    assert run("predict", "--model", f"external:{model}", "--products",
+               synthetic_dir / "data" / "products.jsonl", "--split", "test",
+               "--split-file", split_file, "--out", out) == 0
+    test_ids = load_json(split_file)["test"]
+    assert 0 < len(test_ids) < 40
+    assert sorted({row["product_id"] for _, row in iter_jsonl(out)}) == sorted(test_ids)
 
 
 def test_evaluate_at_a_cutoff_writes_tune_cutoffs_row_for_it(tmp_path, monkeypatch):

@@ -88,6 +88,14 @@ class TestLoadEngagement:
         with pytest.raises(InputError, match="atc_count"):
             load_engagement(jsonl({"product_id": "p1", "query": "a", "atc_count": -1}))
 
+    @pytest.mark.parametrize("argument, message", [
+        ({"min_atc": -1}, "min_atc must be >= 0"),
+        ({"unknown_product": "warn"}, "unknown_product must be 'skip' or 'error'"),
+    ])
+    def test_bad_argument_rejected(self, argument, message):
+        with pytest.raises(ValueError, match=message):
+            load_engagement([], **argument)
+
 
 class TestNormalize:
     def test_punctuation_split(self):
@@ -158,6 +166,12 @@ class TestSplitByProduct:
     def test_record_roundtrip(self):
         split = split_by_product([f"p{i}" for i in range(10)], seed=2)
         assert CatalogSplit.from_record(split.as_record(), "split.json") == split
+
+    def test_unknown_subset_name_rejected(self):
+        split = split_by_product([f"p{i}" for i in range(10)], seed=2)
+        assert split.subset("test") == split.test
+        with pytest.raises(ValueError, match="unknown split subset: 'bogus'"):
+            split.subset("bogus")
 
     @pytest.mark.parametrize("record, message", [
         ([], "split.json: a split file must be a JSON object"),

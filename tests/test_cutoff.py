@@ -55,7 +55,7 @@ class TestTuneCutoff:
         assert result.chosen >= 0.2
         retained = [p.token for p in records[0].predictions if p.score > result.chosen]
         assert "junk" not in retained
-        assert result.chosen_row().report.nrouge_f1 == sweep_oracle(records, token_sets)
+        assert result.chosen_row.report.nrouge_f1 == sweep_oracle(records, token_sets)
 
     def test_all_correct_novel_chooses_zero(self):
         token_sets = {"p1": frozenset(), "p2": frozenset()}
@@ -95,7 +95,7 @@ class TestTuneCutoff:
         cutoffs = [row.cutoff for row in result.rows]
         assert cutoffs == sorted(cutoffs)
         best = max(row.report.nrouge_f1 for row in result.rows)
-        assert result.chosen_row().report.nrouge_f1 == best
+        assert result.chosen_row.report.nrouge_f1 == best
 
     def test_no_predictions_rejected(self):
         with pytest.raises(ValueError):
@@ -176,4 +176,4 @@ def test_optimality_against_oracle_fuzz():
         if not any(r.predictions for r in records):
             continue
         result = tune_cutoff(records, token_sets)
-        assert result.chosen_row().report.nrouge_f1 == sweep_oracle(records, token_sets)
+        assert result.chosen_row.report.nrouge_f1 == sweep_oracle(records, token_sets)

@@ -184,6 +184,15 @@ def test_dump_json_raises_like_json_and_keeps_previous_file(tmp_path, obj, error
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
 
 
+def test_dump_json_rejects_a_tuple_key_with_json_dumps_message(tmp_path):
+    obj = {(1, 2): [1]}    # a container value sends the dict down the key-by-key path
+    with pytest.raises(TypeError) as expected:
+        reference_bytes(obj)
+    with pytest.raises(TypeError) as raised:
+        dump_json(tmp_path / "artifact.json", obj)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_dump_json_repeats_shared_containers(tmp_path):
     obj = shared_not_circular()
     dump_json(tmp_path / "shared.json", obj)

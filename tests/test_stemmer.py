@@ -55,6 +55,8 @@ def test_plural_and_fixed_point():
 def test_matches_reference_on_examples():
     assert stem("floaties") == reference_stem("floaties") == "floati"
     assert stem("kids") == reference_stem("kids") == "kid"
+    # Step 4 keeps "ion" when the stem before it ends in neither "s" nor "t"
+    assert stem("companion") == reference_stem("companion") == "companion"
     for word in KNOWN_STEMS:
         assert stem(word) == reference_fixpoint(word)
 

@@ -3,7 +3,9 @@
 ``perfbench/tracing.py::install`` looks each traced function up by name, so
 renaming or deleting one makes every traced benchmark run fail. This runs
 the tracer in a child interpreter, as the benchmark does, over the README
-chain's ``evaluate`` and ``tune-cutoff`` stages.
+chain's ``evaluate`` and ``tune-cutoff`` stages, the latter with the
+benchmark's ``--budget-target 3``. Every span is asserted as recorded, so a
+call that bypasses a traced function fails too.
 """
 
 import json
@@ -31,7 +33,9 @@ for argv in json.loads(sys.argv[1]):
     assert docexpand.cli.main(argv) == 0, argv
 print(json.dumps({
     "metrics.evaluate": len(tracer.durations("metrics.evaluate")),
+    "metrics.bootstrap": len(tracer.durations("metrics.bootstrap")),
     "cutoff.tune": len(tracer.durations("cutoff.tune")),
+    "cutoff.budget_match": len(tracer.durations("cutoff.budget_match")),
     "metrics.make_eval_record.calls": tracer.counter("metrics.make_eval_record.calls"),
 }))
 """
@@ -43,6 +47,7 @@ def test_traced_evaluate_and_tune_cutoff_record_their_spans(tmp_path, monkeypatc
     for argv in commands[:6]:    # gen-synthetic ... predict
         assert main(argv) == 0, argv
     assert [argv[0] for argv in commands[6:8]] == ["evaluate", "tune-cutoff"]
+    commands[7] += ["--budget-target", "3"]    # as the benchmark's quickstart runs it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
     proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands[6:8])], env=env,
                           capture_output=True, text=True, timeout=300)
