@@ -17,7 +17,6 @@ line as untested. It exits 2, after the listing, when a test fails.
 import ast
 import os
 import sys
-import threading
 import types
 from pathlib import Path
 
@@ -49,7 +48,7 @@ def executable_lines(path: Path) -> set:
 class LineCollector:
     """Records, by absolute file name, the lines run by frames whose code lies under ``root``.
 
-    Use it as a context manager; it traces this thread and threads started inside it.
+    Use it as a context manager; it traces the calling thread (no test starts another).
     """
 
     def __init__(self, root: Path):
@@ -76,14 +75,12 @@ class LineCollector:
         return local
 
     def __enter__(self):
-        self._previous = sys.gettrace(), threading.gettrace()
-        threading.settrace(self._trace)
+        self._previous = sys.gettrace()
         sys.settrace(self._trace)
         return self
 
     def __exit__(self, *exc):
-        sys.settrace(self._previous[0])
-        threading.settrace(self._previous[1])
+        sys.settrace(self._previous)
         return False
 
 

@@ -4,8 +4,8 @@
 renaming or deleting one makes every traced benchmark run fail. This runs
 the tracer in a child interpreter, as the benchmark does, over the README
 chain's ``evaluate`` and ``tune-cutoff`` stages, the latter with the
-benchmark's ``--budget-target 3``. Every span is asserted as recorded, so a
-call that bypasses a traced function fails too.
+benchmark's ``--budget-target 3``. Each span it counts must be recorded, so
+a call that bypasses one of those traced functions fails too.
 """
 
 import json
