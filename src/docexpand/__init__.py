@@ -31,7 +31,6 @@ from .filters import (
     PipelineStats,
     overlapping_token_filter,
     price_token_filter,
-    relevance_filter,
     run_pipeline,
 )
 from .metrics import (

@@ -31,7 +31,7 @@ from .corpus import (
 )
 from .cutoff import budget_match_cutoff, candidate_cutoffs, tune_cutoff
 from .errors import ConfigError, InputError
-from .filters import ExternalScorer, NovelPair, StageStats, run_pipeline
+from .filters import STATS_COUNTS, ExternalScorer, NovelPair, StageStats, run_pipeline
 from .metrics import ScoredRecord, evaluate_records
 from .predictor import (
     apply_cutoff,
@@ -442,8 +442,6 @@ def render_metrics_row(label, m: dict) -> list:
 _METRIC_HEADERS = ("cutoff", "rouge_p", "rouge_r", "rouge_f1",
                    "nrouge_p", "nrouge_r", "nrouge_f1", "total", "novel", "pct")
 _STAGE_COLUMNS = StageStats._fields
-_STATS_COUNTS = ("novel_token_pairs", "dropped_irrelevant", "dropped_empty_after_price",
-                 "dropped_full_match", "dropped_empty_query")
 _STAGE_ROWS = Kind((list,), "a list of objects, each a string stage and counts "
                    + ", ".join(_STAGE_COLUMNS[1:]),
                    lambda rows: all(type(row) is dict and type(row.get("stage")) is str
@@ -453,7 +451,7 @@ _METRICS = Kind((dict,), "an object of finite numbers " + ", ".join(c[0] for c i
                 lambda metrics: all_of(NUMBER, (metrics.get(k) for k, _, _ in _METRIC_COLUMNS)))
 # report section -> (keys that mark a file as one, (key, kind) of each field); first match wins
 _SECTIONS = {
-    "preprocessing": (("stages",), (("stages", _STAGE_ROWS), *((k, COUNT) for k in _STATS_COUNTS))),
+    "preprocessing": (("stages",), (("stages", _STAGE_ROWS), *((k, COUNT) for k in STATS_COUNTS))),
     "cutoff_sweeps": (("rows", "chosen"), (("chosen", NUMBER), ("chosen_metrics", _METRICS))),
     "evaluations": (("metrics",), (("metrics", _METRICS),)),
     "retrieval": (("recall",), (("recall", NUMBER), *((k, COUNT) for k in ("k", "hits", "total")))),
@@ -462,7 +460,7 @@ _SECTIONS = {
 
 def render_stats(stats: dict) -> str:
     rows = [[row[name] for name in _STAGE_COLUMNS] for row in stats["stages"]]
-    extras = [f"{name}: {stats[name]}" for name in _STATS_COUNTS]
+    extras = [f"{name}: {stats[name]}" for name in STATS_COUNTS]
     return render_table(_STAGE_COLUMNS, rows) + "\n" + "\n".join(extras) + "\n"
 
 

@@ -3,12 +3,13 @@
 Stage order is fixed: relevance filter, price-token filter, full-match
 filter, then tokenization plus the overlapping-token filter. The first
 three stages yield the query-level dataset; the last stage yields the
-token-level dataset of (product, novel tokens) pairs. Each stage records
+token-level dataset of (product, novel tokens) pairs. ``run_pipeline``
+takes each pair through the stages in one pass, and each stage records
 how many pairs flowed in and out.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .corpus import EngagementPair, analyze, product_token_set
@@ -111,27 +112,6 @@ class ExternalScorer:
         return self._scores[key]
 
 
-def relevance_filter(pairs, scorer, threshold: float):
-    """Keep the pairs whose ``scorer.score(query, product)``, a number in [0, 1], is at
-    least ``threshold``; returns (kept, dropped)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must be in [0, 1]")
-    kept, dropped = [], 0
-    for pair, product in pairs:
-        try:
-            value = scorer.score(pair.query, product)
-        except Exception as exc:
-            raise ScorerError(
-                f"relevance scorer failed on pair (product={pair.product_id!r}, "
-                f"query={pair.query!r}): {exc}"
-            ) from exc
-        if value >= threshold:
-            kept.append(pair)
-        else:
-            dropped += 1
-    return kept, dropped
-
-
 def price_token_filter(query: str) -> str:
     """Strip price/deal phrases; the remainder is re-joined by single spaces.
 
@@ -202,21 +182,19 @@ class StageStats(NamedTuple):
 @dataclass
 class PipelineStats:
     rows: list = field(default_factory=list)
+    novel_token_pairs: int = 0
     dropped_irrelevant: int = 0
     dropped_empty_after_price: int = 0
     dropped_full_match: int = 0
     dropped_empty_query: int = 0
-    novel_token_pairs: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "stages": [row._asdict() for row in self.rows],
-            "dropped_irrelevant": self.dropped_irrelevant,
-            "dropped_empty_after_price": self.dropped_empty_after_price,
-            "dropped_full_match": self.dropped_full_match,
-            "dropped_empty_query": self.dropped_empty_query,
-            "novel_token_pairs": self.novel_token_pairs,
-        }
+        return {"stages": [row._asdict() for row in self.rows],
+                **{name: getattr(self, name) for name in STATS_COUNTS}}
+
+
+# the counters after the stage rows, in the order reports print them
+STATS_COUNTS = tuple(f.name for f in fields(PipelineStats))[1:]
 
 
 @dataclass
@@ -230,85 +208,73 @@ def run_pipeline(pairs, products, rf_threshold: float = 0.0, scorer=None,
                  fmf_enabled: bool = True) -> PipelineResult:
     """Run all stages and emit both datasets plus per-stage statistics.
 
-    Each distinct query text and each referenced product is analyzed once
-    per call, shared by every stage and by the default Jaccard scorer.
+    Each pair goes through the stages in one pass and leaves at the first
+    that drops it. The relevance stage keeps a pair whose
+    ``scorer.score(query, product)``, a number in [0, 1], is at least
+    ``rf_threshold``. Each distinct query text and each referenced product
+    is analyzed once per call, shared by every stage and by the default
+    Jaccard scorer.
     """
     by_id = {p.id: p for p in products}
     for pair in pairs:
         if pair.product_id not in by_id:
             raise InputError(f"engagement pair references unknown product {pair.product_id!r}")
+    if not 0.0 <= rf_threshold <= 1.0:
+        raise ValueError("threshold must be in [0, 1]")
     memo = AnalysisMemo()
     stats = PipelineStats()
     scorer = scorer if scorer is not None else JaccardScorer(memo)
-
-    current = list(pairs)
-    kept, dropped = relevance_filter(
-        [(pair, by_id[pair.product_id]) for pair in current], scorer, rf_threshold
-    )
-    stats.dropped_irrelevant = dropped
-    stats.rows.append(_stage_row("relevance", current, kept))
-    current = kept
-
-    cleaned = []
-    for pair in current:
-        new_query = price_token_filter(pair.query)
-        if not new_query:
-            stats.dropped_empty_after_price += 1
+    query_pairs, novel_pairs = [], []
+    reached = {}   # product id -> the most stages one of its pairs passed
+    for pair in pairs:
+        product = by_id[pair.product_id]
+        try:
+            value = scorer.score(pair.query, product)
+        except Exception as exc:
+            raise ScorerError(
+                f"relevance scorer failed on pair (product={pair.product_id!r}, "
+                f"query={pair.query!r}): {exc}"
+            ) from exc
+        if not value >= rf_threshold:    # a NaN score is dropped too
+            stats.dropped_irrelevant += 1
             continue
-        if new_query != pair.query:
-            pair = EngagementPair(pair.product_id, new_query, pair.atc_count)
-        cleaned.append(pair)
-    stats.rows.append(_stage_row("price_token", current, cleaned))
-    current = cleaned
-
-    if fmf_enabled:    # drop queries with no tokens, or with none the product lacks
-        matched = []
-        for pair in current:
+        passed = 1
+        query = price_token_filter(pair.query)
+        if not query:
+            stats.dropped_empty_after_price += 1
+        else:
+            passed = 2
+            if query != pair.query:
+                pair = EngagementPair(pair.product_id, query, pair.atc_count)
             tokens = memo.query(pair.query)
-            product_tokens = memo.product(by_id[pair.product_id])
-            if not tokens:
+            product_tokens = memo.product(product)
+            # full match: drop queries with no tokens, or with none the product lacks
+            if fmf_enabled and not tokens:
                 stats.dropped_empty_query += 1
-            elif all(token in product_tokens for token in tokens):
+            elif fmf_enabled and all(token in product_tokens for token in tokens):
                 stats.dropped_full_match += 1
             else:
-                matched.append(pair)
-        stats.rows.append(_stage_row("full_match", current, matched))
-        current = matched
+                passed = 3 if fmf_enabled else 2
+                query_pairs.append(pair)
+                novel = overlapping_token_filter(tokens, product_tokens)
+                if novel:
+                    passed += 1
+                    stats.novel_token_pairs += len(novel)
+                    novel_pairs.append(NovelPair(
+                        product_id=pair.product_id,
+                        novel_tokens=tuple(novel),
+                        source_query=pair.query,
+                        token_counts={token: tokens.count(token) for token in novel},
+                    ))
+        if reached.get(pair.product_id, 0) < passed:
+            reached[pair.product_id] = passed
 
-    query_pairs = list(current)
-
-    novel_pairs = []
-    for pair in current:
-        query_tokens = memo.query(pair.query)
-        novel = overlapping_token_filter(query_tokens, memo.product(by_id[pair.product_id]))
-        if not novel:
-            continue
-        counts = {token: query_tokens.count(token) for token in novel}
-        novel_pairs.append(
-            NovelPair(
-                product_id=pair.product_id,
-                novel_tokens=tuple(novel),
-                source_query=pair.query,
-                token_counts=counts,
-            )
-        )
-    stats.rows.append(
-        StageStats(
-            stage="novel_tokens",
-            pairs_in=len(current),
-            pairs_out=len(novel_pairs),
-            products_out=len({p.product_id for p in novel_pairs}),
-        )
-    )
-    stats.novel_token_pairs = sum(len(p.novel_tokens) for p in novel_pairs)
-
+    relevant = len(pairs) - stats.dropped_irrelevant
+    cleaned = relevant - stats.dropped_empty_after_price
+    flow = [("relevance", len(pairs), relevant), ("price_token", relevant, cleaned)]
+    if fmf_enabled:
+        flow.append(("full_match", cleaned, len(query_pairs)))
+    flow.append(("novel_tokens", len(query_pairs), len(novel_pairs)))
+    stats.rows = [StageStats(stage, pairs_in, pairs_out, sum(n >= i for n in reached.values()))
+                  for i, (stage, pairs_in, pairs_out) in enumerate(flow, start=1)]
     return PipelineResult(query_pairs=query_pairs, novel_pairs=novel_pairs, stats=stats)
-
-
-def _stage_row(stage, pairs_in, pairs_out) -> StageStats:
-    return StageStats(
-        stage=stage,
-        pairs_in=len(pairs_in),
-        pairs_out=len(pairs_out),
-        products_out=len({p.product_id for p in pairs_out}),
-    )

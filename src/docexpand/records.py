@@ -175,43 +175,8 @@ def dump_json(path, obj) -> None:
         fh.write("\n")
 
 
-_INFINITY = float("inf")
 _CHUNK_PARTS = 4096   # encoded parts buffered between writes
 _CONTAINERS = (list, tuple, dict)
-
-
-def _float_text(value) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _key_text(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return _scalar_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _scalar_text(value) -> str:
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def _write_indented(fh, obj) -> None:
@@ -220,18 +185,17 @@ def _write_indented(fh, obj) -> None:
     On Python 3.10 and 3.11 ``json.dump`` with an indent always runs the
     pure-Python generator encoder and calls ``fh.write`` once per token.
     This writes the same text without generators: a container that holds
-    no container is one call of a C encoder whose item separator is the
-    level's newline and indent; any other container encodes its scalars
-    inline in its loop and recurses only into containers. Strings go
-    through the C ``encode_basestring``, and the text is written whenever
-    ``_CHUNK_PARTS`` parts are buffered, so memory stays bounded by that
-    many parts. Key sorting, number formatting and the errors raised
-    (TypeError for an unserializable value or key, ValueError for a
-    container inside itself) follow ``json.encoder._make_iterencode``,
-    which the C encoder matches for scalars and keys. No class subclasses
-    two of str, int, float, list, tuple and dict, so testing the exact
-    types first and subclasses after picks what its order of
-    ``isinstance`` tests picks.
+    no container, an empty one too, is one call of a C encoder whose item
+    separator is the level's newline and indent; any other container
+    writes each of its keys and values that is not a container with that
+    same encoder, and recurses only into containers. The text is written
+    whenever ``_CHUNK_PARTS`` parts are buffered, so memory stays bounded
+    by that many parts. Key sorting, number formatting and the errors
+    raised (TypeError for an unserializable value or key, ValueError for a
+    container inside itself) follow ``json.encoder._make_iterencode``: the
+    C encoder matches it for scalars and keys, once a key that is not a
+    str has passed its type test, whose message names the key's class as
+    that encoder does.
     """
     parts = []
     append = parts.append
@@ -245,10 +209,6 @@ def _write_indented(fh, obj) -> None:
         parts.clear()
 
     def container(obj, level):
-        is_dict = isinstance(obj, dict)
-        if not obj:
-            append("{}" if is_dict else "[]")
-            return
         while len(levels) < level + 2:
             indent = "\n" + "  " * (len(levels) + 1)
             outer = "\n" + "  " * len(levels)
@@ -256,9 +216,12 @@ def _write_indented(fh, obj) -> None:
                 None, _RECORD_ENCODER.default, encode_basestring, None, ": ", "," + indent,
                 True, False, True)))
         lead, separator, close_list, close_dict, encode_flat = levels[level]
+        is_dict = isinstance(obj, dict)
         if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
-            text = "".join(encode_flat(obj, 0))    # "{...}" or "[...]" without the newlines
-            append(text[0] + lead + text[1:-1] + (close_dict if is_dict else close_list))
+            text = "".join(encode_flat(obj, 0))
+            if obj:    # "{...}" or "[...]" without the newlines
+                text = text[0] + lead + text[1:-1] + (close_dict if is_dict else close_list)
+            append(text)
             return
         level += 1
         # a posting, [str, int], is written whole with the next level's strings
@@ -274,8 +237,12 @@ def _write_indented(fh, obj) -> None:
         for item in items:
             if is_dict:
                 key, value = item
-                prefix = lead + encode_basestring(
-                    key if type(key) is str else _key_text(key)) + ": "
+                if not isinstance(key, str):
+                    if not (isinstance(key, (int, float)) or key is None):
+                        raise TypeError("keys must be str, int, float, bool or None, "
+                                        f"not {key.__class__.__name__}")
+                    key = "".join(encode_flat(key, 0))
+                prefix = lead + encode_basestring(key) + ": "
             else:
                 value = item
                 prefix = lead
@@ -283,14 +250,8 @@ def _write_indented(fh, obj) -> None:
             if len(parts) >= _CHUNK_PARTS:
                 flush()
             cls = type(value)
-            if cls is str:
-                append(prefix + encode_basestring(value))
-            elif cls is int:
-                append(prefix + int.__repr__(value))
-            elif cls is float:
-                append(prefix + _float_text(value))
-            elif ((cls is list or cls is tuple) and len(value) == 2
-                  and type(value[0]) is str and type(value[1]) is int):
+            if ((cls is list or cls is tuple) and len(value) == 2
+                    and type(value[0]) is str and type(value[1]) is int):
                 append(prefix + pair_lead + encode_basestring(value[0]) + pair_separator
                        + int.__repr__(value[1]) + pair_close)
             elif isinstance(value, _CONTAINERS):
@@ -302,7 +263,7 @@ def _write_indented(fh, obj) -> None:
                 append(prefix)
                 container(value, level)
             else:
-                append(prefix + _scalar_text(value))
+                append(prefix + "".join(encode_flat(value, 0)))
         append(close_dict if is_dict else close_list)
         if nested:
             writing.discard(id(obj))
@@ -310,7 +271,7 @@ def _write_indented(fh, obj) -> None:
     if isinstance(obj, _CONTAINERS):
         container(obj, 0)
     else:
-        append(_scalar_text(obj))
+        append(dumps_record(obj))
     flush()
 
 

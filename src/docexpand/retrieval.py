@@ -31,7 +31,7 @@ DEFAULT_FIELD_WEIGHTS = {"title": 2.0, "attributes": 1.0, "description": 1.0, "e
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
-# the first search checks each id (_build_columns)
+# the first search checks each id (_columns)
 _DOC_IDS = Kind((list,), "a list of document ids")
 _FIELDS = Kind((dict,), f"an object with an entry for each of {INDEX_FIELDS}",
                lambda fields: set(INDEX_FIELDS) <= fields.keys())
@@ -206,8 +206,10 @@ def _field_columns(index: InvertedIndex, name: str, doc_pos: dict) -> FieldColum
     return FieldColumns(rows=rows, indptr=indptr, positions=positions, impacts=impacts)
 
 
-def _build_columns(index: InvertedIndex) -> tuple:
-    """Every index field's columns, in INDEX_FIELDS order."""
+def _columns(index: InvertedIndex) -> tuple:
+    """Every index field's columns, in INDEX_FIELDS order, built and checked on first use."""
+    if index._columns is not None:
+        return index._columns
     doc_ids = index.doc_ids
     if not all(type(doc_id) is str for doc_id in doc_ids):
         raise InputError("index doc_ids must all be strings")
@@ -222,7 +224,8 @@ def _build_columns(index: InvertedIndex) -> tuple:
         if not math.isfinite(index.field_weights[name]):
             raise InputError(f"index field {name!r} has weight {index.field_weights[name]!r}")
     doc_pos = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-    return tuple(_field_columns(index, name, doc_pos) for name in INDEX_FIELDS)
+    index._columns = tuple(_field_columns(index, name, doc_pos) for name in INDEX_FIELDS)
+    return index._columns
 
 
 def search(index: InvertedIndex, query: str, k: int) -> SearchResult:
@@ -237,11 +240,9 @@ def search(index: InvertedIndex, query: str, k: int) -> SearchResult:
     tokens = sorted(set(analyze(query)))
     if not tokens:
         return SearchResult(hits=[])
-    if index._columns is None:
-        index._columns = _build_columns(index)
     scores = np.zeros(index.doc_count)
     matched = np.zeros(index.doc_count, dtype=bool)
-    for columns in index._columns:
+    for columns in _columns(index):
         for token in tokens:
             row = columns.rows.get(token)
             if row is not None:
@@ -272,6 +273,7 @@ def eval_recall(index: InvertedIndex, pairs, k: int) -> RecallReport:
     pairs = list(pairs)
     if not pairs:
         return RecallReport(recall=0.0, hits=0, total=0, defined=False)
+    _columns(index)    # checks the doc ids before they are hashed
     indexed = set(index.doc_ids)
     hits = 0
     for pair in pairs:

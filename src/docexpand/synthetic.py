@@ -124,7 +124,7 @@ def generate(seed: int = 0, n_products: int = 1000, n_heldout: int = 200) -> Syn
             if rng.random() < 0.5:
                 query = " ".join(reversed(query.split(" ", 1)))
             engagement.append(_pair(rng, product.id, query))
-        if rng.random() < 0.2:
+        if rng.random() < 0.2 and len(products) > 1:    # a lone product has no other
             other = products[(i + rng.randint(1, len(products) - 1)) % len(products)]
             own = product_token_set(product)    # only this branch reads a product's tokens
             foreign = [w for w in other.title.lower().split() if own.isdisjoint(analyze(w))]

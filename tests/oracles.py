@@ -26,8 +26,8 @@ from docexpand.filters import (
     PipelineStats,
     StageStats,
     overlapping_token_filter,
+    ScorerError,
     price_token_filter,
-    relevance_filter,
 )
 from docexpand.metrics import MetricsReport
 from docexpand.predictor import CooccurrenceModel, ScoredToken, apply_cutoff
@@ -244,6 +244,26 @@ class JaccardScorer:
         if not union:
             return 0.0
         return len(query_tokens & product_tokens) / len(union)
+
+
+def relevance_filter(pairs, scorer, threshold):
+    """Reference relevance stage over (pair, product) tuples; returns (kept, dropped)."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must be in [0, 1]")
+    kept, dropped = [], 0
+    for pair, product in pairs:
+        try:
+            value = scorer.score(pair.query, product)
+        except Exception as exc:
+            raise ScorerError(
+                f"relevance scorer failed on pair (product={pair.product_id!r}, "
+                f"query={pair.query!r}): {exc}"
+            ) from exc
+        if value >= threshold:
+            kept.append(pair)
+        else:
+            dropped += 1
+    return kept, dropped
 
 
 def _stage_row(stage, pairs_in, pairs_out):

@@ -378,6 +378,7 @@ MALFORMED_INDEXES = {
     "list_doc.json": lambda index: index["fields"]["title"]["postings"]["lamp"].append(
         [["p9"], 1]),
     "number_doc_id.json": lambda index: index["doc_ids"].append(7),
+    "list_doc_id.json": lambda index: index["doc_ids"].append(["p9"]),
     "zero_avg_length.json": lambda index: index["fields"]["title"].update(avg_length=0.0),
     "unsorted_doc_ids.json": _unsort_doc_ids,
     "huge_length.json": lambda index: index["fields"]["title"]["lengths"].update(p3=10**400),
@@ -532,6 +533,10 @@ EXIT_CODE_PROBES = {
     "index-number-doc-id": (
         ("search", "--index", "{d}/number_doc_id.json", "--query", "lamp"), 3,
         "doc_ids must all be strings"),
+    "eval-retrieval-list-doc-id": (
+        ("eval-retrieval", "--index", "{d}/list_doc_id.json", "--pairs",
+         "{d}/engagement.jsonl", "--report", "{d}/out/recall.json"), 3,
+        "index doc_ids must all be strings"),
     "index-repeated-posting": (
         ("search", "--index", "{d}/repeated_posting.json", "--query", "lamp"), 3,
         "document 'p2' repeats"),

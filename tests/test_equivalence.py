@@ -5,6 +5,7 @@ lists, reports and floats of the references they replaced.
 """
 
 import itertools
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from docexpand import filters
 from docexpand.corpus import EngagementPair, Product, analyze, normalize, product_token_set
 from docexpand.cutoff import ScoredRecord, SweepRow, budget_match_cutoff, tune_cutoff
+from docexpand.errors import InputError
 from docexpand.metrics import report_from_values, sweep
 from docexpand.predictor import (
     CooccurrenceModel,
@@ -24,7 +26,7 @@ from docexpand.predictor import (
     save_model,
     train_cooccurrence,
 )
-from docexpand.filters import ExternalScorer, run_pipeline
+from docexpand.filters import ExternalScorer, ScorerError, run_pipeline
 from docexpand.retrieval import (
     INDEX_FIELDS,
     build_index,
@@ -461,6 +463,48 @@ def test_pipeline_matches_reference():
             assert got.stats.as_dict() == want.stats.as_dict()
             compared += len(want.novel_pairs)
     assert compared > 1000
+
+    products, pairs = pipeline_case(1)
+    nan_scores = ExternalScorer({(p.product_id, p.query): math.nan if i % 3 else 1.0
+                                 for i, p in enumerate(pairs)})
+    unknown = pairs[:5] + [EngagementPair("no-such-product", "lamp", 2)]
+    cases = [    # (pairs, options): each option set is built afresh for each run
+        (pairs, lambda: {"scorer": FailsAtCall(40)}),
+        (pairs, lambda: {"scorer": nan_scores}),
+        (unknown, lambda: {"rf_threshold": 1.5}),
+        ([], lambda: {"rf_threshold": -0.5}),
+    ]
+    outcomes = []
+    for case_pairs, options in cases:
+        got = pipeline_outcome(run_pipeline, case_pairs, products, **options())
+        assert got == pipeline_outcome(oracles.run_pipeline, case_pairs, products, **options())
+        outcomes.append(got)
+    assert outcomes[0][0] is ScorerError and "call 40" in outcomes[0][1]
+    assert outcomes[1][2]["dropped_irrelevant"] > 0 and outcomes[1][1]
+    assert outcomes[2][0] is InputError and "no-such-product" in outcomes[2][1]
+    assert outcomes[3] == (ValueError, "threshold must be in [0, 1]")
+
+
+class FailsAtCall:
+    """A scorer whose k-th call raises; every other call scores 1."""
+
+    def __init__(self, k):
+        self.calls, self.k = 0, k
+
+    def score(self, query, product):
+        self.calls += 1
+        if self.calls == self.k:
+            raise RuntimeError(f"call {self.k}")
+        return 1.0
+
+
+def pipeline_outcome(run, pairs, products, **options):
+    """``run``'s datasets and stats, or the class and text of what it raised."""
+    try:
+        result = run(pairs, products, **options)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return result.query_pairs, result.novel_pairs, result.stats.as_dict()
 
 
 def test_pipeline_analyzes_each_text_and_product_once_per_call(monkeypatch):

@@ -13,7 +13,6 @@ from docexpand.filters import (
     ScorerError,
     overlapping_token_filter,
     price_token_filter,
-    relevance_filter,
     run_pipeline,
 )
 from docexpand.records import dumps_record
@@ -32,33 +31,42 @@ class MapScorer:
         return self.table.get((product.id, query), self.default)
 
 
+def relevance_stage(pairs, products, scorer, threshold, fmf_enabled=True):
+    """run_pipeline's relevance stage: (kept, dropped), where no later stage drops a pair."""
+    result = run_pipeline(pairs, products, rf_threshold=threshold, scorer=scorer,
+                          fmf_enabled=fmf_enabled)
+    assert result.stats.rows[0].pairs_out == len(result.query_pairs)
+    return result.query_pairs, result.stats.dropped_irrelevant
+
+
 class TestRelevanceFilter:
     def test_threshold_split(self):
         products = {"p": Product(id="p", title="t")}
         pairs = [EngagementPair("p", "good", 2), EngagementPair("p", "bad", 2)]
         scorer = MapScorer({("p", "good"): 0.9, ("p", "bad"): 0.4})
-        kept, dropped = relevance_filter(
-            [(pair, products["p"]) for pair in pairs], scorer, threshold=0.5
-        )
+        kept, dropped = relevance_stage(pairs, list(products.values()), scorer, threshold=0.5)
         assert [p.query for p in kept] == ["good"]
         assert dropped == 1
 
     def test_threshold_zero_keeps_all(self):
         product = Product(id="p", title="t")
-        pairs = [(EngagementPair("p", q, 2), product) for q in "abc"]
-        kept, dropped = relevance_filter(pairs, MapScorer({}, default=0.0), threshold=0.0)
+        pairs = [EngagementPair("p", q, 2) for q in "abc"]
+        kept, dropped = relevance_stage(pairs, [product], MapScorer({}, default=0.0),
+                                         threshold=0.0)
         assert len(kept) == 3 and dropped == 0
 
     def test_partial_overlap_dropped_at_threshold_one(self):
         product = Product(id="p", title="swim vest kid")
         pair = EngagementPair("p", "swim ring", 2)
-        kept, dropped = relevance_filter([(pair, product)], JaccardScorer(), threshold=1.0)
+        kept, dropped = relevance_stage([pair], [product], JaccardScorer(), threshold=1.0)
         assert kept == [] and dropped == 1
 
     def test_identical_sets_survive_threshold_one(self):
         product = Product(id="p", title="swim vest")
         pair = EngagementPair("p", "vest swim", 2)
-        kept, _ = relevance_filter([(pair, product)], JaccardScorer(), threshold=1.0)
+        # a full match, which that stage would drop
+        kept, _ = relevance_stage([pair], [product], JaccardScorer(), threshold=1.0,
+                                   fmf_enabled=False)
         assert kept == [pair]
 
     @pytest.mark.parametrize("memo", [None, AnalysisMemo()], ids=["fresh", "memo"])
@@ -72,11 +80,11 @@ class TestRelevanceFilter:
         pair = EngagementPair("p9", "boom", 2)
         scorer = ExternalScorer({})
         with pytest.raises(ScorerError, match="p9.*boom"):
-            relevance_filter([(pair, product)], scorer, threshold=0.5)
+            relevance_stage([pair], [product], scorer, threshold=0.5)
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
-            relevance_filter([], JaccardScorer(), threshold=1.5)
+            relevance_stage([], [], JaccardScorer(), threshold=1.5)
 
 
 class TestPriceTokenFilter:

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from docexpand.cli import main
 from docexpand.synthetic import generate, write_corpus
 
 # sha256 of every file write_corpus writes, recorded before generate stopped
@@ -40,3 +41,12 @@ def test_written_corpus_matches_golden_hashes(tmp_path, seed, n_products, n_held
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert written == GOLDEN[seed, n_products, n_heldout]
+
+
+def test_a_single_product_generates_for_every_seed(tmp_path):
+    for seed in range(60):    # some seeds draw a query from another product's title
+        corpus = generate(seed, 1, 0)
+        assert [p.id for p in corpus.products] == [corpus.products[0].id]
+        assert {pair.product_id for pair in corpus.engagement} <= {corpus.products[0].id}
+    assert main(["gen-synthetic", "--seed", "5", "--products", "1", "--heldout", "0",
+                 "--out", str(tmp_path / "one")]) == 0

@@ -3,9 +3,10 @@
 ``perfbench/tracing.py::install`` looks each traced function up by name, so
 renaming or deleting one makes every traced benchmark run fail. This runs
 the tracer in a child interpreter, as the benchmark does, over the README
-chain's ``evaluate`` and ``tune-cutoff`` stages, the latter with the
+chain from ``filter`` to ``index``, with ``tune-cutoff`` given the
 benchmark's ``--budget-target 3``. Each span it counts must be recorded, so
-a call that bypasses one of those traced functions fails too.
+a call that bypasses one of those traced functions fails too, and the
+filter stage must score each pair once through ``JaccardScorer.score``.
 """
 
 import json
@@ -37,6 +38,11 @@ print(json.dumps({
     "cutoff.tune": len(tracer.durations("cutoff.tune")),
     "cutoff.budget_match": len(tracer.durations("cutoff.budget_match")),
     "metrics.make_eval_record.calls": tracer.counter("metrics.make_eval_record.calls"),
+    "filters.run_pipeline": len(tracer.durations("filters.run_pipeline")),
+    "retrieval.save_index": len(tracer.durations("retrieval.save_index")),
+    "records.json_dump": len(tracer.durations("records.json_dump")),
+    "filters.relevance_score.calls": tracer.counter("filters.relevance_score.calls"),
+    "filters.pairs_in": tracer.counter("filters.pairs_in"),
 }))
 """
 
@@ -44,13 +50,15 @@ print(json.dumps({
 def test_traced_evaluate_and_tune_cutoff_record_their_spans(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = [shlex.split(line)[1:] for line in quickstart_commands()]
-    for argv in commands[:6]:    # gen-synthetic ... predict
+    for argv in commands[:2]:    # gen-synthetic, ingest; the child runs filter ... index
         assert main(argv) == 0, argv
     assert [argv[0] for argv in commands[6:8]] == ["evaluate", "tune-cutoff"]
+    assert [commands[2][0], commands[8][0]] == ["filter", "index"]
     commands[7] += ["--budget-target", "3"]    # as the benchmark's quickstart runs it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands[6:8])], env=env,
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands[2:9])], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout.splitlines()[-1])
     assert all(count > 0 for count in counts.values()), counts
+    assert counts["filters.relevance_score.calls"] == counts["filters.pairs_in"], counts
