@@ -510,15 +510,17 @@ def _cmd_filter(cfg: dict) -> str:
     out = Path(cfg["out"])
     write_jsonl(out / "query_pairs.jsonl", (p._asdict() for p in result.query_pairs))
     write_jsonl(out / "novel_pairs.jsonl", (p._asdict() for p in result.novel_pairs))
+    summary = (f"filter: {len(pairs)} pairs in, {len(result.query_pairs)} query pairs, "
+               f"{len(result.novel_pairs)} novel pairs out")
     stats = result.stats.as_dict()
+    del result    # the writes below reuse its memory, which sets this stage's peak
     dump_json(out / "pipeline_stats.json", {"config": cfg, **stats})
     write_text(out / "pipeline_stats.txt", render_stats(stats))
     write_jsonl(out / "products.jsonl", (p._asdict() for p in products))
     split_path = in_dir / "split.json"
     if split_path.exists():
         dump_json(out / "split.json", load_json(split_path))
-    return (f"filter: {len(pairs)} pairs in, {len(result.query_pairs)} query pairs, "
-            f"{len(result.novel_pairs)} novel pairs out")
+    return summary
 
 
 def _cmd_build_targets(cfg: dict) -> str:
