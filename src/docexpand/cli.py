@@ -54,6 +54,7 @@ from .retrieval import (
     save_index,
     search,
 )
+from .stemmer import stem
 from .synthetic import generate, write_corpus
 from .targets import build_target_tokens, emit_training_instances, load_training_instances
 
@@ -760,6 +761,7 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
+    stem.cache_clear()    # each subcommand starts as it would in its own process
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()

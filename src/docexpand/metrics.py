@@ -22,8 +22,6 @@ predictions changed. ``evaluate_records`` is its row at one cutoff.
 from collections import Counter
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ScoredRecord:
@@ -55,8 +53,15 @@ def f1(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
+# Resamples drawn per block: one draw of every resample would hold a resamples x n
+# index matrix and its gathered values at once
+_BOOTSTRAP_ROWS = 64
+
+
 def bootstrap_ci(values, resamples: int = 1000, level: float = 0.95, seed=0):
     """Percentile interval over resampled means; deterministic given seed."""
+    import numpy as np
+
     values = np.asarray(list(values), dtype=np.float64)
     if values.size == 0:
         raise ValueError("values must be non-empty")
@@ -64,12 +69,27 @@ def bootstrap_ci(values, resamples: int = 1000, level: float = 0.95, seed=0):
         raise ValueError("resamples must be >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    indices = rng.integers(0, values.size, size=(resamples, values.size))
-    means = values[indices].mean(axis=1)
+    means = _resampled_means(values, resamples, np.random.default_rng(seed))
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(means, [tail, 1.0 - tail])
     return float(lo), float(hi)
+
+
+def _resampled_means(values, resamples: int, rng):
+    """The means of ``resamples`` draws of ``values`` with replacement, drawn in blocks.
+
+    ``values`` is a non-empty float64 array. Each block takes the next rows of
+    ``rng.integers(0, n, size=(resamples, n))``, so the means are the one-shot
+    draw's, bit for bit.
+    """
+    import numpy as np
+
+    means = np.empty(resamples)
+    for start in range(0, resamples, _BOOTSTRAP_ROWS):
+        stop = min(start + _BOOTSTRAP_ROWS, resamples)
+        means[start:stop] = values[rng.integers(0, values.size,
+                                                size=(stop - start, values.size))].mean(axis=1)
+    return means
 
 
 _METRIC_NAMES = (

@@ -13,8 +13,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from .corpus import Product, analyze, product_token_set
 from .errors import InputError
 from .records import (COUNT, STRINGS, TEXT, UNIT_SCORE, Kind, all_of, dump_json, get_field,
@@ -36,39 +34,54 @@ class ScoredToken(NamedTuple):
     score: float
 
 
+class _Rows(NamedTuple):
+    """A model's counts as CSR rows over the sorted vocabulary."""
+
+    columns: tuple          # column -> token
+    column_of: dict         # token -> column
+    row_of: dict            # context token -> row
+    indptr: "np.ndarray"    # int64; row r's entries are [indptr[r], indptr[r + 1])
+    indices: "np.ndarray"   # int64 column of each entry
+    data: "np.ndarray"      # float64 count of each entry
+
+
 @dataclass
 class CooccurrenceModel:
     """Conditional counts from product context tokens to target tokens.
 
     ``counts`` keeps its insertion order, which is what ``save_model``
-    writes. Construction also lays the counts out as CSR rows over the
-    sorted vocabulary (one row per context token, column = target index),
-    which is what ``predict_cooccurrence`` reads; every target must be in
-    the vocabulary. The model is not meant to be mutated afterwards.
+    writes. The first ``predict_cooccurrence`` lays the counts out as CSR
+    rows over the sorted vocabulary (one row per context token, column =
+    target index), so building, saving or loading a model never needs
+    numpy; every target must be in the vocabulary by then. The model is
+    not meant to be mutated afterwards: the rows are not rebuilt.
     """
 
     counts: dict          # context token -> {target token: count}
     marginals: dict       # context token -> sum of its target counts
     vocabulary: tuple     # sorted target tokens
-    _columns: tuple = field(init=False, repr=False, compare=False)    # column -> token
-    _column_of: dict = field(init=False, repr=False, compare=False)   # token -> column
-    _row_of: dict = field(init=False, repr=False, compare=False)      # context -> row
-    _indptr: np.ndarray = field(init=False, repr=False, compare=False)
-    _indices: np.ndarray = field(init=False, repr=False, compare=False)
-    _data: np.ndarray = field(init=False, repr=False, compare=False)
+    _rows: _Rows = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self._columns = tuple(sorted(set(self.vocabulary)))
-        self._column_of = {token: i for i, token in enumerate(self._columns)}
-        self._row_of = {context: i for i, context in enumerate(self.counts)}
-        indptr, indices, data = [0], [], []
-        for targets in self.counts.values():
-            indices.extend(self._column_of[token] for token in targets)
-            data.extend(targets.values())
-            indptr.append(len(indices))
-        self._indptr = np.array(indptr, dtype=np.int64)
-        self._indices = np.array(indices, dtype=np.int64)
-        self._data = np.array(data, dtype=np.float64)
+
+def _rows(model: CooccurrenceModel) -> _Rows:
+    """The model's CSR rows, laid out on first use."""
+    if model._rows is not None:
+        return model._rows
+    import numpy as np
+
+    columns = tuple(sorted(set(model.vocabulary)))
+    column_of = {token: i for i, token in enumerate(columns)}
+    indptr, indices, data = [0], [], []
+    for targets in model.counts.values():
+        indices.extend(column_of[token] for token in targets)
+        data.extend(targets.values())
+        indptr.append(len(indices))
+    model._rows = _Rows(columns=columns, column_of=column_of,
+                        row_of={context: i for i, context in enumerate(model.counts)},
+                        indptr=np.array(indptr, dtype=np.int64),
+                        indices=np.array(indices, dtype=np.int64),
+                        data=np.array(data, dtype=np.float64))
+    return model._rows
 
 
 def train_cooccurrence(instances, products) -> CooccurrenceModel:
@@ -95,7 +108,7 @@ def train_cooccurrence(instances, products) -> CooccurrenceModel:
             if row is None:
                 row = counts[token] = {}
             row[target] = row.get(target, 0) + frequency
-    del contexts    # freed before the model lays out its CSR rows
+    del contexts    # freed before the marginals and the vocabulary are built
     marginals = {context: sum(targets.values()) for context, targets in counts.items()}
     vocabulary = tuple(sorted({t for targets in counts.values() for t in targets}))
     return CooccurrenceModel(counts=counts, marginals=marginals, vocabulary=vocabulary)
@@ -111,22 +124,25 @@ def predict_cooccurrence(model: CooccurrenceModel, product: Product, n: int) -> 
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    import numpy as np
+
+    layout = _rows(model)
     context = product_token_set(product)
     denominator = sum(model.marginals.get(c, 0) for c in context)
-    rows = [model._row_of[c] for c in context if c in model._row_of]
+    rows = [layout.row_of[c] for c in context if c in layout.row_of]
     if denominator == 0 or not rows:
         return []
-    indptr = model._indptr
+    indptr = layout.indptr
     spans = [slice(indptr[r], indptr[r + 1]) for r in rows]
-    columns = np.concatenate([model._indices[s] for s in spans])
-    width = len(model._columns)
+    columns = np.concatenate([layout.indices[s] for s in spans])
+    width = len(layout.columns)
     # integer counts below 2**53 keep the float64 sums and the division exact
-    pooled = np.bincount(columns, weights=np.concatenate([model._data[s] for s in spans]),
+    pooled = np.bincount(columns, weights=np.concatenate([layout.data[s] for s in spans]),
                          minlength=width)
     # every touched column is a candidate, explicit zero counts included
     touched = np.zeros(width, dtype=bool)
     touched[columns] = True
-    touched[[model._column_of[c] for c in context if c in model._column_of]] = False
+    touched[[layout.column_of[c] for c in context if c in layout.column_of]] = False
     candidates = np.flatnonzero(touched)
     scores = np.minimum(1.0, pooled[candidates] / denominator)
     if len(scores) > n:
@@ -135,7 +151,7 @@ def predict_cooccurrence(model: CooccurrenceModel, product: Product, n: int) -> 
         candidates, scores = candidates[survivors], scores[survivors]
     # columns follow the sorted vocabulary, so column order is token order
     order = np.lexsort((candidates, -scores))[:n]
-    return [ScoredToken(token=model._columns[c], score=score)
+    return [ScoredToken(token=layout.columns[c], score=score)
             for c, score in zip(candidates[order].tolist(), scores[order].tolist())]
 
 

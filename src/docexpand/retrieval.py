@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import NamedTuple
 
-import numpy as np
-
 from .corpus import analyze
 from .errors import InputError
 from .records import NUMBER, Kind, all_of, dump_json, get_field, load_json
@@ -54,10 +52,10 @@ class FieldIndex:
 class FieldColumns(NamedTuple):
     """One field's postings as CSR rows, scored once so a search only adds."""
 
-    rows: dict              # token -> row; tokens with no postings have none
-    indptr: list            # ints; row r's postings are [indptr[r], indptr[r + 1])
-    positions: np.ndarray   # intp positions into doc_ids, strictly increasing per row
-    impacts: np.ndarray     # float64 (weight * idf) * norm per posting
+    rows: dict                # token -> row; tokens with no postings have none
+    indptr: list              # ints; row r's postings are [indptr[r], indptr[r + 1])
+    positions: "np.ndarray"   # intp positions into doc_ids, strictly increasing per row
+    impacts: "np.ndarray"     # float64 (weight * idf) * norm per posting
 
 
 @dataclass
@@ -151,6 +149,8 @@ def _idf(doc_count: int, df: int) -> float:
 
 def _field_columns(index: InvertedIndex, name: str, doc_pos: dict) -> FieldColumns:
     """Gather one field's postings and score them, rejecting what BM25 cannot score."""
+    import numpy as np
+
     findex = index.fields[name]
     rows, plists = {}, []
     for token, plist in findex.postings.items():
@@ -237,6 +237,8 @@ def search(index: InvertedIndex, query: str, k: int) -> SearchResult:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    import numpy as np
+
     tokens = sorted(set(analyze(query)))
     if not tokens:
         return SearchResult(hits=[])
