@@ -11,7 +11,10 @@ statement (or ``except`` clause) whose first line carries
 are not traced, so code they alone run is listed. The run takes about
 2 minutes on 2 vCPUs, and Hypothesis draws differ between runs, so a line
 only a rare draw reaches can come and go: run it twice before reading a
-line as untested. It exits 2, after the listing, when a test fails.
+line as untested. Each module's text and executable lines are read before
+the run, and the listing comes from that copy. It exits 2, after the
+listing, when a test fails, and 2, naming the file and listing nothing,
+when a module's text changed during the run.
 """
 
 import ast
@@ -33,16 +36,25 @@ def excluded_lines(source: str) -> set:
             for line in range(node.lineno, node.end_lineno + 1)}
 
 
-def executable_lines(path: Path) -> set:
-    """The lines that carry bytecode in any code object of ``path``, less the excluded ones."""
-    source = path.read_text(encoding="utf-8")
-    lines, todo = set(), [compile(source, str(path), "exec")]
+def executable_lines(source: str, filename) -> set:
+    """The lines that carry bytecode in any code object of ``source``, less the excluded ones."""
+    lines, todo = set(), [compile(source, str(filename), "exec")]
     while todo:
         code = todo.pop()
         # a module's first instruction sits on line 0
         lines.update(line for _, _, line in code.co_lines() if line)
         todo.extend(const for const in code.co_consts if isinstance(const, types.CodeType))
     return lines - excluded_lines(source)
+
+
+def snapshot(paths) -> dict:
+    """Each file's text and executable lines, read before the run so the report shows the
+    lines that ran: ``{path: (text, lines)}``."""
+    snap = {}
+    for path in paths:
+        source = path.read_text(encoding="utf-8")
+        snap[path] = source, executable_lines(source, path)
+    return snap
 
 
 class LineCollector:
@@ -84,9 +96,35 @@ class LineCollector:
         return False
 
 
-def missing_lines(path: Path, hits: dict) -> list:
-    """The executable lines of ``path`` that the collector's ``hits`` do not hold, in order."""
-    return sorted(executable_lines(path) - hits.get(os.path.abspath(path), set()))
+def missing_lines(path: Path, lines: set, hits: dict) -> list:
+    """The executable ``lines`` of ``path`` that the collector's ``hits`` do not hold, in order."""
+    return sorted(lines - hits.get(os.path.abspath(path), set()))
+
+
+def report(snap: dict, hits: dict, root: Path) -> int:
+    """Print, from ``snap``, each executable line that ``hits`` lacks.
+
+    Returns 1 if it printed any line and 0 if not. Returns 2, naming the file and
+    printing no line, when a file's text is no longer its snapshot's: the lines
+    that ran would then be matched against shifted line numbers.
+    """
+    for path, (source, _) in snap.items():
+        try:
+            now = path.read_text(encoding="utf-8")
+        except OSError:
+            now = None
+        if now != source:
+            print(f"census: {path.relative_to(root)} changed during the run; rerun it",
+                  file=sys.stderr)
+            return 2
+    printed = 0
+    for path, (source, lines) in snap.items():
+        text = source.splitlines()
+        for line in missing_lines(path, lines, hits):
+            print(f"{path.relative_to(root)}:{line}: {text[line - 1].strip()}")
+            printed += 1
+    print(f"census: {printed} line(s) no test runs", file=sys.stderr)
+    return 1 if printed else 0
 
 
 class _NoDeadline:
@@ -106,17 +144,12 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    snap = snapshot(sorted(PACKAGE.glob("*.py")))
     with LineCollector(PACKAGE) as collector:
         status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")],
                              plugins=[_NoDeadline()])
-    printed = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text(encoding="utf-8").splitlines()
-        for line in missing_lines(path, collector.hits):
-            print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
-            printed += 1
-    print(f"census: {printed} line(s) no test runs", file=sys.stderr)
-    return 2 if status != 0 else 1 if printed else 0
+    code = report(snap, collector.hits, ROOT)
+    return 2 if status != 0 else code
 
 
 if __name__ == "__main__":

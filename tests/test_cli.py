@@ -13,6 +13,7 @@ from docexpand.cli import OUTDIR_FILES, main
 from docexpand.predictor import load_external_predictions
 from docexpand.records import iter_jsonl, load_json
 from docexpand.retrieval import load_index, search
+from docexpand.stemmer import stem
 
 from test_readme import quickstart_commands
 
@@ -211,6 +212,12 @@ class TestPipelineSmoke:
 
 
 class TestReportCommand:
+    def test_starts_with_an_empty_stemmer_cache(self, tmp_path):
+        stem("swimming")
+        assert stem.cache_info().currsize > 0
+        assert run("report", "--in", tmp_path, "--out", tmp_path / "summary.json") == 0
+        assert stem.cache_info().currsize == 0    # report analyzes nothing
+
     def test_index_and_model_are_never_decoded(self, data_dir, monkeypatch):
         from docexpand import cli
 

@@ -4,7 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from docexpand.metrics import ScoredRecord, bootstrap_ci, evaluate_records, f1, make_eval_record
+from docexpand.metrics import (ScoredRecord, _resampled_means, bootstrap_ci, evaluate_records, f1,
+                               make_eval_record)
 from docexpand.predictor import ScoredToken
 
 import oracles
@@ -146,6 +147,19 @@ class TestBootstrap:
         lo, hi = bootstrap_ci(values, resamples=500, seed=7)
         assert lo < values.mean() < hi
         assert hi - lo < 1.0
+
+    @pytest.mark.parametrize("n, resamples", [(1, 130), (5, 1), (37, 64), (300, 1000)])
+    @pytest.mark.parametrize("seed", [0, [3, 1], 29])
+    def test_block_draws_give_the_one_shot_means(self, n, resamples, seed):
+        # holds while each block continues Generator.integers' stream where the last stopped
+        values = np.random.default_rng(11).uniform(0.0, 1.0, n)
+        one_shot = values[np.random.default_rng(seed).integers(0, n, size=(resamples, n))]
+        one_shot = one_shot.mean(axis=1)
+        means = _resampled_means(values, resamples, np.random.default_rng(seed))
+        assert means.tobytes() == one_shot.tobytes()
+        tail = (1.0 - 0.9) / 2.0
+        assert bootstrap_ci(values, resamples, 0.9, seed) == tuple(
+            np.quantile(one_shot, [tail, 1.0 - tail]).tolist())
 
     def test_validation(self):
         with pytest.raises(ValueError):
