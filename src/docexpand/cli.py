@@ -42,8 +42,8 @@ from .predictor import (
     train_cooccurrence,
     write_predictions,
 )
-from .records import (COUNT, NUMBER, Kind, all_of, dump_json, get_field, iter_jsonl, load_json,
-                      write_jsonl, write_meta, write_text)
+from .records import (COUNT, META_SUFFIX, NUMBER, Kind, all_of, dump_json, get_field, iter_jsonl,
+                      load_json, meta_path, write_jsonl, write_meta, write_text)
 from .retrieval import (
     DEFAULT_B,
     DEFAULT_K1,
@@ -72,6 +72,15 @@ class Opt:
     help: str = ""
     check: object = None       # callable raising ValueError on a bad value; it may parse,
                                # and the handler calls the same parser on the checked value
+
+
+@dataclass(frozen=True)
+class Command:
+    opts: tuple                # its options in --help order; --config follows them
+    run: object                # the handler: writes the stage's artifacts, returns its summary
+    rules: tuple = ()          # (rule on the resolved options, message when they break it)
+    report: str = None         # the option whose JSON report gets a rendered <path>.txt beside it
+    writes: tuple = ()         # the files run writes into its outdir, besides run_config.json
 
 
 def _within(interval: str):
@@ -126,148 +135,7 @@ def _parse_model(text: str) -> tuple:
     return kind, path
 
 
-_COMMON = (
-    Opt("config", "--config", "path", help="flat key=value config file; flags override it"),
-)
-
-SPECS = {
-    "ingest": (
-        Opt("products", "--products", "path", required=True, help="product JSONL file"),
-        Opt("engagement", "--engagement", "path", required=True, help="engagement JSONL file"),
-        Opt("min_atc", "--min-atc", "int", default=DEFAULT_MIN_ATC, check=_NON_NEGATIVE,
-            help="drop pairs below this ATC count"),
-        Opt("seed", "--seed", "int", default=0, help="seed for the product split"),
-        Opt("ratios", "--ratios", "str", default="8,1,1", check=_parse_ratios,
-            help="train,validation,test ratio"),
-        Opt("unknown", "--unknown", "choice", default="skip", choices=("skip", "error"),
-            help="behavior for pairs referencing unknown products"),
-        Opt("out", "--out", "outdir", required=True, help="output directory"),
-    ),
-    "filter": (
-        Opt("in_dir", "--in", "path", required=True, help="ingest output directory"),
-        Opt("scorer", "--scorer", "choice", default="jaccard", choices=("jaccard", "external")),
-        Opt("scores", "--scores", "path", help="precomputed relevance scores (external scorer)"),
-        Opt("rf_threshold", "--rf-threshold", "float", default=0.0, check=_within("[0, 1]"),
-            help="relevance retention threshold in [0, 1]"),
-        Opt("fmf", "--fmf", "choice", default="on", choices=("on", "off"),
-            help="toggle the full-match filter stage"),
-        Opt("out", "--out", "outdir", required=True, help="output directory"),
-    ),
-    "build-targets": (
-        Opt("in_dir", "--in", "path", required=True, help="filter output directory"),
-        Opt("alpha", "--alpha", "float", default=0.5, check=_NON_NEGATIVE,
-            help="frequency smoothing exponent"),
-        Opt("split", "--split", "choice", default="train",
-            choices=("train", "validation", "test", "all")),
-        Opt("out", "--out", "outfile", required=True, help="training instances JSONL path"),
-    ),
-    "train": (
-        Opt("products", "--products", "path", required=True),
-        Opt("instances", "--instances", "path", required=True, help="training instances JSONL"),
-        Opt("out", "--out", "outfile", required=True, help="model JSON path"),
-    ),
-    "predict": (
-        Opt("model", "--model", "str", required=True, check=_parse_model,
-            help="cooccurrence:PATH or external:PATH"),
-        Opt("products", "--products", "path", required=True),
-        Opt("top", "--top", "int", default=10, check=_POSITIVE, help="max predictions per product"),
-        Opt("split", "--split", "choice", choices=("train", "validation", "test"),
-            help="restrict to one split subset (needs --split-file)"),
-        Opt("split_file", "--split-file", "path", help="split.json from ingest"),
-        Opt("out", "--out", "outfile", required=True, help="predictions JSONL path"),
-    ),
-    "evaluate": (
-        Opt("predictions", "--predictions", "path", required=True),
-        Opt("references", "--references", "path", required=True,
-            help="held-out relevant queries, engagement JSONL format"),
-        Opt("products", "--products", "path", required=True),
-        Opt("cutoff", "--cutoff", "float", default=0.0, check=_FINITE,
-            help="confidence cutoff (strict >)"),
-        Opt("top", "--top", "int", default=10, check=_POSITIVE),
-        Opt("split", "--split", "choice", choices=("train", "validation", "test")),
-        Opt("split_file", "--split-file", "path"),
-        Opt("bootstrap", "--bootstrap", "int", default=0, check=_NON_NEGATIVE,
-            help="bootstrap resamples for CIs (0 disables)"),
-        Opt("level", "--level", "float", default=0.95, check=_within("(0, 1)"), help="CI level"),
-        Opt("seed", "--seed", "int", check=_NON_NEGATIVE,
-            help="bootstrap seed (required with --bootstrap)"),
-        Opt("report", "--report", "outfile", required=True),
-    ),
-    "tune-cutoff": (
-        Opt("predictions", "--predictions", "path", required=True),
-        Opt("references", "--references", "path", required=True),
-        Opt("products", "--products", "path", required=True),
-        Opt("grid", "--grid", "str", default="observed",
-            check=lambda grid: candidate_cutoffs([], grid), help="observed or step:<width>"),
-        Opt("top", "--top", "int", default=10, check=_POSITIVE),
-        Opt("split", "--split", "choice", choices=("train", "validation", "test")),
-        Opt("split_file", "--split-file", "path"),
-        Opt("budget_target", "--budget-target", "float", check=_within("(0, inf)"),
-            help="also find the cutoff matching this mean novel-token budget"),
-        Opt("report", "--report", "outfile", required=True),
-    ),
-    "index": (
-        Opt("products", "--products", "path", required=True),
-        Opt("expansions", "--expansions", "path", help="prediction JSONL used as the expansion field"),
-        Opt("cutoff", "--cutoff", "float", default=0.0, check=_FINITE,
-            help="confidence cutoff on expansion tokens"),
-        Opt("top", "--top", "int", default=10, check=_POSITIVE,
-            help="max expansion tokens per product"),
-        Opt("field_weights", "--field-weights", "str", check=_parse_field_weights,
-            help="e.g. title:2.0,expansion:1.5 (unlisted fields keep defaults)"),
-        Opt("k1", "--k1", "float", default=DEFAULT_K1, check=_NON_NEGATIVE),
-        Opt("b", "--b", "float", default=DEFAULT_B, check=_within("[0, 1]")),
-        Opt("out", "--out", "outfile", required=True, help="index JSON path"),
-    ),
-    "search": (
-        Opt("index", "--index", "path", required=True),
-        Opt("query", "--query", "str", required=True),
-        Opt("k", "--k", "int", default=10, check=_POSITIVE),
-        Opt("out", "--out", "outfile", help="optional JSON output path"),
-    ),
-    "eval-retrieval": (
-        Opt("index", "--index", "path", required=True),
-        Opt("pairs", "--pairs", "path", required=True, help="engagement JSONL test pairs"),
-        Opt("k", "--k", "int", default=10, check=_POSITIVE),
-        Opt("report", "--report", "outfile", required=True),
-    ),
-    "report": (
-        Opt("in_dir", "--in", "path", required=True,
-            help="directory scanned recursively for stage outputs"),
-        Opt("out", "--out", "outfile", required=True, help="merged report JSON path"),
-    ),
-    "gen-synthetic": (
-        Opt("seed", "--seed", "int", default=0),
-        Opt("products", "--products", "int", default=1000, check=_POSITIVE),
-        Opt("heldout", "--heldout", "int", default=200, check=_NON_NEGATIVE),
-        Opt("out", "--out", "outdir", required=True, help="output directory"),
-    ),
-}
-
-_SPLIT_TOGETHER = (lambda cfg: (cfg["split"] is None) == (cfg["split_file"] is None),
-                   "--split and --split-file must be given together")
-# subcommand -> (rule on the resolved options, message when they break it)
-RULES = {
-    "filter": ((lambda cfg: cfg["scorer"] != "external" or cfg["scores"],
-                "--scorer external requires --scores PATH"),),
-    "predict": (_SPLIT_TOGETHER,),
-    "evaluate": (_SPLIT_TOGETHER, (lambda cfg: cfg["bootstrap"] == 0 or cfg["seed"] is not None,
-                                   "--bootstrap needs an explicit --seed")),
-    "tune-cutoff": (_SPLIT_TOGETHER,),
-    "gen-synthetic": ((lambda cfg: cfg["heldout"] <= cfg["products"],
-                       "--heldout must not exceed --products"),),
-}
-# subcommand -> its report option, whose JSON file gets a rendered ``<path>.txt`` beside it
-REPORTS = {"evaluate": "report", "tune-cutoff": "report", "eval-retrieval": "report",
-           "report": "out"}
-# subcommand -> the files its handler writes into its --out directory, besides run_config.json
-OUTDIR_FILES = {
-    "ingest": ("products.jsonl", "pairs.jsonl", "split.json", "ingest_stats.json"),
-    "filter": ("query_pairs.jsonl", "novel_pairs.jsonl", "pipeline_stats.json",
-               "pipeline_stats.txt", "products.jsonl", "split.json"),
-    "gen-synthetic": ("products.jsonl", "engagement.jsonl", "heldout_pairs.jsonl",
-                      "gold_expansions.jsonl", "baseline_query_predictions.jsonl"),
-}
+_CONFIG = Opt("config", "--config", "path", help="flat key=value config file; flags override it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "prediction scoring, cutoff tuning, and retrieval impact.",
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name, spec in SPECS.items():
+    for name, command in COMMANDS.items():
         sub = subparsers.add_parser(name)
-        for opt in spec + _COMMON:
+        for opt in (*command.opts, _CONFIG):
             kwargs = {"dest": opt.name, "default": None, "help": opt.help}
             if opt.kind == "choice":
                 kwargs["choices"] = opt.choices
@@ -309,16 +177,17 @@ def _convert(opt: Opt, raw):
     return value
 
 
-def _check_output(opt: Opt, path: Path, subcommand: str) -> None:
+def _check_output(opt: Opt, path: Path, command: Command) -> None:
     """Refuse an output path when a file the stage writes there (in a directory, or
     beside a file: its sidecars), or its nearest existing parent, is of the wrong kind."""
     if "\0" in str(path):    # exists() is False for such a path, and the first write raises
         raise ConfigError(f"option {opt.flag}: a path cannot hold a NUL byte: {str(path)!r}")
     if opt.kind == "outdir":
-        targets = [path / name for name in (*OUTDIR_FILES[subcommand], "run_config.json")]
+        targets = [path / name for name in (*command.writes, "run_config.json")]
     else:
-        sidecars = (".meta.json", ".txt") if REPORTS.get(subcommand) == opt.name else (".meta.json",)
-        targets = [path, *(Path(f"{path}{s}") for s in sidecars)]
+        targets = [path, meta_path(path)]
+        if command.report == opt.name:
+            targets.append(Path(f"{path}.txt"))
     for target in targets:
         try:
             found = next((p for p in (target, *target.parents) if p.exists()), None)
@@ -328,12 +197,6 @@ def _check_output(opt: Opt, path: Path, subcommand: str) -> None:
         if found is not None and found.is_dir() != must_be_dir:
             raise ConfigError(
                 f"option {opt.flag}: {found} is {'not ' if must_be_dir else ''}a directory")
-
-
-# a config file's keys are the option names of every subcommand, so one file can serve several
-# stages; a flag spelling such as "min-atc" is refused with the option name it stands for
-_NAME_OF_FLAG = {opt.flag[2:]: opt.name for spec in (*SPECS.values(), _COMMON) for opt in spec}
-_OPTION_NAMES = set(_NAME_OF_FLAG.values())
 
 
 def _parse_config_file(path: str) -> dict:
@@ -369,10 +232,10 @@ def _parse_config_file(path: str) -> dict:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """The subcommand and every option's resolved value; this is what provenance records."""
-    spec = SPECS[args.subcommand] + _COMMON
+    command = COMMANDS[args.subcommand]
     file_values = _parse_config_file(args.config) if args.config else {}
     config = {"subcommand": args.subcommand}
-    for opt in spec:
+    for opt in (*command.opts, _CONFIG):
         raw = getattr(args, opt.name)
         if raw is None:
             raw = file_values.get(opt.name)
@@ -382,9 +245,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if value is None and opt.required:
             raise ConfigError(f"missing required option {opt.flag} for {args.subcommand}")
         if value is not None and opt.kind in ("outdir", "outfile"):
-            _check_output(opt, Path(value), args.subcommand)
+            _check_output(opt, Path(value), command)
         config[opt.name] = value
-    for holds, message in RULES.get(args.subcommand, ()):
+    for holds, message in command.rules:
         if not holds(config):
             raise ConfigError(message)
     return config
@@ -430,18 +293,22 @@ def _f(value, digits=4):
     return f"{value:.{digits}f}"
 
 
-# (key, digits, scale) of each metric a row renders, in _METRIC_HEADERS order
-_METRIC_COLUMNS = (("rouge_precision", 4, 1), ("rouge_recall", 4, 1), ("rouge_f1", 4, 1),
-                   ("nrouge_precision", 4, 1), ("nrouge_recall", 4, 1), ("nrouge_f1", 4, 1),
-                   ("total_tokens", 1, 1), ("novel_tokens", 1, 1), ("novel_pct", 1, 100))
+# (key, header, digits, scale) of each metric a row renders after its label
+_METRIC_COLUMNS = (("rouge_precision", "rouge_p", 4, 1), ("rouge_recall", "rouge_r", 4, 1),
+                   ("rouge_f1", "rouge_f1", 4, 1), ("nrouge_precision", "nrouge_p", 4, 1),
+                   ("nrouge_recall", "nrouge_r", 4, 1), ("nrouge_f1", "nrouge_f1", 4, 1),
+                   ("total_tokens", "total", 1, 1), ("novel_tokens", "novel", 1, 1),
+                   ("novel_pct", "pct", 1, 100))
 
 
 def render_metrics_row(label, m: dict) -> list:
-    return [label, *(_f(scale * m[key], digits) for key, digits, scale in _METRIC_COLUMNS)]
+    return [label, *(_f(scale * m[key], digits) for key, _, digits, scale in _METRIC_COLUMNS)]
 
 
-_METRIC_HEADERS = ("cutoff", "rouge_p", "rouge_r", "rouge_f1",
-                   "nrouge_p", "nrouge_r", "nrouge_f1", "total", "novel", "pct")
+def render_metrics_table(label_header: str, rows) -> str:
+    return render_table((label_header, *(column[1] for column in _METRIC_COLUMNS)), rows)
+
+
 _STAGE_COLUMNS = StageStats._fields
 _STAGE_ROWS = Kind((list,), "a list of objects, each a string stage and counts "
                    + ", ".join(_STAGE_COLUMNS[1:]),
@@ -449,7 +316,7 @@ _STAGE_ROWS = Kind((list,), "a list of objects, each a string stage and counts "
                                     and all_of(COUNT, (row.get(k) for k in _STAGE_COLUMNS[1:]))
                                     for row in rows))
 _METRICS = Kind((dict,), "an object of finite numbers " + ", ".join(c[0] for c in _METRIC_COLUMNS),
-                lambda metrics: all_of(NUMBER, (metrics.get(k) for k, _, _ in _METRIC_COLUMNS)))
+                lambda metrics: all_of(NUMBER, (metrics.get(c[0]) for c in _METRIC_COLUMNS)))
 # report section -> (keys that mark a file as one, (key, kind) of each field); first match wins
 _SECTIONS = {
     "preprocessing": (("stages",), (("stages", _STAGE_ROWS), *((k, COUNT) for k in STATS_COUNTS))),
@@ -467,7 +334,7 @@ def render_stats(stats: dict) -> str:
 
 def _write_report(cfg: dict, payload: dict, text: str) -> None:
     """The report JSON with the resolved config embedded, and its rendered text beside it."""
-    path = cfg[REPORTS[cfg["subcommand"]]]
+    path = cfg[COMMANDS[cfg["subcommand"]].report]
     dump_json(path, {"config": cfg, **payload})
     write_text(Path(f"{path}.txt"), text)
 
@@ -592,8 +459,9 @@ def _cmd_evaluate(cfg: dict) -> str:
     records, token_sets = _scored_records(cfg, products)
     report = evaluate_records(records, token_sets, cfg["cutoff"], resamples=cfg["bootstrap"],
                               level=cfg["level"], seed=cfg["seed"])
-    text = render_table(_METRIC_HEADERS, [render_metrics_row(_f(cfg["cutoff"], 2), report.as_dict())])
-    _write_report(cfg, {"metrics": report.as_dict()}, text)
+    metrics = report.as_dict()
+    text = render_metrics_table("cutoff", [render_metrics_row(_f(cfg["cutoff"], 2), metrics)])
+    _write_report(cfg, {"metrics": metrics}, text)
     return f"evaluate: n={report.n_products} nrouge_f1={report.nrouge_f1:.4f}"
 
 
@@ -621,7 +489,7 @@ def _cmd_tune_cutoff(cfg: dict) -> str:
             "target_reachable": budget.target_reachable,
         }
     rows = [render_metrics_row(_f(row.cutoff, 4), row.report.as_dict()) for row in sweep.rows]
-    text = render_table(_METRIC_HEADERS, rows)
+    text = render_metrics_table("cutoff", rows)
     text += f"\nchosen cutoff: {sweep.chosen}\n"
     _write_report(cfg, payload, text)
     return (f"tune-cutoff: chosen={sweep.chosen} "
@@ -679,7 +547,7 @@ _NOT_REPORTS = ("index", "train")
 def _written_by(path: Path):
     """The subcommand that path's ``.meta.json`` sidecar names, or None without a readable one."""
     try:
-        meta = load_json(Path(f"{path}.meta.json"))
+        meta = load_json(meta_path(path))
     except InputError:
         return None
     config = meta.get("config") if isinstance(meta, dict) else None
@@ -696,7 +564,7 @@ def _cmd_report(cfg: dict) -> str:
         raise InputError(f"not a directory: {in_dir}")
     merged = {section: [] for section in _SECTIONS}
     for path in sorted(in_dir.rglob("*.json")):
-        if path.name.endswith(".meta.json") or path.name == "run_config.json":
+        if path.name.endswith(META_SUFFIX) or path.name == "run_config.json":
             continue
         if _written_by(path) in _NOT_REPORTS:    # an index or a model: large, and no section
             continue
@@ -717,7 +585,7 @@ def _cmd_report(cfg: dict) -> str:
     eval_rows += [render_metrics_row(f"{e['source']} (chosen {e['chosen']})", e["chosen_metrics"])
                   for e in merged["cutoff_sweeps"]]
     if eval_rows:
-        sections.append("== evaluations\n" + render_table(("source",) + _METRIC_HEADERS[1:], eval_rows))
+        sections.append("== evaluations\n" + render_metrics_table("source", eval_rows))
     if merged["retrieval"]:
         rows = [[e["source"], e["k"], _f(e["recall"]), e["hits"], e["total"]]
                 for e in merged["retrieval"]]
@@ -737,27 +605,143 @@ def _cmd_gen_synthetic(cfg: dict) -> str:
 
 def _write_provenance(config: dict) -> None:
     """Record the config beside the output: ``run_config.json`` in a directory, else a sidecar."""
-    for opt in SPECS[config["subcommand"]]:
+    for opt in COMMANDS[config["subcommand"]].opts:
         if opt.kind == "outdir":
             dump_json(Path(config[opt.name]) / "run_config.json", config)
         elif opt.kind == "outfile" and config[opt.name] is not None:
             write_meta(config[opt.name], config)
 
 
-HANDLERS = {
-    "ingest": _cmd_ingest,
-    "filter": _cmd_filter,
-    "build-targets": _cmd_build_targets,
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "evaluate": _cmd_evaluate,
-    "tune-cutoff": _cmd_tune_cutoff,
-    "index": _cmd_index,
-    "search": _cmd_search,
-    "eval-retrieval": _cmd_eval_retrieval,
-    "report": _cmd_report,
-    "gen-synthetic": _cmd_gen_synthetic,
+_SPLIT_TOGETHER = (lambda cfg: (cfg["split"] is None) == (cfg["split_file"] is None),
+                   "--split and --split-file must be given together")
+# subcommand -> its options, handler, rules between options, report option and outdir files
+COMMANDS = {
+    "ingest": Command((
+        Opt("products", "--products", "path", required=True, help="product JSONL file"),
+        Opt("engagement", "--engagement", "path", required=True, help="engagement JSONL file"),
+        Opt("min_atc", "--min-atc", "int", default=DEFAULT_MIN_ATC, check=_NON_NEGATIVE,
+            help="drop pairs below this ATC count"),
+        Opt("seed", "--seed", "int", default=0, help="seed for the product split"),
+        Opt("ratios", "--ratios", "str", default="8,1,1", check=_parse_ratios,
+            help="train,validation,test ratio"),
+        Opt("unknown", "--unknown", "choice", default="skip", choices=("skip", "error"),
+            help="behavior for pairs referencing unknown products"),
+        Opt("out", "--out", "outdir", required=True, help="output directory"),
+    ), _cmd_ingest, writes=("products.jsonl", "pairs.jsonl", "split.json", "ingest_stats.json")),
+    "filter": Command((
+        Opt("in_dir", "--in", "path", required=True, help="ingest output directory"),
+        Opt("scorer", "--scorer", "choice", default="jaccard", choices=("jaccard", "external")),
+        Opt("scores", "--scores", "path", help="precomputed relevance scores (external scorer)"),
+        Opt("rf_threshold", "--rf-threshold", "float", default=0.0, check=_within("[0, 1]"),
+            help="relevance retention threshold in [0, 1]"),
+        Opt("fmf", "--fmf", "choice", default="on", choices=("on", "off"),
+            help="toggle the full-match filter stage"),
+        Opt("out", "--out", "outdir", required=True, help="output directory"),
+    ), _cmd_filter, rules=((lambda cfg: cfg["scorer"] != "external" or cfg["scores"],
+                            "--scorer external requires --scores PATH"),),
+       writes=("query_pairs.jsonl", "novel_pairs.jsonl", "pipeline_stats.json",
+               "pipeline_stats.txt", "products.jsonl", "split.json")),
+    "build-targets": Command((
+        Opt("in_dir", "--in", "path", required=True, help="filter output directory"),
+        Opt("alpha", "--alpha", "float", default=0.5, check=_NON_NEGATIVE,
+            help="frequency smoothing exponent"),
+        Opt("split", "--split", "choice", default="train",
+            choices=("train", "validation", "test", "all")),
+        Opt("out", "--out", "outfile", required=True, help="training instances JSONL path"),
+    ), _cmd_build_targets),
+    "train": Command((
+        Opt("products", "--products", "path", required=True),
+        Opt("instances", "--instances", "path", required=True, help="training instances JSONL"),
+        Opt("out", "--out", "outfile", required=True, help="model JSON path"),
+    ), _cmd_train),
+    "predict": Command((
+        Opt("model", "--model", "str", required=True, check=_parse_model,
+            help="cooccurrence:PATH or external:PATH"),
+        Opt("products", "--products", "path", required=True),
+        Opt("top", "--top", "int", default=10, check=_POSITIVE, help="max predictions per product"),
+        Opt("split", "--split", "choice", choices=("train", "validation", "test"),
+            help="restrict to one split subset (needs --split-file)"),
+        Opt("split_file", "--split-file", "path", help="split.json from ingest"),
+        Opt("out", "--out", "outfile", required=True, help="predictions JSONL path"),
+    ), _cmd_predict, rules=(_SPLIT_TOGETHER,)),
+    "evaluate": Command((
+        Opt("predictions", "--predictions", "path", required=True),
+        Opt("references", "--references", "path", required=True,
+            help="held-out relevant queries, engagement JSONL format"),
+        Opt("products", "--products", "path", required=True),
+        Opt("cutoff", "--cutoff", "float", default=0.0, check=_FINITE,
+            help="confidence cutoff (strict >)"),
+        Opt("top", "--top", "int", default=10, check=_POSITIVE),
+        Opt("split", "--split", "choice", choices=("train", "validation", "test")),
+        Opt("split_file", "--split-file", "path"),
+        # a million resamples hold 8 MB of means, and the time grows with the count
+        Opt("bootstrap", "--bootstrap", "int", default=0, check=_within("[0, 1000000]"),
+            help="bootstrap resamples for CIs (0 disables)"),
+        Opt("level", "--level", "float", default=0.95, check=_within("(0, 1)"), help="CI level"),
+        Opt("seed", "--seed", "int", check=_NON_NEGATIVE,
+            help="bootstrap seed (required with --bootstrap)"),
+        Opt("report", "--report", "outfile", required=True),
+    ), _cmd_evaluate, report="report",
+       rules=(_SPLIT_TOGETHER, (lambda cfg: cfg["bootstrap"] == 0 or cfg["seed"] is not None,
+                                "--bootstrap needs an explicit --seed"))),
+    "tune-cutoff": Command((
+        Opt("predictions", "--predictions", "path", required=True),
+        Opt("references", "--references", "path", required=True),
+        Opt("products", "--products", "path", required=True),
+        Opt("grid", "--grid", "str", default="observed",
+            check=lambda grid: candidate_cutoffs([], grid), help="observed or step:<width>"),
+        Opt("top", "--top", "int", default=10, check=_POSITIVE),
+        Opt("split", "--split", "choice", choices=("train", "validation", "test")),
+        Opt("split_file", "--split-file", "path"),
+        Opt("budget_target", "--budget-target", "float", check=_within("(0, inf)"),
+            help="also find the cutoff matching this mean novel-token budget"),
+        Opt("report", "--report", "outfile", required=True),
+    ), _cmd_tune_cutoff, rules=(_SPLIT_TOGETHER,), report="report"),
+    "index": Command((
+        Opt("products", "--products", "path", required=True),
+        Opt("expansions", "--expansions", "path", help="prediction JSONL used as the expansion field"),
+        Opt("cutoff", "--cutoff", "float", default=0.0, check=_FINITE,
+            help="confidence cutoff on expansion tokens"),
+        Opt("top", "--top", "int", default=10, check=_POSITIVE,
+            help="max expansion tokens per product"),
+        Opt("field_weights", "--field-weights", "str", check=_parse_field_weights,
+            help="e.g. title:2.0,expansion:1.5 (unlisted fields keep defaults)"),
+        Opt("k1", "--k1", "float", default=DEFAULT_K1, check=_NON_NEGATIVE),
+        Opt("b", "--b", "float", default=DEFAULT_B, check=_within("[0, 1]")),
+        Opt("out", "--out", "outfile", required=True, help="index JSON path"),
+    ), _cmd_index),
+    "search": Command((
+        Opt("index", "--index", "path", required=True),
+        Opt("query", "--query", "str", required=True),
+        Opt("k", "--k", "int", default=10, check=_POSITIVE),
+        Opt("out", "--out", "outfile", help="optional JSON output path"),
+    ), _cmd_search),
+    "eval-retrieval": Command((
+        Opt("index", "--index", "path", required=True),
+        Opt("pairs", "--pairs", "path", required=True, help="engagement JSONL test pairs"),
+        Opt("k", "--k", "int", default=10, check=_POSITIVE),
+        Opt("report", "--report", "outfile", required=True),
+    ), _cmd_eval_retrieval, report="report"),
+    "report": Command((
+        Opt("in_dir", "--in", "path", required=True,
+            help="directory scanned recursively for stage outputs"),
+        Opt("out", "--out", "outfile", required=True, help="merged report JSON path"),
+    ), _cmd_report, report="out"),
+    "gen-synthetic": Command((
+        Opt("seed", "--seed", "int", default=0),
+        Opt("products", "--products", "int", default=1000, check=_POSITIVE),
+        Opt("heldout", "--heldout", "int", default=200, check=_NON_NEGATIVE),
+        Opt("out", "--out", "outdir", required=True, help="output directory"),
+    ), _cmd_gen_synthetic, rules=((lambda cfg: cfg["heldout"] <= cfg["products"],
+                                   "--heldout must not exceed --products"),),
+       writes=("products.jsonl", "engagement.jsonl", "heldout_pairs.jsonl",
+               "gold_expansions.jsonl", "baseline_query_predictions.jsonl")),
 }
+# a config file's keys are the option names of every subcommand, so one file can serve several
+# stages; a flag spelling such as "min-atc" is refused with the option name it stands for
+_NAME_OF_FLAG = {opt.flag[2:]: opt.name
+                 for command in COMMANDS.values() for opt in (*command.opts, _CONFIG)}
+_OPTION_NAMES = set(_NAME_OF_FLAG.values())
 
 
 def main(argv=None) -> int:
@@ -771,7 +755,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         config = resolve_config(args)
-        print(HANDLERS[args.subcommand](config))
+        print(COMMANDS[args.subcommand].run(config))
         _write_provenance(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -295,9 +295,14 @@ def load_json(path):
             raise InputError(f"{path}: invalid JSON: {_TOO_LONG}") from None
 
 
-def write_meta(artifact_path, config: dict) -> Path:
+META_SUFFIX = ".meta.json"
+
+
+def meta_path(artifact_path) -> Path:
+    """The path of an artifact file's provenance sidecar."""
+    return Path(f"{Path(artifact_path)}{META_SUFFIX}")    # Path() drops a trailing slash
+
+
+def write_meta(artifact_path, config: dict) -> None:
     """Write the provenance sidecar for an artifact file."""
-    artifact_path = Path(artifact_path)
-    meta_path = artifact_path.with_name(artifact_path.name + ".meta.json")
-    dump_json(meta_path, {"artifact": artifact_path.name, "config": config})
-    return meta_path
+    dump_json(meta_path(artifact_path), {"artifact": Path(artifact_path).name, "config": config})

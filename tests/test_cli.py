@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from docexpand.cli import OUTDIR_FILES, main
+from docexpand.cli import COMMANDS, build_parser, main
 from docexpand.predictor import load_external_predictions
 from docexpand.records import iter_jsonl, load_json
 from docexpand.retrieval import load_index, search
@@ -516,6 +517,9 @@ EXIT_CODE_PROBES = {
         _EVALUATE + ("--bootstrap", "10", "--seed", "1", "--level", "1.5"), 2, "--level"),
     "evaluate-seed-negative": (_EVALUATE + ("--bootstrap", "10", "--seed", "-1"), 2, "--seed"),
     "evaluate-bootstrap-negative": (_EVALUATE + ("--bootstrap", "-5"), 2, "--bootstrap"),
+    "evaluate-bootstrap-too-large": (
+        _EVALUATE + ("--bootstrap", "4611686018427387904", "--seed", "1"), 2,
+        "option --bootstrap: 4611686018427387904 is outside [0, 1000000]"),
     "evaluate-cutoff-nan": (_MISSING_EVALUATE + ("--cutoff", "nan"), 2,
                             "option --cutoff: nan is outside (-inf, inf)"),
     "index-cutoff-inf": (_MISSING_INDEX + ("--cutoff", "inf"), 2,
@@ -810,11 +814,12 @@ def test_outdir_stages_write_exactly_their_listed_files(data_dir):
     for stage, name in (("ingest", "ingested"), ("filter", "filtered"),
                         ("gen-synthetic", "synthetic")):
         assert sorted(p.name for p in (out / name).iterdir()) == sorted(
-            (*OUTDIR_FILES[stage], "run_config.json")), stage
+            (*COMMANDS[stage].writes, "run_config.json")), stage
 
 
-@pytest.mark.parametrize("stage, name", [(stage, name) for stage, names in OUTDIR_FILES.items()
-                                         for name in (*names, "run_config.json")])
+@pytest.mark.parametrize("stage, name", [(stage, name) for stage, command in COMMANDS.items()
+                                         if command.writes
+                                         for name in (*command.writes, "run_config.json")])
 def test_outdir_file_of_the_wrong_kind_exits_2_before_writing(tmp_path, capsys, stage, name):
     argv = {"ingest": _INGEST, "filter": ("filter", "--in", "{d}/missing", "--out", "{d}/out"),
             "gen-synthetic": ("gen-synthetic", "--products", "5", "--heldout", "1",
@@ -824,6 +829,31 @@ def test_outdir_file_of_the_wrong_kind_exits_2_before_writing(tmp_path, capsys, 
     assert run(*(arg.format(d=tmp_path) for arg in argv)) == 2
     assert f"option --out: {out / name} is a directory" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == [name]
+
+
+def test_bootstrap_above_its_cap_exits_2_before_writing(probe_dir, tmp_path, capsys):
+    argv = [arg.format(d=probe_dir) for arg in _EVALUATE[:-1]]
+    assert run(*argv, tmp_path / "eval.json", "--bootstrap", 1000001, "--seed", 1) == 2
+    assert "option --bootstrap: 1000001 is outside [0, 1000000]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_command_reports_through_one_of_its_own_outfiles():
+    for name, command in COMMANDS.items():
+        if command.report is not None:
+            kinds = [opt.kind for opt in command.opts if opt.name == command.report]
+            assert kinds == ["outfile"], name
+
+
+def test_exactly_the_outdir_commands_list_the_files_they_write():
+    for name, command in COMMANDS.items():
+        assert bool(command.writes) == any(opt.kind == "outdir" for opt in command.opts), name
+
+
+def test_the_commands_are_the_parsers_subcommands_in_order():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(COMMANDS)
 
 
 def test_report_skips_json_nested_too_deeply(probe_dir):
