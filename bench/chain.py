@@ -6,10 +6,16 @@
 The chain is the ``docexpand`` lines of the checkout's README ``## Quickstart``
 block, with ``gen-synthetic --products N --heldout N/5``. Each line runs as
 ``python -m docexpand.cli`` in a fresh temporary directory, with the
-checkout's ``src`` first on PYTHONPATH. For each stage it prints the exit
-code, the wall time, the child's peak RSS (``os.wait4``: that child only, so
-this script's own memory is not in it), and the sha256 of the stage's stdout
-and of every file the stage created or changed. The chain stops at the
+checkout's ``src`` first on PYTHONPATH. The checkout's package is byte-compiled
+first, as ``perfbench/run.py`` does, so that no stage compiles its modules
+while it is measured (under PYTHONDONTWRITEBYTECODE an exported checkout
+would otherwise recompile them in every stage). For each stage it prints the
+exit code, the wall time, the child's peak RSS (``os.wait4``), and the sha256
+of the stage's stdout and of every file the stage created or changed.
+
+A child started with vfork, as subprocess does, counts this script's own
+peak RSS in its ``ru_maxrss``. So this script keeps its peak below any
+stage's: it compiles in a child of its own and hashes files in blocks. The chain stops at the
 first stage that exits non-zero. Two checkouts whose hash lines are equal
 wrote the same bytes.
 """
@@ -42,8 +48,16 @@ def chain_commands(checkout: Path, products: int) -> list:
 
 
 def file_hashes(work: Path) -> dict:
-    return {str(path.relative_to(work)): hashlib.sha256(path.read_bytes()).hexdigest()
+    return {str(path.relative_to(work)): sha256_of(path)
             for path in sorted(work.rglob("*")) if path.is_file()}
+
+
+def sha256_of(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def run_stage(checkout: Path, argv: list, work: Path) -> dict:
@@ -67,6 +81,8 @@ def run_stage(checkout: Path, argv: list, work: Path) -> dict:
 
 def run_chain(checkout: Path, products: int, work: Path) -> list:
     """Run the chain in ``work``; each stage's record gains the files it created or changed."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(checkout / "src" / "docexpand")],
+                   check=True)
     stages, before = [], {}
     for argv in chain_commands(checkout, products):
         stage = run_stage(checkout, argv, work)

@@ -55,10 +55,8 @@ from .retrieval import (
     search,
 )
 from .stemmer import stem
-from .synthetic import generate, write_corpus
+from .synthetic import MAX_PRODUCTS, generate, write_corpus
 from .targets import build_target_tokens, emit_training_instances, load_training_instances
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -729,7 +727,8 @@ COMMANDS = {
     ), _cmd_report, report="out"),
     "gen-synthetic": Command((
         Opt("seed", "--seed", "int", default=0),
-        Opt("products", "--products", "int", default=1000, check=_POSITIVE),
+        Opt("products", "--products", "int", default=1000,
+            check=_within(f"[1, {MAX_PRODUCTS}]")),
         Opt("heldout", "--heldout", "int", default=200, check=_NON_NEGATIVE),
         Opt("out", "--out", "outdir", required=True, help="output directory"),
     ), _cmd_gen_synthetic, rules=((lambda cfg: cfg["heldout"] <= cfg["products"],

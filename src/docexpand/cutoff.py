@@ -14,8 +14,7 @@ match reads the tuner's rows.
 
 from dataclasses import dataclass
 
-# ScoredRecord is imported for callers too, which build their records as cutoff.ScoredRecord
-from .metrics import MetricsReport, ScoredRecord, report_from_values, sweep
+from .metrics import MetricsReport, report_from_values, sweep
 
 OBSERVED_GRID = "observed"
 MIN_GRID_STEP = 0.0001    # at most 10,001 candidates, each a row of the sweep report
@@ -85,18 +84,14 @@ def budget_match_cutoff(rows, target: float) -> BudgetMatchResult:
     """
     if target <= 0:
         raise ValueError("target must be > 0")
-    matched = None
-    for row in reversed(rows):
-        cutoff, mean_novel = row.cutoff, row.report.novel_tokens
-        # the retained volume only grows as the cutoff falls
-        if mean_novel > target:
-            if matched is None:
-                raise ValueError(f"the highest candidate cutoff {cutoff} already retains "
-                                 f"{mean_novel} novel tokens per product, above {target}")
-            break
-        matched = BudgetMatchResult(cutoff=cutoff, mean_novel=mean_novel, target_reachable=True)
-    else:
-        # even full retention (the lowest cutoff) stays within the target;
-        # it is matched only when it meets the target exactly
-        matched.target_reachable = matched.mean_novel >= target
-    return matched
+    # the retained volume only grows as the cutoff falls, so the first row within the
+    # target holds the smallest cutoff that matches
+    row = next((row for row in rows if row.report.novel_tokens <= target), None)
+    if row is None:
+        top = rows[-1]
+        raise ValueError(f"the highest candidate cutoff {top.cutoff} already retains "
+                         f"{top.report.novel_tokens} novel tokens per product, above {target}")
+    # full retention (the lowest cutoff) is matched only when it meets the target exactly
+    return BudgetMatchResult(cutoff=row.cutoff, mean_novel=row.report.novel_tokens,
+                             target_reachable=row is not rows[0]
+                             or row.report.novel_tokens >= target)

@@ -10,7 +10,8 @@ logic treats identically.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .corpus import Product, analyze, product_token_set
@@ -60,28 +61,24 @@ class CooccurrenceModel:
     counts: dict          # context token -> {target token: count}
     marginals: dict       # context token -> sum of its target counts
     vocabulary: tuple     # sorted target tokens
-    _rows: _Rows = field(default=None, init=False, repr=False, compare=False)
 
+    @cached_property
+    def _rows(self) -> _Rows:
+        """The model's CSR rows, laid out on first use."""
+        import numpy as np
 
-def _rows(model: CooccurrenceModel) -> _Rows:
-    """The model's CSR rows, laid out on first use."""
-    if model._rows is not None:
-        return model._rows
-    import numpy as np
-
-    columns = tuple(sorted(set(model.vocabulary)))
-    column_of = {token: i for i, token in enumerate(columns)}
-    indptr, indices, data = [0], [], []
-    for targets in model.counts.values():
-        indices.extend(column_of[token] for token in targets)
-        data.extend(targets.values())
-        indptr.append(len(indices))
-    model._rows = _Rows(columns=columns, column_of=column_of,
-                        row_of={context: i for i, context in enumerate(model.counts)},
-                        indptr=np.array(indptr, dtype=np.int64),
-                        indices=np.array(indices, dtype=np.int64),
-                        data=np.array(data, dtype=np.float64))
-    return model._rows
+        columns = tuple(sorted(set(self.vocabulary)))
+        column_of = {token: i for i, token in enumerate(columns)}
+        indptr, indices, data = [0], [], []
+        for targets in self.counts.values():
+            indices.extend(column_of[token] for token in targets)
+            data.extend(targets.values())
+            indptr.append(len(indices))
+        return _Rows(columns=columns, column_of=column_of,
+                     row_of={context: i for i, context in enumerate(self.counts)},
+                     indptr=np.array(indptr, dtype=np.int64),
+                     indices=np.array(indices, dtype=np.int64),
+                     data=np.array(data, dtype=np.float64))
 
 
 def train_cooccurrence(instances, products) -> CooccurrenceModel:
@@ -126,7 +123,7 @@ def predict_cooccurrence(model: CooccurrenceModel, product: Product, n: int) -> 
         raise ValueError("n must be >= 1")
     import numpy as np
 
-    layout = _rows(model)
+    layout = model._rows
     context = product_token_set(product)
     denominator = sum(model.marginals.get(c, 0) for c in context)
     rows = [layout.row_of[c] for c in context if c in layout.row_of]

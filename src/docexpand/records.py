@@ -30,10 +30,6 @@ NUMBER = Kind((int, float), "a finite number", lambda v: abs(v) <= sys.float_inf
 UNIT_SCORE = Kind((int, float), "a number in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 STRINGS = Kind((list,), "a list of strings", lambda values: all_of(STRING, values))
 _REQUIRED = object()
-# the C decoder raises RecursionError, not JSONDecodeError, on arrays or objects nested this deep
-_TOO_DEEP = "nested too deeply"
-# and ValueError on an integer longer than sys.get_int_max_str_digits() digits
-_TOO_LONG = "an integer has too many digits"
 # json.loads(line) for a stripped line is this scanner's value when it spans the whole line
 _scan_once = json.JSONDecoder().scan_once
 
@@ -85,12 +81,9 @@ def iter_jsonl(source):
                 # json.loads raises what the scanner met, or what follows the value
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"{name}:{lineno}: invalid JSON record: {exc.msg}") from exc
-                except RecursionError:
-                    raise InputError(f"{name}:{lineno}: invalid JSON record: {_TOO_DEEP}") from None
-                except ValueError:
-                    raise InputError(f"{name}:{lineno}: invalid JSON record: {_TOO_LONG}") from None
+                except (ValueError, RecursionError) as exc:
+                    raise InputError(f"{name}:{lineno}: invalid JSON record: "
+                                     f"{_json_error(exc)}") from exc
             if type(record) is not dict:
                 raise InputError(f"{name}:{lineno}: expected a JSON object")
             yield lineno, record
@@ -99,6 +92,17 @@ def iter_jsonl(source):
     finally:
         if close:
             lines.close()
+
+
+def _json_error(exc: Exception) -> str:
+    """Why json could not decode a document, from the error it raised."""
+    if isinstance(exc, json.JSONDecodeError):
+        return exc.msg
+    # the C decoder raises RecursionError, not JSONDecodeError, on arrays or objects nested
+    # too deep, and ValueError on an integer longer than sys.get_int_max_str_digits() digits
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    return "an integer has too many digits"
 
 
 def _input_file(path) -> Path:
@@ -285,14 +289,10 @@ def load_json(path):
     with path.open("r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc.msg}") from exc
-        except RecursionError:
-            raise InputError(f"{path}: invalid JSON: {_TOO_DEEP}") from None
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as exc:    # a ValueError, so caught first
             raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-        except ValueError:
-            raise InputError(f"{path}: invalid JSON: {_TOO_LONG}") from None
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"{path}: invalid JSON: {_json_error(exc)}") from exc
 
 
 META_SUFFIX = ".meta.json"

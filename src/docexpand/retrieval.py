@@ -16,6 +16,7 @@ those up with numpy.
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, chain
 from typing import NamedTuple
 
@@ -70,11 +71,29 @@ class InvertedIndex:
     field_weights: dict
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
-    _columns: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_ids)
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """Every field's columns, in INDEX_FIELDS order, built and checked on first use."""
+        doc_ids = self.doc_ids
+        if not all(type(doc_id) is str for doc_id in doc_ids):
+            raise InputError("index doc_ids must all be strings")
+        for before, after in zip(doc_ids, doc_ids[1:]):
+            if not before < after:
+                raise InputError(f"index doc_ids must be sorted and unique; {after!r} "
+                                 f"follows {before!r}")
+        if not (0.0 <= self.k1 < math.inf and 0.0 <= self.b <= 1.0):
+            raise InputError(f"index needs 0 <= k1 and 0 <= b <= 1, has k1={self.k1!r} "
+                             f"b={self.b!r}")
+        for name in INDEX_FIELDS:
+            if not math.isfinite(self.field_weights[name]):
+                raise InputError(f"index field {name!r} has weight {self.field_weights[name]!r}")
+        doc_pos = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+        return tuple(_field_columns(self, name, doc_pos) for name in INDEX_FIELDS)
 
 
 @dataclass
@@ -206,28 +225,6 @@ def _field_columns(index: InvertedIndex, name: str, doc_pos: dict) -> FieldColum
     return FieldColumns(rows=rows, indptr=indptr, positions=positions, impacts=impacts)
 
 
-def _columns(index: InvertedIndex) -> tuple:
-    """Every index field's columns, in INDEX_FIELDS order, built and checked on first use."""
-    if index._columns is not None:
-        return index._columns
-    doc_ids = index.doc_ids
-    if not all(type(doc_id) is str for doc_id in doc_ids):
-        raise InputError("index doc_ids must all be strings")
-    for before, after in zip(doc_ids, doc_ids[1:]):
-        if not before < after:
-            raise InputError(f"index doc_ids must be sorted and unique; {after!r} "
-                             f"follows {before!r}")
-    if not (0.0 <= index.k1 < math.inf and 0.0 <= index.b <= 1.0):
-        raise InputError(f"index needs 0 <= k1 and 0 <= b <= 1, has k1={index.k1!r} "
-                         f"b={index.b!r}")
-    for name in INDEX_FIELDS:
-        if not math.isfinite(index.field_weights[name]):
-            raise InputError(f"index field {name!r} has weight {index.field_weights[name]!r}")
-    doc_pos = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-    index._columns = tuple(_field_columns(index, name, doc_pos) for name in INDEX_FIELDS)
-    return index._columns
-
-
 def search(index: InvertedIndex, query: str, k: int) -> SearchResult:
     """Rank documents matching any query token; ties break by doc id.
 
@@ -244,7 +241,7 @@ def search(index: InvertedIndex, query: str, k: int) -> SearchResult:
         return SearchResult(hits=[])
     scores = np.zeros(index.doc_count)
     matched = np.zeros(index.doc_count, dtype=bool)
-    for columns in _columns(index):
+    for columns in index._columns:
         for token in tokens:
             row = columns.rows.get(token)
             if row is not None:
@@ -275,7 +272,7 @@ def eval_recall(index: InvertedIndex, pairs, k: int) -> RecallReport:
     pairs = list(pairs)
     if not pairs:
         return RecallReport(recall=0.0, hits=0, total=0, defined=False)
-    _columns(index)    # checks the doc ids before they are hashed
+    index._columns    # checks the doc ids before they are hashed
     indexed = set(index.doc_ids)
     hits = 0
     for pair in pairs:

@@ -119,9 +119,6 @@ _STEP3 = {
     "ical": "ic", "ful": "", "ness": "",
 }
 
-_STEP2_SUFFIXES = tuple(_STEP2)
-_STEP3_SUFFIXES = tuple(_STEP3)
-
 _STEP4 = (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
@@ -136,23 +133,14 @@ def _longest_match(word: str, suffixes) -> str:
     return best
 
 
-def _step2(word: str) -> str:
-    sfx = _longest_match(word, _STEP2_SUFFIXES)
+def _replace_suffix(word: str, table: dict) -> str:
+    """Step 2 or 3: the longest suffix in ``table`` takes its replacement when m > 0."""
+    sfx = _longest_match(word, table)
     if not sfx:
         return word
     stem = word[: -len(sfx)]
     if _measure(stem) > 0:
-        return stem + _STEP2[sfx]
-    return word
-
-
-def _step3(word: str) -> str:
-    sfx = _longest_match(word, _STEP3_SUFFIXES)
-    if not sfx:
-        return word
-    stem = word[: -len(sfx)]
-    if _measure(stem) > 0:
-        return stem + _STEP3[sfx]
+        return stem + table[sfx]
     return word
 
 
@@ -193,8 +181,8 @@ def _single_pass(token: str) -> str:
     word = _step1a(token)
     word = _step1b(word)
     word = _step1c(word)
-    word = _step2(word)
-    word = _step3(word)
+    word = _replace_suffix(word, _STEP2)
+    word = _replace_suffix(word, _STEP3)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)

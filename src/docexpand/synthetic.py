@@ -13,8 +13,10 @@ files: gold token expansions and a redundant query-style baseline.
 
 import random
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .corpus import EngagementPair, Product, analyze, product_token_set
+from .predictor import ScoredToken, write_predictions
 from .records import write_jsonl
 from .stemmer import stem
 
@@ -47,6 +49,9 @@ PRICE_PHRASES = (
 _SYLLABLES = tuple(
     c + v for c in "bdfgklmnprstvz" for v in "aeiou"
 )
+# each product draws a distinct alias stem from at most 70**3 + 70**4 pseudo-words, and
+# the draw never ends once they run out; a million stays far inside that space
+MAX_PRODUCTS = 1_000_000
 
 
 @dataclass
@@ -84,8 +89,8 @@ def _make_aliases(rng: random.Random, n: int) -> list:
 
 
 def generate(seed: int = 0, n_products: int = 1000, n_heldout: int = 200) -> SyntheticCorpus:
-    if n_products < 1:
-        raise ValueError("n_products must be >= 1")
+    if not 1 <= n_products <= MAX_PRODUCTS:
+        raise ValueError(f"n_products must be between 1 and {MAX_PRODUCTS}")
     if not 0 <= n_heldout <= n_products:
         raise ValueError("n_heldout must be between 0 and n_products")
     rng = random.Random(seed)
@@ -185,26 +190,15 @@ def _pair(rng: random.Random, product_id: str, query: str) -> EngagementPair:
 
 def write_corpus(corpus: SyntheticCorpus, out_dir) -> dict:
     """Write the corpus files; returns {filename: record count}."""
-    from pathlib import Path
-
     out_dir = Path(out_dir)
-    written = {}
-    written["products.jsonl"] = write_jsonl(
-        out_dir / "products.jsonl", (p._asdict() for p in corpus.products)
-    )
-    written["engagement.jsonl"] = write_jsonl(
-        out_dir / "engagement.jsonl", (p._asdict() for p in corpus.engagement)
-    )
-    written["heldout_pairs.jsonl"] = write_jsonl(
-        out_dir / "heldout_pairs.jsonl", (p._asdict() for p in corpus.heldout)
-    )
-    written["gold_expansions.jsonl"] = write_jsonl(
+    written = {name: write_jsonl(out_dir / name, (row._asdict() for row in rows))
+               for name, rows in (("products.jsonl", corpus.products),
+                                  ("engagement.jsonl", corpus.engagement),
+                                  ("heldout_pairs.jsonl", corpus.heldout))}
+    written["gold_expansions.jsonl"] = write_predictions(
         out_dir / "gold_expansions.jsonl",
-        (
-            {"product_id": pid, "token": token, "score": 0.95, "kind": "token"}
-            for pid in sorted(corpus.gold_expansions)
-            for token in corpus.gold_expansions[pid]
-        ),
+        {pid: [ScoredToken(token, 0.95) for token in tokens]
+         for pid, tokens in corpus.gold_expansions.items()},
     )
     written["baseline_query_predictions.jsonl"] = write_jsonl(
         out_dir / "baseline_query_predictions.jsonl", corpus.baseline_predictions

@@ -503,6 +503,9 @@ EXIT_CODE_PROBES = {
          "{d}/products.jsonl", "--top", "0", "--out", "{d}/out/pred.jsonl"), 2, "--top"),
     "gen-synthetic-products-0": (
         ("gen-synthetic", "--products", "0", "--out", "{d}/out/synthetic"), 2, "--products"),
+    "gen-synthetic-products-too-large": (
+        ("gen-synthetic", "--products", "1000001", "--out", "{d}/out/synthetic"), 2,
+        "option --products: 1000001 is outside [1, 1000000]"),
     "gen-synthetic-heldout-above-products": (
         ("gen-synthetic", "--products", "5", "--heldout", "6", "--out", "{d}/out/synthetic"),
         2, "--heldout"),

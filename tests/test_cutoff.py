@@ -3,11 +3,11 @@ import random
 import pytest
 
 from docexpand.cutoff import (
-    ScoredRecord,
     budget_match_cutoff,
     candidate_cutoffs,
     tune_cutoff,
 )
+from docexpand.metrics import ScoredRecord
 from docexpand.predictor import ScoredToken
 
 import oracles

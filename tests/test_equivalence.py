@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from docexpand import filters
 from docexpand.corpus import EngagementPair, Product, analyze, normalize, product_token_set
-from docexpand.cutoff import ScoredRecord, SweepRow, budget_match_cutoff, tune_cutoff
+from docexpand.cutoff import SweepRow, budget_match_cutoff, tune_cutoff
 from docexpand.errors import InputError
-from docexpand.metrics import report_from_values, sweep
+from docexpand.metrics import ScoredRecord, report_from_values, sweep
 from docexpand.predictor import (
     CooccurrenceModel,
     ScoredToken,

@@ -1,5 +1,6 @@
 """The README quickstart runs as written, so its commands cannot drift from the option table."""
 
+import hashlib
 import re
 import shlex
 from pathlib import Path
@@ -20,6 +21,70 @@ def quickstart_commands() -> list:
     return [line for line in lines if line.startswith("docexpand ")]
 
 
+# sha256 of every file the Quickstart writes, run with evaluate's --bootstrap 0 since numpy
+# does not promise Generator.integers' stream across versions; any changed byte fails here
+QUICKSTART_FILES = {
+    "data/baseline_query_predictions.jsonl":
+        "0e1feaa7c3aa0395cc8c33e65c70682a9a78578d620476de79e420d093ed09bb",
+    "data/engagement.jsonl": "5284d70d78abf34bd1d6928af604655174b332a0b1f98ac1d83ff889744c0d0e",
+    "data/gold_expansions.jsonl":
+        "929409753fe578476a39a5558330b156b2d85df9743257476f63eef9acc7c91d",
+    "data/heldout_pairs.jsonl": "2ab13634cfce89dd9e5f75cc7608963ed1d58b0559afc58cfaf9996f5e91465b",
+    "data/products.jsonl": "9c292974fa575e39800c5b55392eb54033bc94d783e971b685b64bc7bd46bf6b",
+    "data/run_config.json": "5b824b665afe33817d1abf1413beaabd8a04e08517b49a428bb71c6493ffae09",
+    "work/cutoff_report.json": "0cb49a8a9ac80913fe6d684773d899a6f316d80423354b0f827344bd9307b506",
+    "work/cutoff_report.json.meta.json":
+        "14f3d084e31b92cc2e14346d88628d7734ebaf7b587c1779868c00e68bce8111",
+    "work/cutoff_report.json.txt":
+        "3810cb857d37bb8cc314e2d33b020ffa273a8b5374e692145dcd283a30895e74",
+    "work/eval_report.json": "64cdd6d3fd310c5d354de026a959c6ccd3144c19b2a4c50c5df8af4791bb00a4",
+    "work/eval_report.json.meta.json":
+        "5cc0d0c6cb4bae7d3613e935483958a850ab82e491130e9e5c043613e86431cd",
+    "work/eval_report.json.txt": "44eab6712c652a842c84e81e60c0d669c6dd0046a26ea86dc6ae42c25e77a9f8",
+    "work/filtered/novel_pairs.jsonl":
+        "884b88e720815ee41f93a7b963fb96e0ad4c3f432ab73620aef42adc69f910af",
+    "work/filtered/pipeline_stats.json":
+        "4be0081633b762bc01fe5c2b2e9abde31b83aa59b28bb229d5e99c3607308105",
+    "work/filtered/pipeline_stats.txt":
+        "4a0b56e1dd56fa72f786017cc6bfe4aa78fad4865a6714f6e8cf04e2e30b0df1",
+    "work/filtered/products.jsonl":
+        "9c292974fa575e39800c5b55392eb54033bc94d783e971b685b64bc7bd46bf6b",
+    "work/filtered/query_pairs.jsonl":
+        "24d73e5d28cb51205667b1aff4214e8a4f55a0fbd10fcfcd9bc1643c5fc2ae4a",
+    "work/filtered/run_config.json":
+        "2852b6b785e47f14679c88f0a9a3e10db4d712ea2333e681d5a54a303df28747",
+    "work/filtered/split.json": "92ade8d89ac1173bbe75404d9a1be5f07736d43d5acf0bb698966982251cd0c4",
+    "work/index.json": "a8430fd6bab02628bcb7e1b3899e88b81c40fd59ff3635252438d5e7a64d6ada",
+    "work/index.json.meta.json": "0b8986c97177087a695632d4c4188dd8b4489f3edc0a7b3b4958a62a0877731d",
+    "work/ingested/ingest_stats.json":
+        "907374f5b8a17b8c01973e83fa565d4232cfae4c3e373ee659f8aa1c8d511b19",
+    "work/ingested/pairs.jsonl": "0fdb211bccffc37d145124f5d14770c038b87166fe1e4176e54740591603e156",
+    "work/ingested/products.jsonl":
+        "9c292974fa575e39800c5b55392eb54033bc94d783e971b685b64bc7bd46bf6b",
+    "work/ingested/run_config.json":
+        "57be8589814994d2331dc78278c94f354a218d815f6cf155355695080d550403",
+    "work/ingested/split.json": "92ade8d89ac1173bbe75404d9a1be5f07736d43d5acf0bb698966982251cd0c4",
+    "work/instances.jsonl": "1d4c0dc7e0e6e36b7a8b7e6e5fdeba77a9cefb5a1bd32c64abc7f517dafa7c5f",
+    "work/instances.jsonl.meta.json":
+        "5c61963ba209a3f18a6afda2d61763badec75630729dc0d12bdf78c1ea5098a8",
+    "work/model.json": "1270ec232d59467fad17da2585b139143db0df8e0eb29a593d81a111f6a11164",
+    "work/model.json.meta.json": "464d7ef6f9a6e509260e96d9993f784fb9d97097e34e4ffd62faef47ee8a0f5b",
+    "work/predictions.jsonl": "c4c7326829b813990aa5efb5a73ea5f662e89817a190447504ef43be27871a5b",
+    "work/predictions.jsonl.meta.json":
+        "dc2ed3079a81167b4aea341c536390edf106d54d8669f087ac6713344414eb4f",
+    "work/retrieval_report.json":
+        "3e11f5583fb81573a27f7fcde09944314012ddb078abbbeacf27927b390acff8",
+    "work/retrieval_report.json.meta.json":
+        "266293d09b08a830b6635b3c52654d7b1e57d1a972652c0796132fdc39dc2383",
+    "work/retrieval_report.json.txt":
+        "23cb828e74363e9423fc5ed57208777cd82fae0d9ec27e45e2e6a43885062de5",
+    "work/summary.json": "92b279f11d2f7b457ae41e51ba7c17c6de8752b1493e572b81e331f85ab56ed6",
+    "work/summary.json.meta.json":
+        "15203cc7657a69de5df8dc5acbf21f7f2887ed0d479422689eda38c3f4a4457a",
+    "work/summary.json.txt": "24eb443794dccd99f85717003228eaf3172efd483592e04c93c2909e5eba441e",
+}
+
+
 def test_quickstart_commands_exit_0(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = quickstart_commands()
@@ -27,6 +92,15 @@ def test_quickstart_commands_exit_0(tmp_path, monkeypatch):
     for line in commands:
         assert main(shlex.split(line)[1:]) == 0, line
     assert (tmp_path / "work" / "summary.json").is_file()
+
+
+def test_quickstart_files_match_their_recorded_hashes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for line in quickstart_commands():
+        assert main(shlex.split(line.replace("--bootstrap 1000", "--bootstrap 0"))[1:]) == 0, line
+    written = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.rglob("*")) if path.is_file()}
+    assert written == QUICKSTART_FILES
 
 
 def test_library_use_imports_resolve():

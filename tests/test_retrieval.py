@@ -209,11 +209,11 @@ def test_columns_built_by_the_first_search_only(tmp_path):
     index = build_index(lamp_corpus())
     save_index(index, tmp_path / "index.json")
     loaded = load_index(tmp_path / "index.json")
-    assert index._columns is None and loaded._columns is None
+    assert "_columns" not in vars(index) and "_columns" not in vars(loaded)
     search(loaded, "lamp", 1)
-    columns = loaded._columns
+    columns = vars(loaded)["_columns"]
     search(loaded, "mug", 1)
-    assert loaded._columns is columns and index._columns is None
+    assert vars(loaded)["_columns"] is columns and "_columns" not in vars(index)
 
 
 def test_column_layout():

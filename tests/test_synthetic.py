@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from docexpand.cli import main
-from docexpand.synthetic import generate, write_corpus
+from docexpand.synthetic import MAX_PRODUCTS, generate, write_corpus
 
 # sha256 of every file write_corpus writes, recorded before generate stopped
 # keeping a token set per product; a changed RNG draw or token test shows here
@@ -29,7 +29,8 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("n_products, n_heldout", [(0, 0), (5, 6), (5, -1)])
+@pytest.mark.parametrize("n_products, n_heldout", [(0, 0), (5, 6), (5, -1),
+                                                    (MAX_PRODUCTS + 1, 0)])
 def test_generate_rejects_sizes_out_of_range(n_products, n_heldout):
     with pytest.raises(ValueError, match="n_products|n_heldout"):
         generate(n_products=n_products, n_heldout=n_heldout)
