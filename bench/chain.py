@@ -11,13 +11,13 @@ first, as ``perfbench/run.py`` does, so that no stage compiles its modules
 while it is measured (under PYTHONDONTWRITEBYTECODE an exported checkout
 would otherwise recompile them in every stage). For each stage it prints the
 exit code, the wall time, the child's peak RSS (``os.wait4``), and the sha256
-of the stage's stdout and of every file the stage created or changed.
+of the stage's stdout and of every file the stage created or changed. The
+chain stops at the first stage that exits non-zero. Two checkouts whose hash
+lines are equal wrote the same bytes.
 
 A child started with vfork, as subprocess does, counts this script's own
 peak RSS in its ``ru_maxrss``. So this script keeps its peak below any
-stage's: it compiles in a child of its own and hashes files in blocks. The chain stops at the
-first stage that exits non-zero. Two checkouts whose hash lines are equal
-wrote the same bytes.
+stage's: it compiles in a child of its own and hashes files in blocks.
 """
 
 import argparse
