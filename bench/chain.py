@@ -13,7 +13,8 @@ would otherwise recompile them in every stage). For each stage it prints the
 exit code, the wall time, the child's peak RSS (``os.wait4``), and the sha256
 of the stage's stdout and of every file the stage created or changed. The
 chain stops at the first stage that exits non-zero. Two checkouts whose hash
-lines are equal wrote the same bytes.
+lines are equal wrote the same bytes. The last line, ``chain  sha256  <digest>``,
+hashes all the hash lines, so two checkouts compare by that one line.
 
 A child started with vfork, as subprocess does, counts this script's own
 peak RSS in its ``ru_maxrss``. So this script keeps its peak below any
@@ -96,6 +97,17 @@ def run_chain(checkout: Path, products: int, work: Path) -> list:
     return stages
 
 
+def hash_lines(stages: list) -> list:
+    """One ``stage  name  sha256`` line for each stage's stdout and each file it wrote."""
+    return [f"{stage['stage']}  {name}  {digest}" for stage in stages
+            for name, digest in (("stdout", stage["stdout"]), *stage["artifacts"].items())]
+
+
+def chain_digest(lines: list) -> str:
+    """The sha256 of the hash lines, one per line: equal digests mean equal hash lines."""
+    return hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--products", type=int, required=True, help="synthetic catalog size")
@@ -108,10 +120,10 @@ def main(argv=None) -> int:
     for stage in stages:
         print(f"{stage['stage']:<15} {stage['exit']:>4} {stage['wall_s']:>8.3f} "
               f"{stage['peak_rss_mb']:>11.1f}")
+    lines = hash_lines(stages)
+    print(*lines, sep="\n")
+    print(f"chain  sha256  {chain_digest(lines)}")
     for stage in stages:
-        print(f"{stage['stage']}  stdout  {stage['stdout']}")
-        for name, digest in stage["artifacts"].items():
-            print(f"{stage['stage']}  {name}  {digest}")
         if stage["exit"] != 0:
             print(stage["stderr"], end="", file=sys.stderr)
     return 0 if all(stage["exit"] == 0 for stage in stages) else 1

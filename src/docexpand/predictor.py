@@ -18,6 +18,7 @@ from .corpus import Product, analyze, product_token_set
 from .errors import InputError
 from .records import (COUNT, STRINGS, TEXT, UNIT_SCORE, Kind, all_of, dump_json, get_field,
                       iter_jsonl, load_json, source_name, write_jsonl)
+from .retrieval import sparse_rows, top
 
 MODEL_FORMAT = "cooccurrence-model/1"
 PREDICTION_KINDS = ("token", "query")
@@ -35,27 +36,16 @@ class ScoredToken(NamedTuple):
     score: float
 
 
-class _Rows(NamedTuple):
-    """A model's counts as CSR rows over the sorted vocabulary."""
-
-    columns: tuple          # column -> token
-    column_of: dict         # token -> column
-    row_of: dict            # context token -> row
-    indptr: "np.ndarray"    # int64; row r's entries are [indptr[r], indptr[r + 1])
-    indices: "np.ndarray"   # int64 column of each entry
-    data: "np.ndarray"      # float64 count of each entry
-
-
 @dataclass
 class CooccurrenceModel:
     """Conditional counts from product context tokens to target tokens.
 
     ``counts`` keeps its insertion order, which is what ``save_model``
-    writes. The first ``predict_cooccurrence`` lays the counts out as CSR
-    rows over the sorted vocabulary (one row per context token, column =
-    target index), so building, saving or loading a model never needs
-    numpy; every target must be in the vocabulary by then. The model is
-    not meant to be mutated afterwards: the rows are not rebuilt.
+    writes. The first ``predict_cooccurrence`` lays the counts out as
+    ``retrieval.SparseRows`` over the sorted vocabulary (one row per context
+    token, column = target index), so building, saving or loading a model
+    never needs numpy; every target must be in the vocabulary by then. The
+    model is not meant to be mutated afterwards: the rows are not rebuilt.
     """
 
     counts: dict          # context token -> {target token: count}
@@ -63,22 +53,12 @@ class CooccurrenceModel:
     vocabulary: tuple     # sorted target tokens
 
     @cached_property
-    def _rows(self) -> _Rows:
-        """The model's CSR rows, laid out on first use."""
-        import numpy as np
-
+    def _rows(self) -> tuple:
+        """(column -> token, token -> column, the counts' SparseRows), laid out on first use."""
         columns = tuple(sorted(set(self.vocabulary)))
         column_of = {token: i for i, token in enumerate(columns)}
-        indptr, indices, data = [0], [], []
-        for targets in self.counts.values():
-            indices.extend(column_of[token] for token in targets)
-            data.extend(targets.values())
-            indptr.append(len(indices))
-        return _Rows(columns=columns, column_of=column_of,
-                     row_of={context: i for i, context in enumerate(self.counts)},
-                     indptr=np.array(indptr, dtype=np.int64),
-                     indices=np.array(indices, dtype=np.int64),
-                     data=np.array(data, dtype=np.float64))
+        return columns, column_of, sparse_rows(
+            {context: targets.items() for context, targets in self.counts.items()}, column_of)
 
 
 def train_cooccurrence(instances, products) -> CooccurrenceModel:
@@ -123,33 +103,21 @@ def predict_cooccurrence(model: CooccurrenceModel, product: Product, n: int) -> 
         raise ValueError("n must be >= 1")
     import numpy as np
 
-    layout = model._rows
+    columns, column_of, rows = model._rows
     context = product_token_set(product)
     denominator = sum(model.marginals.get(c, 0) for c in context)
-    rows = [layout.row_of[c] for c in context if c in layout.row_of]
-    if denominator == 0 or not rows:
+    if denominator == 0:
         return []
-    indptr = layout.indptr
-    spans = [slice(indptr[r], indptr[r + 1]) for r in rows]
-    columns = np.concatenate([layout.indices[s] for s in spans])
-    width = len(layout.columns)
     # integer counts below 2**53 keep the float64 sums and the division exact
-    pooled = np.bincount(columns, weights=np.concatenate([layout.data[s] for s in spans]),
-                         minlength=width)
+    pooled = np.zeros(len(columns))
     # every touched column is a candidate, explicit zero counts included
-    touched = np.zeros(width, dtype=bool)
-    touched[columns] = True
-    touched[[layout.column_of[c] for c in context if c in layout.column_of]] = False
+    touched = np.zeros(len(columns), dtype=bool)
+    rows.add(context, pooled, touched)
+    touched[[column_of[c] for c in context if c in column_of]] = False
     candidates = np.flatnonzero(touched)
     scores = np.minimum(1.0, pooled[candidates] / denominator)
-    if len(scores) > n:
-        nth_best = np.partition(scores, len(scores) - n)[len(scores) - n]
-        survivors = scores >= nth_best
-        candidates, scores = candidates[survivors], scores[survivors]
     # columns follow the sorted vocabulary, so column order is token order
-    order = np.lexsort((candidates, -scores))[:n]
-    return [ScoredToken(token=layout.columns[c], score=score)
-            for c, score in zip(candidates[order].tolist(), scores[order].tolist())]
+    return [ScoredToken(token=columns[c], score=score) for c, score in top(candidates, scores, n)]
 
 
 def save_model(model: CooccurrenceModel, path) -> None:

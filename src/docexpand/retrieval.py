@@ -8,9 +8,9 @@ field-weight-sum. IDF uses the non-negative ln(1 + (N - df + 0.5) /
 (df + 0.5)) variant so adding expansion tokens can only grow match sets.
 
 The postings dicts are the index's canonical form, the one saved to disk.
-An index's first search reads them into per-field CSR columns holding
-each posting's precomputed score contribution, and every search adds
-those up with numpy.
+An index's first search lays each field out as ``SparseRows`` of the
+postings' precomputed score contributions, which every search adds up with
+numpy; a co-occurrence model's counts share that layout and ``top``.
 """
 
 import math
@@ -50,20 +50,60 @@ class FieldIndex:
     avg_length: float = 0.0
 
 
-class FieldColumns(NamedTuple):
-    """One field's postings as CSR rows, scored once so a search only adds."""
+class SparseRows(NamedTuple):
+    """CSR rows of (column, value) entries, a column at most once a row: an index field's
+    postings (document positions, impacts) or a model's counts (vocabulary columns, counts)."""
 
-    rows: dict                # token -> row; tokens with no postings have none
-    indptr: list              # ints; row r's postings are [indptr[r], indptr[r + 1])
-    positions: "np.ndarray"   # intp positions into doc_ids, strictly increasing per row
-    impacts: "np.ndarray"     # float64 (weight * idf) * norm per posting
+    rows: dict              # key -> row; keys with no entries have none
+    indptr: list            # ints; row r's entries are [indptr[r], indptr[r + 1])
+    columns: "np.ndarray"   # intp column of each entry
+    values: "np.ndarray"    # float64 value of each entry
+
+    def add(self, keys, totals, touched) -> None:
+        """Add the rows of ``keys`` into ``totals`` in key order, as ``np.bincount`` adds the
+        rows concatenated, and mark their columns in ``touched``; a key with no row adds nothing."""
+        for key in keys:
+            row = self.rows.get(key)
+            if row is not None:
+                start, stop = self.indptr[row], self.indptr[row + 1]
+                columns = self.columns[start:stop]
+                totals[columns] += self.values[start:stop]
+                touched[columns] = True
+
+
+def sparse_rows(entries: dict, column_of: dict) -> SparseRows:
+    """Lay out ``{key: [(column key, value)]}`` as SparseRows; only non-empty keys get a row."""
+    import numpy as np
+
+    rows, lists = {}, []
+    for key, items in entries.items():
+        if items:
+            rows[key] = len(lists)
+            lists.append(items)
+    indptr = [0, *accumulate(map(len, lists))]
+    # intp, because numpy casts an index array of any other dtype on every fancy index
+    columns = np.fromiter((column_of[c] for c, _ in chain.from_iterable(lists)), np.intp,
+                          indptr[-1])
+    values = np.fromiter((v for _, v in chain.from_iterable(lists)), np.float64, indptr[-1])
+    return SparseRows(rows=rows, indptr=indptr, columns=columns, values=values)
+
+
+def top(columns, scores, k: int) -> list:
+    """The k ``(column, score)`` pairs of highest score, ties broken by the lower column."""
+    import numpy as np
+
+    if len(scores) > k:
+        keep = scores >= -np.partition(-scores, k - 1)[k - 1]   # ties at the k-th stay
+        columns, scores = columns[keep], scores[keep]
+    order = np.lexsort((columns, -scores))[:k]
+    return list(zip(columns[order].tolist(), scores[order].tolist()))
 
 
 @dataclass
 class InvertedIndex:
-    """The canonical index is ``fields``; the first search reads it into columns.
+    """The canonical index is ``fields``; the first search lays it out as SparseRows.
 
-    Change an index only before searching it: the columns are not rebuilt.
+    Change an index only before searching it: the rows are not rebuilt.
     """
 
     fields: dict
@@ -78,7 +118,9 @@ class InvertedIndex:
 
     @cached_property
     def _columns(self) -> tuple:
-        """Every field's columns, in INDEX_FIELDS order, built and checked on first use."""
+        """Every field's SparseRows, in INDEX_FIELDS order, built and checked on first use."""
+        import numpy as np
+
         doc_ids = self.doc_ids
         if not all(type(doc_id) is str for doc_id in doc_ids):
             raise InputError("index doc_ids must all be strings")
@@ -93,7 +135,17 @@ class InvertedIndex:
             if not math.isfinite(self.field_weights[name]):
                 raise InputError(f"index field {name!r} has weight {self.field_weights[name]!r}")
         doc_pos = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-        return tuple(_field_columns(self, name, doc_pos) for name in INDEX_FIELDS)
+        with np.errstate(all="ignore"):     # an inf or nan impact is refused below
+            columns = tuple(_field_columns(self, name, doc_pos) for name in INDEX_FIELDS)
+            reach = np.zeros(self.doc_count)    # |impact| summed over a document's postings
+            for field_rows in columns:
+                np.add.at(reach, field_rows.columns, np.abs(field_rows.values))
+        finite = np.isfinite(reach)
+        if not finite.all():    # a search could add up to inf or nan
+            position = finite.argmin()
+            raise InputError(f"index document {doc_ids[position]!r}: its BM25 impacts sum to "
+                             f"{reach[position]} in magnitude, and every score must be finite")
+        return columns
 
 
 @dataclass
@@ -166,36 +218,25 @@ def _idf(doc_count: int, df: int) -> float:
     return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
 
 
-def _field_columns(index: InvertedIndex, name: str, doc_pos: dict) -> FieldColumns:
-    """Gather one field's postings and score them, rejecting what BM25 cannot score."""
+def _field_columns(index: InvertedIndex, name: str, doc_pos: dict) -> SparseRows:
+    """One field's postings as SparseRows of impacts, rejecting what BM25 cannot score."""
     import numpy as np
 
     findex = index.fields[name]
-    rows, plists = {}, []
-    for token, plist in findex.postings.items():
-        if plist:
-            rows[token] = len(plists)
-            plists.append(plist)
-    sizes = [len(plist) for plist in plists]
-    indptr = [0, *accumulate(sizes)]
-    count = indptr[-1]
-    if count and not 0.0 < findex.avg_length < math.inf:
+    if any(findex.postings.values()) and not 0.0 < findex.avg_length < math.inf:
         raise InputError(f"index field {name!r} has postings, so its avg_length must be "
                          f"positive, not {findex.avg_length!r}")
-    # intp, because numpy casts an index array of any other dtype on every fancy index
     try:
-        positions = np.fromiter((doc_pos[d] for d, _ in chain.from_iterable(plists)),
-                                np.intp, count)
+        field_rows = sparse_rows(findex.postings, doc_pos)
+        lengths = np.fromiter((findex.lengths.get(d, -1) for d in index.doc_ids),
+                              np.float64, index.doc_count)[field_rows.columns]
     except (KeyError, TypeError) as exc:    # TypeError: an unhashable id, such as a list
         raise InputError(f"index field {name!r}: a posting names a document that is not "
                          f"in the index's doc_ids: {exc}") from None
-    try:
-        tfs = np.fromiter((tf for _, tf in chain.from_iterable(plists)), np.float64, count)
-        lengths = np.fromiter((findex.lengths.get(d, -1) for d in index.doc_ids),
-                              np.float64, index.doc_count)[positions]    # one lookup per document
     except OverflowError as exc:
         raise InputError(f"index field {name!r}: a term frequency or length is too large: "
                          f"{exc}") from None
+    indptr, positions, tfs = field_rows.indptr, field_rows.columns, field_rows.values
     steps = np.diff(positions, prepend=-1)
     steps[indptr[:-1]] = 1                  # a row's first posting follows no posting
     for problem, bad in (("has no length, or a negative one", lengths < 0),
@@ -208,8 +249,8 @@ def _field_columns(index: InvertedIndex, name: str, doc_pos: dict) -> FieldColum
 
     # impact = (weight * idf) * norm, norm = tf * (k1 + 1.0) / (tf + k1 * (1.0 - b
     # + b * length / avg_length)): the same operations in the same order, so the
-    # same float bits (a * b == b * a and a + b == b + a exactly), done in place so
-    # that building the columns takes little more memory than the columns hold
+    # same float bits (a * b == b * a and a + b == b + a exactly), done in place on
+    # the term frequencies so that the layout takes little more memory than it holds
     weight, k1, b = index.field_weights[name], index.k1, index.b
     denominator = lengths
     denominator *= b
@@ -221,8 +262,9 @@ def _field_columns(index: InvertedIndex, name: str, doc_pos: dict) -> FieldColum
     impacts *= k1 + 1.0
     impacts /= denominator
     del denominator, lengths
+    sizes = [stop - start for start, stop in zip(indptr, indptr[1:])]
     impacts *= np.repeat([weight * _idf(index.doc_count, size) for size in sizes], sizes)
-    return FieldColumns(rows=rows, indptr=indptr, positions=positions, impacts=impacts)
+    return field_rows
 
 
 def search(index: InvertedIndex, query: str, k: int) -> SearchResult:
@@ -241,22 +283,12 @@ def search(index: InvertedIndex, query: str, k: int) -> SearchResult:
         return SearchResult(hits=[])
     scores = np.zeros(index.doc_count)
     matched = np.zeros(index.doc_count, dtype=bool)
-    for columns in index._columns:
-        for token in tokens:
-            row = columns.rows.get(token)
-            if row is not None:
-                start, stop = columns.indptr[row], columns.indptr[row + 1]
-                positions = columns.positions[start:stop]
-                scores[positions] += columns.impacts[start:stop]
-                matched[positions] = True
+    for field_rows in index._columns:
+        field_rows.add(tokens, scores, matched)
     hits = matched.nonzero()[0]
-    hit_scores = scores[hits]
-    if len(hits) > k:
-        keep = hit_scores >= -np.partition(-hit_scores, k - 1)[k - 1]   # ties at the k-th stay
-        hits, hit_scores = hits[keep], hit_scores[keep]
-    order = np.lexsort((hits, -hit_scores))[:k]   # doc_ids are sorted, so position breaks ties
-    return SearchResult(hits=list(zip(map(index.doc_ids.__getitem__, hits[order].tolist()),
-                                      hit_scores[order].tolist())))
+    # doc_ids are sorted, so the lower position breaks a tie
+    return SearchResult(hits=[(index.doc_ids[position], score)
+                              for position, score in top(hits, scores[hits], k)])
 
 
 @dataclass

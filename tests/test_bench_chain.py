@@ -1,4 +1,4 @@
-"""bench/chain.py runs the README chain stage by stage, and two runs hash alike."""
+"""bench/chain.py runs the README chain stage by stage; two runs hash and digest alike."""
 
 import importlib.util
 from pathlib import Path
@@ -23,3 +23,5 @@ def test_chain_stages_exit_0_and_rerun_byte_identical(tmp_path):
     assert "work/index.json" in runs[0][8]["artifacts"]
     assert [(s["stdout"], s["artifacts"]) for s in runs[0]] == [
         (s["stdout"], s["artifacts"]) for s in runs[1]]
+    digests = [chain.chain_digest(chain.hash_lines(stages)) for stages in runs]
+    assert digests[0] == digests[1] and len(digests[0]) == 64

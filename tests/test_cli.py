@@ -6,6 +6,7 @@ import os
 import shlex
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -376,6 +377,11 @@ def _unsort_doc_ids(index):
     index["doc_ids"].reverse()
 
 
+def _overflow_k1(index):
+    index.update(k1=1e308)      # tf * (k1 + 1.0) overflows for a tf above 1
+    index["fields"]["title"]["postings"]["lamp"][0][1] = 3
+
+
 # saved indexes that load but cannot be scored; each breaks a posting of "lamp"
 MALFORMED_INDEXES = {
     "no_length.json": _drop_length,
@@ -392,6 +398,12 @@ MALFORMED_INDEXES = {
     "huge_length.json": lambda index: index["fields"]["title"]["lengths"].update(p3=10**400),
     "infinite_tf.json": lambda index: index["fields"]["title"]["postings"]["lamp"][0].__setitem__(
         1, math.inf),
+    # finite weights and k1 whose scores would not be: inf, inf - inf, and an inf impact
+    "infinite_scores.json": lambda index: index["field_weights"].update(title=1e308,
+                                                                        attributes=1e308),
+    "nan_scores.json": lambda index: index["field_weights"].update(title=1e308,
+                                                                   attributes=-1e308),
+    "k1_overflow.json": _overflow_k1,
 }
 
 
@@ -563,6 +575,19 @@ EXIT_CODE_PROBES = {
     "index-zero-avg-length": (
         ("search", "--index", "{d}/zero_avg_length.json", "--query", "lamp"), 3,
         "field 'title' has postings, so its avg_length must be positive"),
+    "search-infinite-scores": (
+        ("search", "--index", "{d}/infinite_scores.json", "--query", "lamp"), 3,
+        "index document 'p1': its BM25 impacts sum to inf in magnitude"),
+    "search-nan-scores": (
+        ("search", "--index", "{d}/nan_scores.json", "--query", "lamp"), 3,
+        "index document 'p1': its BM25 impacts sum to inf in magnitude"),
+    "search-k1-overflow": (
+        ("search", "--index", "{d}/k1_overflow.json", "--query", "lamp"), 3,
+        "index document 'p2': its BM25 impacts sum to inf in magnitude"),
+    "eval-retrieval-nan-scores": (
+        ("eval-retrieval", "--index", "{d}/nan_scores.json", "--pairs",
+         "{d}/engagement.jsonl", "--report", "{d}/out/recall.json"), 3,
+        "every score must be finite"),
     "index-unsorted-doc-ids": (
         ("eval-retrieval", "--index", "{d}/unsorted_doc_ids.json", "--pairs",
          "{d}/engagement.jsonl", "--report", "{d}/out/recall.json"), 3,
@@ -785,7 +810,9 @@ EXIT_CODE_PROBES = {
 def test_bad_option_or_input_exits_2_or_3(probe_dir, capsys, probe):
     argv, expected_code, message = EXIT_CODE_PROBES[probe]
     capsys.readouterr()
-    code = run(*(arg.format(d=probe_dir) for arg in argv))
+    with warnings.catch_warnings():     # a warning, such as numpy's overflow, would exit 4
+        warnings.simplefilter("error")
+        code = run(*(arg.format(d=probe_dir) for arg in argv))
     assert code == expected_code
     assert message.format(d=probe_dir) in capsys.readouterr().err
 

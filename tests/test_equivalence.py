@@ -101,6 +101,27 @@ def test_predict_keeps_zero_count_candidates():
         model, product, 10)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.sampled_from(["xx", "yy", "zz"]), st.integers(2**53, 2**60),
+                                max_size=3), min_size=1, max_size=4))
+def test_predict_pools_sums_above_2_53_in_context_order(rows):
+    # such sums round, so their bits depend on the order they add in; the oracle's
+    # Counter adds integers exactly and so cannot check them
+    product = Product(id="p", title="aa bb cc dd")
+    context = list(product_token_set(product))
+    model = CooccurrenceModel(counts=dict(zip(context, rows)),
+                              marginals={c: 2**61 for c in context[:len(rows)]},
+                              vocabulary=("xx", "yy", "zz"))
+    pooled = {}
+    for c in context:
+        for token, count in model.counts.get(c, {}).items():
+            pooled[token] = pooled.get(token, 0.0) + count
+    denominator = 2**61 * len(rows)
+    expected = sorted((ScoredToken(token, min(1.0, total / denominator))
+                       for token, total in pooled.items()), key=lambda s: (-s.score, s.token))
+    assert predict_cooccurrence(model, product, 3) == expected
+
+
 def test_predict_after_roundtrip_with_unsorted_vocabulary(tmp_path):
     rng = random.Random(7)
     for trial in range(20):

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from docexpand.corpus import EngagementPair, Product, analyze
 from docexpand.errors import InputError
+from docexpand.predictor import CooccurrenceModel, predict_cooccurrence
 from docexpand.records import dumps_record
 from docexpand.retrieval import (build_index, eval_recall, index_payload, load_index, save_index,
-                                 search)
+                                 search, sparse_rows, top)
 
 import oracles
 
@@ -220,9 +221,51 @@ def test_column_layout():
     # numpy casts an index array of any dtype but intp on every fancy index
     index = build_index(lamp_corpus(), {"d2": ["glow"]})
     search(index, "lamp", 1)
-    for columns in index._columns:
-        assert columns.positions.dtype == np.intp
-        assert all(type(bound) is int for bound in columns.indptr)
+    model = CooccurrenceModel(counts={"lamp": {"glow": 2}}, marginals={"lamp": 2},
+                              vocabulary=("glow",))
+    predict_cooccurrence(model, Product(id="p", title="lamp"), 1)
+    for rows in (*index._columns, model._rows[2]):
+        assert rows.columns.dtype == np.intp and rows.values.dtype == np.float64
+        assert all(type(bound) is int for bound in rows.indptr)
+
+
+# distinct columns in any order; few score levels, so ties cross the k boundary
+_CANDIDATES = st.lists(st.tuples(st.integers(0, 40), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+                       unique_by=lambda candidate: candidate[0], max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CANDIDATES, st.integers(1, 14))
+@example([], 1)
+@example([(3, 0.5)], 1)
+@example([(3, 0.5)], 4)
+@example([(7, 1.0), (5, 0.5), (2, 0.5), (9, 0.5), (1, 0.25)], 2)
+def test_top_is_the_sorted_candidates_cut_to_k(candidates, k):
+    columns = np.array([column for column, _ in candidates], dtype=np.intp)
+    scores = np.array([score for _, score in candidates], dtype=np.float64)
+    expected = sorted(candidates, key=lambda candidate: (-candidate[1], candidate[0]))[:k]
+    assert top(columns, scores, k) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from("abcdef"),
+                       st.dictionaries(st.integers(0, 7), st.integers(0, 2**60), max_size=8),
+                       max_size=6),
+       st.permutations("abcdefg"), st.integers(0, 7))
+def test_add_sums_each_column_in_key_order(entries, keys, cut):
+    # integers up to 2**60 round differently in another order, so this checks the order
+    keys = keys[:cut]
+    rows = sparse_rows({key: row.items() for key, row in entries.items()}, {c: c for c in range(8)})
+    assert sorted(rows.rows) == sorted(key for key, row in entries.items() if row)
+    totals, touched = np.zeros(8), np.zeros(8, dtype=bool)
+    rows.add(keys, totals, touched)
+    expected = [0.0] * 8
+    for key in keys:
+        for column, value in entries.get(key, {}).items():
+            expected[column] += value
+    assert [total.hex() for total in totals.tolist()] == [total.hex() for total in expected]
+    assert touched.tolist() == [any(column in entries.get(key, {}) for key in keys)
+                                for column in range(8)]
 
 
 def test_first_posting_without_length_is_named():
