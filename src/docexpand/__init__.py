@@ -7,6 +7,7 @@ field-weighted BM25 index carrying an expansion match field.
 """
 
 from .corpus import (
+    AnalysisMemo,
     CatalogSplit,
     EngagementPair,
     Product,

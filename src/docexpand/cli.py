@@ -211,6 +211,8 @@ def _parse_config_file(path: str) -> dict:
         text = source.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{source}: not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:    # such as a socket, or a file one may not read
+        raise ConfigError(f"config file {source}: {exc.strerror}") from None
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -106,6 +106,36 @@ def product_token_set(product: Product) -> frozenset:
     return frozenset(analyze(" ".join(product.text_fields())))
 
 
+class AnalysisMemo:
+    """Analyzed texts and product token sets, each computed once.
+
+    The one per-run analysis cache: ``filters.run_pipeline``,
+    ``predictor.train_cooccurrence`` and ``predictor.load_external_predictions``
+    each make one and drop it with the run. A product's distinct tokens are
+    kept as a tuple, which its readers only iterate or test for membership and
+    which is a fraction of a frozenset's size. Entries are keyed by value, the
+    text or the ``Product``, never by product id, and are never evicted.
+    """
+
+    __slots__ = ("_queries", "_products")
+
+    def __init__(self):
+        self._queries = {}
+        self._products = {}
+
+    def query(self, text: str) -> tuple:
+        tokens = self._queries.get(text)
+        if tokens is None:
+            tokens = self._queries[text] = tuple(analyze(text))
+        return tokens
+
+    def product(self, product: Product) -> tuple:
+        tokens = self._products.get(product)
+        if tokens is None:
+            tokens = self._products[product] = tuple(product_token_set(product))
+        return tokens
+
+
 def load_products(source) -> list:
     """Parse product JSONL records, preserving input order.
 

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
-from .corpus import EngagementPair, analyze, product_token_set
+from .corpus import AnalysisMemo, EngagementPair
 from .errors import InputError
 from .records import (POSITIVE_COUNT, STRING, STRINGS, TEXT, UNIT_SCORE, Kind, all_of,
                       get_field, iter_jsonl)
@@ -41,49 +41,19 @@ class ScorerError(InputError):
     """A relevance scorer failed on a specific pair (CLI exit code 3)."""
 
 
-class AnalysisMemo:
-    """Analyzed query texts and product token sets, each computed once.
-
-    A product's distinct tokens are kept as a tuple, which its readers only
-    test for membership and which is a fraction of a frozenset's size.
-    Entries are keyed by value, the text or the ``Product``, never by
-    product id, and are never evicted: make one per run and drop it with
-    the run, as ``run_pipeline`` does.
-    """
-
-    __slots__ = ("_queries", "_products")
-
-    def __init__(self):
-        self._queries = {}
-        self._products = {}
-
-    def query(self, text: str) -> tuple:
-        tokens = self._queries.get(text)
-        if tokens is None:
-            tokens = self._queries[text] = tuple(analyze(text))
-        return tokens
-
-    def product(self, product) -> tuple:
-        tokens = self._products.get(product)
-        if tokens is None:
-            tokens = self._products[product] = tuple(product_token_set(product))
-        return tokens
-
-
 class JaccardScorer:
     """Default lexical scorer: Jaccard overlap of stemmed token sets.
 
-    With an ``AnalysisMemo`` it reads the analyses from it (run_pipeline
-    passes its own); without one, each call analyzes afresh.
+    It reads the analyses from ``memo``, a ``corpus.AnalysisMemo``
+    (``run_pipeline`` passes its own).
     """
 
-    def __init__(self, memo: AnalysisMemo = None):
+    def __init__(self, memo: AnalysisMemo):
         self.memo = memo
 
     def score(self, query, product) -> float:
-        memo = self.memo if self.memo is not None else AnalysisMemo()
-        query_tokens = set(memo.query(query))
-        product_tokens = memo.product(product)
+        query_tokens = set(self.memo.query(query))
+        product_tokens = self.memo.product(product)
         union = query_tokens.union(product_tokens)
         if not union:
             return 0.0

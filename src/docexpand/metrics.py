@@ -170,11 +170,8 @@ def sweep(records, product_tokens: dict, cutoffs):
              for record, unique in zip(records, uniques)]
     full = _View([view.reference for view in views])
     novel = _View([view.novel_reference for view in views])
-    per_metric = {
-        "rouge_precision": full.precision, "rouge_recall": full.recall, "rouge_f1": full.f1,
-        "nrouge_precision": novel.precision, "nrouge_recall": novel.recall,
-        "nrouge_f1": novel.f1,
-    }
+    per_metric = dict(zip(_METRIC_NAMES, (full.precision, full.recall, full.f1,
+                                          novel.precision, novel.recall, novel.f1)))
     predictions = [Counter() for _ in records]
     predicted = [0] * n
     sum_total = sum_novel = 0

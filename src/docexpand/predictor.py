@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .corpus import Product, analyze, product_token_set
+from .corpus import AnalysisMemo, Product, product_token_set
 from .errors import InputError
 from .records import (COUNT, STRINGS, TEXT, UNIT_SCORE, Kind, all_of, dump_json, get_field,
                       iter_jsonl, load_json, source_name, write_jsonl)
@@ -69,23 +69,20 @@ def train_cooccurrence(instances, products) -> CooccurrenceModel:
     is incremented by the instance frequency.
     """
     by_id = {p.id: p for p in products}
-    contexts = {}    # product id -> its distinct tokens, as a tuple
+    context_of = AnalysisMemo().product    # a product's distinct tokens, as a tuple
     counts = {}
     for instance in instances:
-        context = contexts.get(instance.product_id)
-        if context is None:
-            product = by_id.get(instance.product_id)
-            if product is None:
-                raise InputError(f"training instance references unknown product "
-                                 f"{instance.product_id!r}")
-            context = contexts[instance.product_id] = tuple(product_token_set(product))
+        product = by_id.get(instance.product_id)
+        if product is None:
+            raise InputError(f"training instance references unknown product "
+                             f"{instance.product_id!r}")
         target, frequency = instance.target_token, instance.frequency
-        for token in context:
+        for token in context_of(product):
             row = counts.get(token)
             if row is None:
                 row = counts[token] = {}
             row[target] = row.get(target, 0) + frequency
-    del contexts    # freed before the marginals and the vocabulary are built
+    del context_of    # the memo is freed before the marginals and the vocabulary are built
     marginals = {context: sum(targets.values()) for context, targets in counts.items()}
     vocabulary = tuple(sorted({t for targets in counts.values() for t in targets}))
     return CooccurrenceModel(counts=counts, marginals=marginals, vocabulary=vocabulary)
@@ -156,7 +153,7 @@ def load_external_predictions(source) -> dict:
     has no ``token``.
     """
     table = defaultdict(dict)
-    analyzed = {}    # text -> its stems; a product's tokens recur across a file's rows
+    analyzed = AnalysisMemo().query    # a product's tokens recur across a file's rows
     for lineno, record in iter_jsonl(source):
         get = record.get
         pid, text = get("product_id"), get("token", get("text"))
@@ -168,9 +165,7 @@ def load_external_predictions(source) -> dict:
             text = get_field(record, "token", TEXT, source, lineno, get("text"))
             score = get_field(record, "score", UNIT_SCORE, source, lineno)
             kind = get_field(record, "kind", _PREDICTION_KIND, source, lineno, "token")
-        stems = analyzed.get(text)
-        if stems is None:
-            stems = analyzed[text] = analyze(text)
+        stems = analyzed(text)
         if kind == "token" and len(stems) != 1:
             raise InputError(f"{source_name(source)}: line {lineno}: token text {text!r} must "
                              "analyze to exactly one token")

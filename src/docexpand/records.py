@@ -67,7 +67,7 @@ def iter_jsonl(source):
     """
     name = source_name(source)
     close = isinstance(source, (str, os.PathLike))
-    lines = _input_file(source).open("r", encoding="utf-8") if close else iter(source)
+    lines = _open_input(source) if close else iter(source)
     try:
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
@@ -105,18 +105,17 @@ def _json_error(exc: Exception) -> str:
     return "an integer has too many digits"
 
 
-def _input_file(path) -> Path:
-    """``path``, once it is known to exist and not to be a directory (a pipe still reads)."""
+def _open_input(path):
+    """``path`` opened as UTF-8 text, unless it is missing or a directory (a pipe still reads)."""
     path = Path(path)
     try:
-        found, is_dir = path.exists(), path.is_dir()
-    except OSError as exc:    # such as a name too long: exists() passes only a missing file
+        if path.is_dir():
+            raise InputError(f"input is a directory, not a file: {path}")
+        if path.exists():
+            return path.open("r", encoding="utf-8")
+    except OSError as exc:    # such as a name too long, a socket, or a file one may not read
         raise InputError(f"input file {path}: {exc.strerror}") from None
-    if not found:
-        raise InputError(f"input file not found: {path}")
-    if is_dir:
-        raise InputError(f"input is a directory, not a file: {path}")
-    return path
+    raise InputError(f"input file not found: {path}")
 
 
 # One compact encoder for every JSONL row: json.dumps with these arguments
@@ -285,8 +284,8 @@ def write_text(path, text: str) -> None:
 
 
 def load_json(path):
-    path = _input_file(path)
-    with path.open("r", encoding="utf-8") as fh:
+    path = Path(path)
+    with _open_input(path) as fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:    # a ValueError, so caught first

@@ -278,12 +278,13 @@ def search(index: InvertedIndex, query: str, k: int) -> SearchResult:
         raise ValueError("k must be >= 1")
     import numpy as np
 
+    columns = index._columns    # checks the index, whatever the query
     tokens = sorted(set(analyze(query)))
     if not tokens:
         return SearchResult(hits=[])
     scores = np.zeros(index.doc_count)
     matched = np.zeros(index.doc_count, dtype=bool)
-    for field_rows in index._columns:
+    for field_rows in columns:
         field_rows.add(tokens, scores, matched)
     hits = matched.nonzero()[0]
     # doc_ids are sorted, so the lower position breaks a tie
@@ -301,10 +302,10 @@ class RecallReport:
 
 def eval_recall(index: InvertedIndex, pairs, k: int) -> RecallReport:
     """Fraction of pairs whose product lands in the query's top-k results."""
+    index._columns    # checks the index, also the doc ids before they are hashed
     pairs = list(pairs)
     if not pairs:
         return RecallReport(recall=0.0, hits=0, total=0, defined=False)
-    index._columns    # checks the doc ids before they are hashed
     indexed = set(index.doc_ids)
     hits = 0
     for pair in pairs:

@@ -1,10 +1,12 @@
 import argparse
 import errno
+import gc
 import json
 import math
 import os
 import shlex
 import shutil
+import socket
 import sys
 import warnings
 from pathlib import Path
@@ -592,6 +594,13 @@ EXIT_CODE_PROBES = {
         ("eval-retrieval", "--index", "{d}/unsorted_doc_ids.json", "--pairs",
          "{d}/engagement.jsonl", "--report", "{d}/out/recall.json"), 3,
         "doc_ids must be sorted"),
+    "search-tokenless-query-on-unsorted-doc-ids": (
+        ("search", "--index", "{d}/unsorted_doc_ids.json", "--query", "??"), 3,
+        "doc_ids must be sorted"),
+    "eval-retrieval-no-pairs-on-unsorted-doc-ids": (
+        ("eval-retrieval", "--index", "{d}/unsorted_doc_ids.json", "--pairs",
+         "{d}/empty.jsonl", "--report", "{d}/out/recall.json"), 3,
+        "doc_ids must be sorted"),
     "non-utf8-config": (_INGEST + ("--config", "{d}/latin1.jsonl"), 2, "latin1.jsonl"),
     "ingest-ratios-not-integers": (_INGEST + ("--ratios", "a,b,c"), 2,
                                    "option --ratios: expects three integers, got 'a,b,c'"),
@@ -890,6 +899,60 @@ def test_report_skips_json_nested_too_deeply(probe_dir):
     assert run(*(arg.format(d=probe_dir) for arg in _report("deep_report"))) == 0
     report = load_json(probe_dir / "out" / "report.json")
     assert [entry["source"] for entry in report["retrieval"]] == ["retrieval_report.json"]
+
+
+@pytest.fixture
+def unreadable(tmp_path, monkeypatch):
+    """A file that exists and that ``Path.open`` refuses, as it does a file one may not read."""
+    path = tmp_path / "unreadable" / "locked.json"
+    path.parent.mkdir()
+    path.write_text("{}\n", encoding="utf-8")
+    path_open = Path.open
+
+    def refusing_open(self, *args, **kwargs):
+        if self == path:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refusing_open)
+    return path
+
+
+@pytest.mark.parametrize("argv, expected_code, message", [
+    (("ingest", "--products", "{u}", "--engagement", "{d}/engagement.jsonl",
+      "--out", "{out}"), 3, "input file {u}: "),
+    (("search", "--index", "{u}", "--query", "lamp"), 3, "input file {u}: "),
+    (_INGEST[:-1] + ("{out}", "--config", "{u}"), 2, "config file {u}: "),
+], ids=["ingest-products", "search-index", "config"])
+def test_an_input_that_cannot_be_opened_exits_2_or_3(probe_dir, unreadable, tmp_path, capsys,
+                                                     argv, expected_code, message):
+    fill = dict(d=probe_dir, u=unreadable, out=tmp_path / "out")
+    capsys.readouterr()
+    with warnings.catch_warnings():    # a leaked file handle would warn when collected
+        warnings.simplefilter("error")
+        code = run(*(arg.format(**fill) for arg in argv))
+        gc.collect()
+    assert code == expected_code
+    assert message.format(**fill) + os.strerror(errno.EACCES) in capsys.readouterr().err
+
+
+def test_report_skips_json_it_cannot_open(probe_dir, unreadable):
+    shutil.copy(probe_dir / "work" / "retrieval_report.json", unreadable.parent)
+    out = unreadable.parent.parent / "report.json"
+    assert run("report", "--in", unreadable.parent, "--out", out) == 0
+    report = load_json(out)
+    assert [entry["source"] for entry in report["retrieval"]] == ["retrieval_report.json"]
+
+
+@pytest.mark.skipif(not hasattr(socket, "AF_UNIX"), reason="needs Unix domain sockets")
+def test_a_socket_given_as_an_input_file_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)    # a socket's path must be short
+    with socket.socket(socket.AF_UNIX) as server:
+        server.bind("sock.jsonl")
+        code = run("ingest", "--products", "sock.jsonl", "--engagement", "sock.jsonl",
+                   "--out", "out")
+    assert code == 3
+    assert "input file sock.jsonl: " in capsys.readouterr().err
 
 
 def test_empty_field_weights_keep_the_defaults(probe_dir, tmp_path):

@@ -5,6 +5,7 @@ lists, reports and floats of the references they replaced.
 """
 
 import itertools
+import json
 import math
 import random
 import tempfile
@@ -13,7 +14,6 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from docexpand import filters
 from docexpand.corpus import EngagementPair, Product, analyze, normalize, product_token_set
 from docexpand.cutoff import SweepRow, budget_match_cutoff, tune_cutoff
 from docexpand.errors import InputError
@@ -21,6 +21,7 @@ from docexpand.metrics import ScoredRecord, report_from_values, sweep
 from docexpand.predictor import (
     CooccurrenceModel,
     ScoredToken,
+    load_external_predictions,
     load_model,
     predict_cooccurrence,
     save_model,
@@ -528,8 +529,8 @@ def pipeline_outcome(run, pairs, products, **options):
     return result.query_pairs, result.novel_pairs, result.stats.as_dict()
 
 
-def test_pipeline_analyzes_each_text_and_product_once_per_call(monkeypatch):
-    products, pairs = pipeline_case(3)
+def counted_analyses(monkeypatch) -> dict:
+    """The texts and products ``corpus.AnalysisMemo`` analyzes from now on, in call order."""
     seen = {"texts": [], "products": []}
 
     def counted(name, func):
@@ -538,9 +539,15 @@ def test_pipeline_analyzes_each_text_and_product_once_per_call(monkeypatch):
             return func(arg)
         return wrapper
 
-    monkeypatch.setattr(filters, "analyze", counted("texts", filters.analyze))
-    monkeypatch.setattr(filters, "product_token_set",
-                        counted("products", filters.product_token_set))
+    monkeypatch.setattr("docexpand.corpus.analyze", counted("texts", analyze))
+    monkeypatch.setattr("docexpand.corpus.product_token_set",
+                        counted("products", product_token_set))
+    return seen
+
+
+def test_pipeline_analyzes_each_text_and_product_once_per_call(monkeypatch):
+    products, pairs = pipeline_case(3)
+    seen = counted_analyses(monkeypatch)
     by_id = {p.id: p for p in products}
     for _ in range(2):    # nothing is cached from one call to the next
         seen["texts"].clear()
@@ -551,3 +558,22 @@ def test_pipeline_analyzes_each_text_and_product_once_per_call(monkeypatch):
         assert len(seen["texts"]) == len(set(seen["texts"]))
         assert {pair.query for pair in pairs} <= set(seen["texts"])
         assert result.novel_pairs
+
+
+def test_train_and_the_prediction_loader_analyze_each_product_and_text_once(monkeypatch):
+    products, pairs = pipeline_case(4)
+    instances = [TrainingInstance(pair.product_id, pair.query, "zz", 1, 1.0) for pair in pairs]
+    rows = [{"product_id": pair.product_id, "token": pair.query, "score": 0.5, "kind": "query"}
+            for pair in pairs]
+    by_id = {p.id: p for p in products}
+    seen = counted_analyses(monkeypatch)
+    for _ in range(2):    # nothing is cached from one call to the next
+        seen["products"].clear()
+        model = train_cooccurrence(instances, products)
+        assert sorted(seen["products"]) == sorted({by_id[pair.product_id] for pair in pairs})
+        assert model.vocabulary == ("zz",)
+        seen["texts"].clear()
+        table = load_external_predictions(json.dumps(row) for row in rows)
+        assert sorted(seen["texts"]) == sorted({pair.query for pair in pairs})
+        assert table
+    assert len(pairs) > len({pair.query for pair in pairs})    # so some texts recur

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from docexpand.corpus import EngagementPair, Product, analyze, product_token_set
+from docexpand.corpus import AnalysisMemo, EngagementPair, Product, analyze, product_token_set
 from docexpand.errors import InputError
 from docexpand.filters import (
-    AnalysisMemo,
     ExternalScorer,
     NovelPair,
     JaccardScorer,
@@ -58,22 +57,21 @@ class TestRelevanceFilter:
     def test_partial_overlap_dropped_at_threshold_one(self):
         product = Product(id="p", title="swim vest kid")
         pair = EngagementPair("p", "swim ring", 2)
-        kept, dropped = relevance_stage([pair], [product], JaccardScorer(), threshold=1.0)
+        kept, dropped = relevance_stage([pair], [product], None, threshold=1.0)
         assert kept == [] and dropped == 1
 
     def test_identical_sets_survive_threshold_one(self):
         product = Product(id="p", title="swim vest")
         pair = EngagementPair("p", "vest swim", 2)
         # a full match, which that stage would drop
-        kept, _ = relevance_stage([pair], [product], JaccardScorer(), threshold=1.0,
+        kept, _ = relevance_stage([pair], [product], None, threshold=1.0,
                                    fmf_enabled=False)
         assert kept == [pair]
 
-    @pytest.mark.parametrize("memo", [None, AnalysisMemo()], ids=["fresh", "memo"])
-    def test_no_tokens_on_either_side_scores_zero(self, memo):
+    def test_no_tokens_on_either_side_scores_zero(self):
         product = Product(id="p", title="!!", description="--")
         assert product_token_set(product) == frozenset() and analyze("?? &") == []
-        assert JaccardScorer(memo).score("?? &", product) == 0.0
+        assert JaccardScorer(AnalysisMemo()).score("?? &", product) == 0.0
 
     def test_scorer_failure_names_pair(self):
         product = Product(id="p9", title="t")
@@ -84,7 +82,7 @@ class TestRelevanceFilter:
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
-            relevance_stage([], [], JaccardScorer(), threshold=1.5)
+            relevance_stage([], [], None, threshold=1.5)
 
 
 class TestPriceTokenFilter:

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from test_readme import quickstart_commands
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -52,12 +54,28 @@ def test_importing_the_package_and_the_cli_leaves_numpy_unloaded(tmp_path):
     assert numpy_loaded(IMPORTS, tmp_path) == [False, False]
 
 
-def test_only_predict_loads_numpy_in_the_build_chain(tmp_path):
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """The README chain's commands and a directory where the build ran through ``predict``,
+    with whether numpy was loaded after each stage of the build."""
+    cwd = tmp_path_factory.mktemp("chain")
     commands = {argv[0]: argv for argv in (shlex.split(line)[1:] for line in quickstart_commands())}
     generate = commands["gen-synthetic"]
     generate[generate.index("--products") + 1] = "120"
     generate[generate.index("--heldout") + 1] = "24"
     stages = [argv for name, argv in commands.items() if name in NUMPY_FREE]
     assert [argv[0] for argv in stages] == list(NUMPY_FREE)
-    assert numpy_loaded(STAGES, tmp_path, json.dumps(stages + [commands["predict"]])) == [
-        False] * len(NUMPY_FREE) + [True]
+    return commands, cwd, numpy_loaded(STAGES, cwd, json.dumps(stages + [commands["predict"]]))
+
+
+def test_only_predict_loads_numpy_in_the_build_chain(built):
+    _, _, loaded = built
+    assert loaded == [False] * len(NUMPY_FREE) + [True]
+
+
+def test_evaluate_without_bootstrap_and_tune_cutoff_leave_numpy_unloaded(built):
+    commands, cwd, _ = built
+    evaluate, tune = commands["evaluate"], commands["tune-cutoff"]
+    at = evaluate.index("--bootstrap")
+    del evaluate[at:at + 2]
+    assert numpy_loaded(STAGES, cwd, json.dumps([evaluate, tune])) == [False, False]
