@@ -68,10 +68,15 @@ class TestRelevanceFilter:
                                    fmf_enabled=False)
         assert kept == [pair]
 
-    def test_no_tokens_on_either_side_scores_zero(self):
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "memo"])
+    def test_no_tokens_on_either_side_scores_zero(self, warm):
         product = Product(id="p", title="!!", description="--")
         assert product_token_set(product) == frozenset() and analyze("?? &") == []
-        assert JaccardScorer(AnalysisMemo()).score("?? &", product) == 0.0
+        memo = AnalysisMemo()
+        if warm:
+            # the empty analyses are already cached, and must read back as empty
+            assert memo.query("?? &") == () and memo.product(product) == ()
+        assert JaccardScorer(memo).score("?? &", product) == 0.0
 
     def test_scorer_failure_names_pair(self):
         product = Product(id="p9", title="t")
