@@ -10,8 +10,9 @@ checkout's ``src`` first on PYTHONPATH. The checkout's package is byte-compiled
 first, as ``perfbench/run.py`` does, so that no stage compiles its modules
 while it is measured (under PYTHONDONTWRITEBYTECODE an exported checkout
 would otherwise recompile them in every stage). For each stage it prints the
-exit code, the wall time, the child's peak RSS (``os.wait4``), and the sha256
-of the stage's stdout and of every file the stage created or changed. The
+exit code, the wall time, the child's CPU time (user plus system) and peak RSS
+(both from ``os.wait4``), and the sha256 of the stage's stdout and of every
+file the stage created or changed. The
 chain stops at the first stage that exits non-zero. Two checkouts whose hash
 lines are equal wrote the same bytes. The last line, ``chain  sha256  <digest>``,
 hashes all the hash lines, so two checkouts compare by that one line.
@@ -62,7 +63,8 @@ def sha256_of(path: Path) -> str:
 
 
 def run_stage(checkout: Path, argv: list, work: Path) -> dict:
-    """One subcommand in its own interpreter: exit code, wall time, peak RSS, stdout hash."""
+    """One subcommand in its own interpreter: exit code, wall and CPU time, peak RSS, stdout
+    hash."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(checkout / "src"), os.environ.get("PYTHONPATH"))))}
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
@@ -75,6 +77,7 @@ def run_stage(checkout: Path, argv: list, work: Path) -> dict:
         out.seek(0)
         err.seek(0)
         return {"stage": argv[0], "exit": child.returncode, "wall_s": wall_s,
+                "cpu_s": usage.ru_utime + usage.ru_stime,
                 "peak_rss_mb": usage.ru_maxrss / 1024.0,    # Linux reports KiB
                 "stdout": hashlib.sha256(out.read()).hexdigest(),
                 "stderr": err.read().decode(errors="replace")}
@@ -116,10 +119,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="docexpand-chain-") as work:
         stages = run_chain(args.checkout.resolve(), args.products, Path(work))
-    print(f"{'stage':<15} {'exit':>4} {'wall_s':>8} {'peak_rss_mb':>11}")
+    print(f"{'stage':<15} {'exit':>4} {'wall_s':>8} {'cpu_s':>8} {'peak_rss_mb':>11}")
     for stage in stages:
         print(f"{stage['stage']:<15} {stage['exit']:>4} {stage['wall_s']:>8.3f} "
-              f"{stage['peak_rss_mb']:>11.1f}")
+              f"{stage['cpu_s']:>8.3f} {stage['peak_rss_mb']:>11.1f}")
     lines = hash_lines(stages)
     print(*lines, sep="\n")
     print(f"chain  sha256  {chain_digest(lines)}")

@@ -370,6 +370,10 @@ def _cmd_filter(cfg: dict) -> str:
     in_dir = Path(cfg["in_dir"])
     products = load_products(in_dir / "products.jsonl")
     pairs = load_engagement(in_dir / "pairs.jsonl", min_atc=0).pairs
+    split_path = in_dir / "split.json"
+    # checked before anything is written, then written in canonical form
+    split = (CatalogSplit.from_record(load_json(split_path), split_path)
+             if split_path.exists() else None)
     # None selects run_pipeline's Jaccard scorer, which shares its analyses
     scorer = ExternalScorer.load(cfg["scores"]) if cfg["scorer"] == "external" else None
     # pairs stays the first positional argument: perfbench's tracer counts args[0]
@@ -385,9 +389,8 @@ def _cmd_filter(cfg: dict) -> str:
     dump_json(out / "pipeline_stats.json", {"config": cfg, **stats})
     write_text(out / "pipeline_stats.txt", render_stats(stats))
     write_jsonl(out / "products.jsonl", (p._asdict() for p in products))
-    split_path = in_dir / "split.json"
-    if split_path.exists():
-        dump_json(out / "split.json", load_json(split_path))
+    if split is not None:
+        dump_json(out / "split.json", split.as_record())
     return summary
 
 
@@ -488,7 +491,7 @@ def _cmd_tune_cutoff(cfg: dict) -> str:
             "mean_novel": budget.mean_novel,
             "target_reachable": budget.target_reachable,
         }
-    rows = [render_metrics_row(_f(row.cutoff, 4), row.report.as_dict()) for row in sweep.rows]
+    rows = [render_metrics_row(_f(row["cutoff"], 4), row["metrics"]) for row in payload["rows"]]
     text = render_metrics_table("cutoff", rows)
     text += f"\nchosen cutoff: {sweep.chosen}\n"
     _write_report(cfg, payload, text)

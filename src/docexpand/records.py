@@ -120,22 +120,18 @@ def _open_input(path):
 
 # One compact encoder for every JSONL row: json.dumps with these arguments
 # builds a new JSONEncoder on each call, and JSONEncoder.encode a new C
-# encoder. This is the C encoder encode builds, built once; its markers dict
-# holds the containers being encoded, so it is emptied after a failed row.
+# encoder. This is the C encoder encode builds, built once, without the
+# markers that detect a container inside itself: no row the program writes
+# holds one.
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
-_MARKERS = {}
 _encode_row = c_make_encoder(
-    _MARKERS, _RECORD_ENCODER.default, encode_basestring, None, _RECORD_ENCODER.key_separator,
+    None, _RECORD_ENCODER.default, encode_basestring, None, _RECORD_ENCODER.key_separator,
     _RECORD_ENCODER.item_separator, True, False, True)
 
 
 def dumps_record(record: dict) -> str:
-    """``json.dumps(record, sort_keys=True, ensure_ascii=False)``, raising the same errors."""
-    try:
-        return "".join(_encode_row(record, 0))
-    except BaseException:
-        _MARKERS.clear()
-        raise
+    """``json.dumps(record, sort_keys=True, ensure_ascii=False)`` for a row holding no cycle."""
+    return "".join(_encode_row(record, 0))
 
 
 @contextmanager
@@ -169,9 +165,10 @@ def write_jsonl(path, rows) -> int:
 
 
 def dump_json(path, obj) -> None:
-    """Write ``obj`` as indented JSON, byte for byte what
+    """Write ``obj``, a dict or list, as indented JSON: byte for byte what
     ``json.dump(obj, fh, sort_keys=True, ensure_ascii=False, indent=2)``
-    followed by a newline writes, and raising the same errors.
+    followed by a newline writes, when ``obj`` holds no cycle and every
+    dict in it that holds a container has ``str`` keys.
     """
     with _replacing(path) as fh:
         _write_indented(fh, obj)
@@ -183,28 +180,25 @@ _CONTAINERS = (list, tuple, dict)
 
 
 def _write_indented(fh, obj) -> None:
-    """Stream ``obj`` as ``sort_keys=True, ensure_ascii=False, indent=2`` JSON.
+    """Stream the container ``obj`` as ``sort_keys=True, ensure_ascii=False, indent=2`` JSON.
 
     On Python 3.10 and 3.11 ``json.dump`` with an indent always runs the
     pure-Python generator encoder and calls ``fh.write`` once per token.
     This writes the same text without generators: a container that holds
     no container, an empty one too, is one call of a C encoder whose item
     separator is the level's newline and indent; any other container
-    writes each of its keys and values that is not a container with that
-    same encoder, and recurses only into containers. The text is written
-    whenever ``_CHUNK_PARTS`` parts are buffered, so memory stays bounded
-    by that many parts. Key sorting, number formatting and the errors
-    raised (TypeError for an unserializable value or key, ValueError for a
-    container inside itself) follow ``json.encoder._make_iterencode``: the
-    C encoder matches it for scalars and keys, once a key that is not a
-    str has passed its type test, whose message names the key's class as
-    that encoder does.
+    writes each of its ``str`` keys, and each of its values that is not a
+    container with that same encoder, and recurses only into containers.
+    The text is written whenever ``_CHUNK_PARTS`` parts are buffered, so
+    memory stays bounded by that many parts. Key sorting, number
+    formatting and the TypeError for an unserializable value follow
+    ``json.encoder._make_iterencode``. A container inside itself recurses
+    until RecursionError.
     """
     parts = []
     append = parts.append
-    writing = set()   # ids of the containers that have a container being written inside
     # per nesting level: first lead, item separator, "]" and "}" closers, and the C
-    # encoder of a container holding no container (which cannot hold itself: no markers)
+    # encoder of a container holding no container
     levels = []
 
     def flush():
@@ -230,7 +224,6 @@ def _write_indented(fh, obj) -> None:
         # a posting, [str, int], is written whole with the next level's strings
         pair_lead, pair_separator, pair_close, _, _ = levels[level]
         pair_lead = "[" + pair_lead
-        nested = False
         if is_dict:
             append("{")
             items = sorted(obj.items())
@@ -240,11 +233,6 @@ def _write_indented(fh, obj) -> None:
         for item in items:
             if is_dict:
                 key, value = item
-                if not isinstance(key, str):
-                    if not (isinstance(key, (int, float)) or key is None):
-                        raise TypeError("keys must be str, int, float, bool or None, "
-                                        f"not {key.__class__.__name__}")
-                    key = "".join(encode_flat(key, 0))
                 prefix = lead + encode_basestring(key) + ": "
             else:
                 value = item
@@ -258,23 +246,13 @@ def _write_indented(fh, obj) -> None:
                 append(prefix + pair_lead + encode_basestring(value[0]) + pair_separator
                        + int.__repr__(value[1]) + pair_close)
             elif isinstance(value, _CONTAINERS):
-                if id(value) in writing:
-                    raise ValueError("Circular reference detected")
-                if not nested:
-                    writing.add(id(obj))
-                    nested = True
                 append(prefix)
                 container(value, level)
             else:
                 append(prefix + "".join(encode_flat(value, 0)))
         append(close_dict if is_dict else close_list)
-        if nested:
-            writing.discard(id(obj))
 
-    if isinstance(obj, _CONTAINERS):
-        container(obj, 0)
-    else:
-        append(dumps_record(obj))
+    container(obj, 0)
     flush()
 
 

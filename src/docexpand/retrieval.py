@@ -131,9 +131,6 @@ class InvertedIndex:
         if not (0.0 <= self.k1 < math.inf and 0.0 <= self.b <= 1.0):
             raise InputError(f"index needs 0 <= k1 and 0 <= b <= 1, has k1={self.k1!r} "
                              f"b={self.b!r}")
-        for name in INDEX_FIELDS:
-            if not math.isfinite(self.field_weights[name]):
-                raise InputError(f"index field {name!r} has weight {self.field_weights[name]!r}")
         doc_pos = {doc_id: i for i, doc_id in enumerate(doc_ids)}
         with np.errstate(all="ignore"):     # an inf or nan impact is refused below
             columns = tuple(_field_columns(self, name, doc_pos) for name in INDEX_FIELDS)

@@ -19,7 +19,8 @@ def test_chain_stages_exit_0_and_rerun_byte_identical(tmp_path):
             "gen-synthetic", "ingest", "filter", "build-targets", "train", "predict", "evaluate",
             "tune-cutoff", "index", "search", "eval-retrieval", "report"]
         assert all(stage["exit"] == 0 for stage in stages), [s["stderr"] for s in stages]
-        assert all(stage["wall_s"] > 0 and stage["peak_rss_mb"] > 0 for stage in stages)
+        assert all(stage["wall_s"] > 0 and stage["cpu_s"] > 0 and stage["peak_rss_mb"] > 0
+                   for stage in stages)
     assert "work/index.json" in runs[0][8]["artifacts"]
     assert [(s["stdout"], s["artifacts"]) for s in runs[0]] == [
         (s["stdout"], s["artifacts"]) for s in runs[1]]

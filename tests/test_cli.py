@@ -309,6 +309,9 @@ def probe_dir(tmp_path_factory):
         broken = dict(split)
         edit(broken)
         (root / name).write_text(json.dumps(broken), encoding="utf-8")
+    for name, split in FILTER_SPLITS.items():
+        shutil.copytree(root / "work" / "ingested", root / name)
+        (root / name / "split.json").write_text(json.dumps(split), encoding="utf-8")
     shutil.copytree(root / "work" / "filtered", root / "bad_split")
     shutil.copy(root / "split_train_5.json", root / "bad_split" / "split.json")
     write_jsonl(root / "true_prediction.jsonl",
@@ -456,6 +459,13 @@ MALFORMED_REPORT_SECTIONS = {
 MALFORMED_SPLITS = {
     "split_no_validation.json": lambda split: split.pop("validation"),
     "split_train_5.json": lambda split: split.update(train=5),
+}
+
+# ingest outputs whose split.json filter refuses before it writes: directory -> split.json
+FILTER_SPLITS = {
+    "split_scalar": 5,
+    "split_list": ["p1", "p2", "p3"],
+    "split_number_ids": {"train": ["p1", 2], "validation": ["p3"], "test": []},
 }
 
 
@@ -755,6 +765,13 @@ EXIT_CODE_PROBES = {
         ("ingest", "--products", "{d}/duplicate_products.jsonl", "--engagement",
          "{d}/engagement.jsonl", "--out", "{d}/out/ingested"), 3,
         "duplicate_products.jsonl: line 3: duplicate product id 'p1', first on line 1"),
+    **{"filter-" + name.replace("_", "-"): (
+        ("filter", "--in", "{d}/" + name, "--out", "{d}/out/" + name), 3,
+        "{d}/" + name + "/split.json: " + message)
+       for name, message in (("split_scalar", "a split file must be a JSON object"),
+                             ("split_list", "a split file must be a JSON object"),
+                             ("split_number_ids",
+                              "'train' must be a list of product id strings"))},
     "evaluate-unknown-reference-product": (
         ("evaluate", "--predictions", "{d}/work/predictions.jsonl",
          "--references", "{d}/unknown_references.jsonl", "--products", "{d}/products.jsonl",
@@ -824,6 +841,13 @@ def test_bad_option_or_input_exits_2_or_3(probe_dir, capsys, probe):
         code = run(*(arg.format(d=probe_dir) for arg in argv))
     assert code == expected_code
     assert message.format(d=probe_dir) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", FILTER_SPLITS)
+def test_filter_refuses_its_split_before_writing(probe_dir, name):
+    out = probe_dir / "out" / name
+    assert run("filter", "--in", probe_dir / name, "--out", out) == 3
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, sidecar", [

@@ -1,10 +1,17 @@
-"""The README quickstart runs as written, so its commands cannot drift from the option table."""
+"""The README quickstart runs as written, so its commands cannot drift from the option table,
+and writes the same bytes when its kernels are swapped for their brute-force oracles."""
 
 import hashlib
 import re
 import shlex
+import sys
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+import oracles
+from docexpand import corpus, cutoff, filters, predictor, records, retrieval, targets
 from docexpand.cli import main
 from docexpand.corpus import EngagementPair, Product
 from docexpand.filters import NovelPair
@@ -94,13 +101,69 @@ def test_quickstart_commands_exit_0(tmp_path, monkeypatch):
     assert (tmp_path / "work" / "summary.json").is_file()
 
 
-def test_quickstart_files_match_their_recorded_hashes(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def run_quickstart(root: Path, monkeypatch, seed=7, products=300) -> dict:
+    """Run the Quickstart in ``root`` with ``--bootstrap 0`` at ``seed`` and catalog size
+    ``products``; returns the bytes of each file it wrote by its path under ``root``."""
+    root.mkdir()
+    monkeypatch.chdir(root)
     for line in quickstart_commands():
-        assert main(shlex.split(line.replace("--bootstrap 1000", "--bootstrap 0"))[1:]) == 0, line
-    written = {path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in sorted(tmp_path.rglob("*")) if path.is_file()}
-    assert written == QUICKSTART_FILES
+        line = line.replace("--bootstrap 1000", "--bootstrap 0")
+        line = line.replace("--seed 7", f"--seed {seed}").replace("--products 300",
+                                                                  f"--products {products}")
+        assert main(shlex.split(line)[1:]) == 0, line
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_quickstart_files_match_their_recorded_hashes(tmp_path, monkeypatch):
+    written = run_quickstart(tmp_path / "run", monkeypatch)
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in written.items()} == (
+        QUICKSTART_FILES)
+
+
+# each kernel the Quickstart runs and its brute-force reference in tests/oracles.py; stemming
+# and analysis, evaluate_records, budget_match_cutoff (not run by the Quickstart), the model
+# and index loaders and the JSONL row writer stay fast
+ORACLE_TWINS = (
+    (corpus.load_products, oracles.load_products),
+    (corpus.load_engagement, oracles.load_engagement),
+    (filters.run_pipeline, oracles.run_pipeline),
+    (targets.load_training_instances, oracles.load_training_instances),
+    (predictor.train_cooccurrence, oracles.train_cooccurrence),
+    (predictor.predict_cooccurrence, oracles.predict_cooccurrence),
+    (predictor.load_external_predictions, oracles.load_external_predictions),
+    (cutoff.tune_cutoff, oracles.tune_cutoff),
+    (retrieval.build_index, oracles.build_index),
+    (retrieval.search, oracles.search),
+    (records.dump_json, oracles.dump_json),
+)
+
+
+@pytest.mark.parametrize("seed, products", [(7, 300), (1, 120)])
+def test_quickstart_through_the_oracles_writes_the_same_bytes(tmp_path, monkeypatch, seed,
+                                                              products):
+    fast = run_quickstart(tmp_path / "fast", monkeypatch, seed, products)
+    calls = Counter()
+
+    def counted(oracle):
+        def call(*args, **kwargs):
+            calls[oracle.__name__] += 1
+            return oracle(*args, **kwargs)
+        return call
+
+    # every docexpand module-global bound to a kernel now calls its oracle
+    for original, oracle in ORACLE_TWINS:
+        twin = counted(oracle)
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "docexpand":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, twin)
+    slow = run_quickstart(tmp_path / "oracle", monkeypatch, seed, products)
+    assert sorted(calls) == sorted(oracle.__name__ for _, oracle in ORACLE_TWINS)
+    assert len(fast) == len(QUICKSTART_FILES)
+    assert slow.keys() == fast.keys()
+    assert [name for name in fast if slow[name] != fast[name]] == []
 
 
 def test_library_use_imports_resolve():

@@ -281,7 +281,7 @@ def test_first_posting_without_length_is_named():
 @pytest.mark.parametrize("edit, message", [
     (lambda index: setattr(index, "k1", -1.0), "k1=-1.0"),
     (lambda index: setattr(index, "b", 1.5), "b=1.5"),
-    (lambda index: index.field_weights.update(title=math.inf), "weight inf"),
+    (lambda index: index.field_weights.update(title=math.inf), "impacts sum to inf"),
 ])
 def test_unscorable_parameters_rejected_on_search(edit, message):
     index = build_index(lamp_corpus())
