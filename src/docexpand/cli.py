@@ -370,15 +370,16 @@ def _cmd_filter(cfg: dict) -> str:
     in_dir = Path(cfg["in_dir"])
     products = load_products(in_dir / "products.jsonl")
     pairs = load_engagement(in_dir / "pairs.jsonl", min_atc=0).pairs
-    split_path = in_dir / "split.json"
-    # checked before anything is written, then written in canonical form
-    split = (CatalogSplit.from_record(load_json(split_path), split_path)
-             if split_path.exists() else None)
     # None selects run_pipeline's Jaccard scorer, which shares its analyses
     scorer = ExternalScorer.load(cfg["scores"]) if cfg["scorer"] == "external" else None
     # pairs stays the first positional argument: perfbench's tracer counts args[0]
     result = run_pipeline(pairs, products, rf_threshold=cfg["rf_threshold"], scorer=scorer,
                           fmf_enabled=cfg["fmf"] == "on")
+    split_path = in_dir / "split.json"
+    # checked before anything is written, then written in canonical form; read after the
+    # pipeline, whose peak memory it would otherwise raise
+    split = (CatalogSplit.from_record(load_json(split_path), split_path)
+             if split_path.exists() else None)
     out = Path(cfg["out"])
     write_jsonl(out / "query_pairs.jsonl", (p._asdict() for p in result.query_pairs))
     write_jsonl(out / "novel_pairs.jsonl", (p._asdict() for p in result.novel_pairs))

@@ -139,7 +139,7 @@ ORACLE_TWINS = (
 )
 
 
-@pytest.mark.parametrize("seed, products", [(7, 300), (1, 120)])
+@pytest.mark.parametrize("seed, products", [(7, 300), (1, 120), (3, 500)])
 def test_quickstart_through_the_oracles_writes_the_same_bytes(tmp_path, monkeypatch, seed,
                                                               products):
     fast = run_quickstart(tmp_path / "fast", monkeypatch, seed, products)
