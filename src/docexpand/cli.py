@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 config error, 3 input error, 4 internal error
 import argparse
 import logging
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,9 +154,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a lone UTF-16 surrogate: what an argument holds for bytes that are not UTF-8 (see PEP 383)
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _convert(opt: Opt, raw):
     if raw is None:
         return None
+    if _SURROGATE.search(raw):    # no UTF-8 artifact or provenance file could record it
+        raise ConfigError(f"option {opt.flag}: {raw!r} is not Unicode text")
     try:
         if opt.kind == "int":
             value = int(raw)
@@ -376,11 +383,13 @@ def _cmd_filter(cfg: dict) -> str:
     result = run_pipeline(pairs, products, rf_threshold=cfg["rf_threshold"], scorer=scorer,
                           fmf_enabled=cfg["fmf"] == "on")
     split_path = in_dir / "split.json"
-    # checked before anything is written, then written in canonical form; read after the
-    # pipeline, whose peak memory it would otherwise raise
-    split = (CatalogSplit.from_record(load_json(split_path), split_path)
-             if split_path.exists() else None)
     out = Path(cfg["out"])
+    # read after the pipeline, whose peak memory it would otherwise raise, and checked before
+    # anything is written; written first, in canonical form, so no write below holds it
+    if split_path.exists():
+        split = CatalogSplit.from_record(load_json(split_path), split_path)
+        dump_json(out / "split.json", split.as_record())
+        del split
     write_jsonl(out / "query_pairs.jsonl", (p._asdict() for p in result.query_pairs))
     write_jsonl(out / "novel_pairs.jsonl", (p._asdict() for p in result.novel_pairs))
     summary = (f"filter: {len(pairs)} pairs in, {len(result.query_pairs)} query pairs, "
@@ -390,8 +399,6 @@ def _cmd_filter(cfg: dict) -> str:
     dump_json(out / "pipeline_stats.json", {"config": cfg, **stats})
     write_text(out / "pipeline_stats.txt", render_stats(stats))
     write_jsonl(out / "products.jsonl", (p._asdict() for p in products))
-    if split is not None:
-        dump_json(out / "split.json", split.as_record())
     return summary
 
 
@@ -568,7 +575,10 @@ def _cmd_report(cfg: dict) -> str:
         raise InputError(f"not a directory: {in_dir}")
     merged = {section: [] for section in _SECTIONS}
     for path in sorted(in_dir.rglob("*.json")):
-        if path.name.endswith(META_SUFFIX) or path.name == "run_config.json":
+        source = str(path.relative_to(in_dir))
+        # a name the report cannot record: bytes that are not UTF-8, like a file it cannot open
+        if (path.name.endswith(META_SUFFIX) or path.name == "run_config.json"
+                or _SURROGATE.search(source)):
             continue
         if _written_by(path) in _NOT_REPORTS:    # an index or a model: large, and no section
             continue
@@ -582,7 +592,7 @@ def _cmd_report(cfg: dict) -> str:
             continue
         for key, kind in _SECTIONS[section][1]:
             get_field(data, key, kind, path)
-        merged[section].append({"source": str(path.relative_to(in_dir)), **data})
+        merged[section].append({"source": source, **data})
     sections = [f"== preprocessing ({entry['source']})\n" + render_stats(entry)
                 for entry in merged["preprocessing"]]
     eval_rows = [render_metrics_row(e["source"], e["metrics"]) for e in merged["evaluations"]]

@@ -19,8 +19,10 @@ below their score, so each cutoff costs only the records whose retained
 predictions changed. ``evaluate_records`` is its row at one cutoff.
 """
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import reduce
 
 
 @dataclass(frozen=True)
@@ -228,9 +230,13 @@ def report_from_values(per_metric: dict, totals: tuple, n_products: int,
     order, and the (predicted, novel) token totals.
 
     Recall and F1 lists hold only the records whose reference is non-empty.
+    Each mean adds its values one by one in record order: from Python 3.12
+    on, ``sum`` of floats compensates its rounding and would change the bits.
+    It skips the zeros, most of a sweep's values: no value is negative, so
+    adding 0.0 leaves the sum's bits as they are.
     """
     def mean(values):
-        return sum(values) / len(values) if values else 0.0
+        return reduce(operator.add, filter(None, values), 0.0) / len(values) if values else 0.0
 
     predicted, novel = totals
     return MetricsReport(

@@ -8,6 +8,7 @@ sorted, no timestamps are embedded, and every artifact gets a sidecar
 
 import json
 import os
+import re
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
@@ -32,6 +33,10 @@ STRINGS = Kind((list,), "a list of strings", lambda values: all_of(STRING, value
 _REQUIRED = object()
 # json.loads(line) for a stripped line is this scanner's value when it spans the whole line
 _scan_once = json.JSONDecoder().scan_once
+# one escape of a JSON text json decoded: a surrogate pair, which json joins into one character,
+# a surrogate escape left alone (group 1), or any other escape
+_ESCAPE = re.compile(r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+                     r"|(u[dD][89a-fA-F][0-9a-fA-F]{2})|.)")
 
 
 def all_of(kind: Kind, values) -> bool:
@@ -61,9 +66,10 @@ def source_name(source) -> str:
 def iter_jsonl(source):
     """Yield (line_number, record) from a JSONL path, file object, or lines.
 
-    Blank lines are skipped. Malformed JSON (nested too deeply, too) or a
-    non-object line raises InputError naming the offending line; a file
-    that is not UTF-8 raises InputError naming the file.
+    Blank lines are skipped. Malformed JSON (nested too deeply, too), a
+    lone surrogate escape or a non-object line raises InputError naming
+    the offending line; a file that is not UTF-8 raises InputError naming
+    the file.
     """
     name = source_name(source)
     close = isinstance(source, (str, os.PathLike))
@@ -84,6 +90,8 @@ def iter_jsonl(source):
                 except (ValueError, RecursionError) as exc:
                     raise InputError(f"{name}:{lineno}: invalid JSON record: "
                                      f"{_json_error(exc)}") from exc
+            if "\\u" in line:
+                _refuse_lone_surrogate(line, name, lineno)
             if type(record) is not dict:
                 raise InputError(f"{name}:{lineno}: expected a JSON object")
             yield lineno, record
@@ -92,6 +100,16 @@ def iter_jsonl(source):
     finally:
         if close:
             lines.close()
+
+
+def _refuse_lone_surrogate(text: str, name, lineno: int = 1) -> None:
+    """Raise InputError at the first ``\\u`` escape of the decoded JSON ``text`` that json
+    decodes to a lone surrogate, which is not Unicode text and which no UTF-8 artifact can
+    hold. Inputs are read as strict UTF-8, so no other character of a decoded string is one."""
+    for match in _ESCAPE.finditer(text):
+        if match[1]:
+            line = lineno + text.count("\n", 0, match.start())
+            raise InputError(f"{name}:{line}: \\{match[1]} is a lone surrogate, not Unicode text")
 
 
 def _json_error(exc: Exception) -> str:
@@ -265,11 +283,15 @@ def load_json(path):
     path = Path(path)
     with _open_input(path) as fh:
         try:
-            return json.load(fh)
+            text = fh.read()
+            value = json.loads(text)
         except UnicodeDecodeError as exc:    # a ValueError, so caught first
             raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
         except (ValueError, RecursionError) as exc:
             raise InputError(f"{path}: invalid JSON: {_json_error(exc)}") from exc
+    if "\\u" in text:
+        _refuse_lone_surrogate(text, path)
+    return value
 
 
 META_SUFFIX = ".meta.json"

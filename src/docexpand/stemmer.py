@@ -16,21 +16,22 @@ from functools import lru_cache
 _VOWELS = frozenset("aeiou")
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    c = word[i]
-    if c in _VOWELS:
-        return False
-    if c == "y":
-        return True if i == 0 else not _is_consonant(word, i - 1)
-    return True
+def _consonants(word: str) -> list:
+    """Classify the letters left to right: True for a consonant. Every letter but a
+    vowel is one, except a "y" that follows a consonant (so a leading "y" is one)."""
+    classes = []
+    cons = False
+    for c in word:
+        cons = c not in _VOWELS and (c != "y" or not cons)
+        classes.append(cons)
+    return classes
 
 
 def _measure(stem: str) -> int:
     """Number of vowel-to-consonant transitions ("m" in the usual notation)."""
     m = 0
     prev_cons = True
-    for i in range(len(stem)):
-        cons = _is_consonant(stem, i)
+    for cons in _consonants(stem):
         if cons and not prev_cons:
             m += 1
         prev_cons = cons
@@ -38,27 +39,16 @@ def _measure(stem: str) -> int:
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return not all(_consonants(stem))
 
 
 def _ends_double_consonant(stem: str) -> bool:
-    return (
-        len(stem) >= 2
-        and stem[-1] == stem[-2]
-        and _is_consonant(stem, len(stem) - 1)
-    )
+    return len(stem) >= 2 and stem[-1] == stem[-2] and _consonants(stem)[-1]
 
 
 def _ends_cvc(stem: str) -> bool:
     # consonant-vowel-consonant ending where the final consonant is not w/x/y
-    if len(stem) < 3:
-        return False
-    return (
-        _is_consonant(stem, len(stem) - 3)
-        and not _is_consonant(stem, len(stem) - 2)
-        and _is_consonant(stem, len(stem) - 1)
-        and stem[-1] not in "wxy"
-    )
+    return _consonants(stem)[-3:] == [True, False, True] and stem[-1] not in "wxy"
 
 
 def _step1a(word: str) -> str:

@@ -13,8 +13,11 @@ index's match set and generated price queries.
 
 import json
 import math
+import operator
+import os
 import random
 from collections import Counter, defaultdict
+from functools import reduce
 
 from docexpand import corpus
 from docexpand.corpus import PRODUCT_TEXT_FIELDS, EngagementLoad, EngagementPair, Product
@@ -92,8 +95,8 @@ def corpus_metrics(cases):
             nrouge_r.append(nr)
             nrouge_f.append(f1_of(np_, nr))
 
-    def mean(values):
-        return sum(values) / len(values) if values else 0.0
+    def mean(values):    # in record order, as the package sums: sum() compensates from 3.12 on
+        return reduce(operator.add, values, 0.0) / len(values) if values else 0.0
 
     return {
         "rouge_precision": mean(rouge_p),
@@ -147,7 +150,9 @@ def product_token_set(product):
 
 
 def dump_json(path, obj):
-    """Reference indented JSON artifact writer."""
+    """Reference indented JSON artifact writer; like every artifact writer, it makes the
+    directory it writes into."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, ensure_ascii=False, indent=2)
         fh.write("\n")

@@ -371,6 +371,18 @@ def probe_dir(tmp_path_factory):
                                            encoding="utf-8")
     (root / "deep_report" / "deep.json").write_text(deep, encoding="utf-8")
     shutil.copy(root / "work" / "retrieval_report.json", root / "deep_report")
+    write_jsonl(root / "long_token_products.jsonl",
+                [{**PRODUCTS[0], "title": "mug " + _LONG_TOKEN}, *PRODUCTS[1:]])
+    shutil.copytree(root / "work" / "ingested", root / "long_token")
+    shutil.copy(root / "long_token_products.jsonl", root / "long_token" / "products.jsonl")
+    # json.dumps writes a lone surrogate as its \u escape
+    write_jsonl(root / "surrogate_products.jsonl", [{**PRODUCTS[0], "title": "mug \ud800"}])
+    (root / "surrogate_index.json").write_text(
+        (root / "work" / "index.json").read_text(encoding="utf-8").replace(
+            '"lamp"', '"lamp\\udc80"', 1), encoding="utf-8")
+    (root / "undecodable_name").mkdir()
+    shutil.copy(root / "work" / "retrieval_report.json",
+                root / "undecodable_name" / (_UNDECODABLE.format("r") + ".json"))
     return root
 
 
@@ -490,6 +502,10 @@ _TOO_LONG = os.strerror(errno.ENAMETOOLONG)
 # reads it, and then the key's own check refuses it
 _MANY_DIGITS = "7" * 5000
 _DIGIT_LIMIT = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(_MANY_DIGITS)
+# a token whose run of "y" is longer than the interpreter's recursion limit
+_LONG_TOKEN = "y" * 3000 + "ying"
+# how Python hands over an argument or a file name holding a byte that is not UTF-8 (PEP 383)
+_UNDECODABLE = "{}\udcff"
 
 
 def _build_targets(name):
@@ -825,6 +841,33 @@ EXIT_CODE_PROBES = {
     "config-name-too-long": (_INGEST + ("--config", f"{{d}}/{_LONG}.cfg"), 2,
                              f"config file {{d}}/{_LONG}.cfg: {_TOO_LONG}"),
     "report-in-name-too-long": (_report(_LONG), 3, f"input directory {{d}}/{_LONG}: {_TOO_LONG}"),
+    "search-query-not-unicode-text": (
+        ("search", "--index", "{d}/work/index.json", "--query", "mug \udced\udca0\udc80",
+         "--out", "{d}/out/hits.json"), 2, "option --query: 'mug \\udced\\udca0\\udc80' is not "
+        "Unicode text"),
+    "gen-synthetic-out-not-unicode-text": (
+        ("gen-synthetic", "--products", "5", "--heldout", "1",
+         "--out", "{d}/out/" + _UNDECODABLE.format("d")), 2,
+        "option --out: '{d}/out/d\\udcff' is not Unicode text"),
+    "ingest-lone-surrogate-escape": (
+        ("ingest", "--products", "{d}/surrogate_products.jsonl", "--engagement",
+         "{d}/engagement.jsonl", "--out", "{d}/out/ingested"), 3,
+        "surrogate_products.jsonl:1: \\ud800 is a lone surrogate, not Unicode text"),
+    "search-index-lone-surrogate-escape": (
+        ("search", "--index", "{d}/surrogate_index.json", "--query", "lamp"), 3,
+        "\\udc80 is a lone surrogate, not Unicode text"),
+    "report-skips-an-undecodable-file-name": (_report("undecodable_name"), 0, ""),
+    # the stemmer classifies a token's letters in one pass, whatever its length
+    "index-long-token": (
+        ("index", "--products", "{d}/long_token_products.jsonl", "--out", "{d}/out/index.json"),
+        0, ""),
+    "filter-long-token": (("filter", "--in", "{d}/long_token", "--out", "{d}/out/long_token"),
+                          0, ""),
+    "predict-long-token": (
+        ("predict", "--model", "cooccurrence:{d}/work/model.json", "--products",
+         "{d}/long_token_products.jsonl", "--out", "{d}/out/pred.jsonl"), 0, ""),
+    "search-long-token": (
+        ("search", "--index", "{d}/work/index.json", "--query", _LONG_TOKEN), 0, ""),
     **{"index-coerced-" + name.removesuffix(".json"): (
         ("eval-retrieval", "--index", "{d}/" + name, "--pairs", "{d}/engagement.jsonl",
          "--report", "{d}/out/recall.json"), 3, f"{name}: {message}")
@@ -965,6 +1008,25 @@ def test_report_skips_json_it_cannot_open(probe_dir, unreadable):
     out = unreadable.parent.parent / "report.json"
     assert run("report", "--in", unreadable.parent, "--out", out) == 0
     report = load_json(out)
+    assert [entry["source"] for entry in report["retrieval"]] == ["retrieval_report.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-synthetic", "--products", "5", "--heldout", "1",
+     "--out", "{out}/" + _UNDECODABLE.format("d")),
+    ("search", "--index", "{d}/work/index.json", "--query", _UNDECODABLE.format("mug "),
+     "--out", "{out}/hits.json"),
+], ids=["gen-synthetic-out", "search-query"])
+def test_an_option_that_is_not_unicode_text_exits_2_before_writing(probe_dir, tmp_path, argv):
+    assert run(*(arg.format(d=probe_dir, out=tmp_path) for arg in argv)) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_report_skips_a_file_name_that_is_not_unicode_text(probe_dir, tmp_path):
+    shutil.copytree(probe_dir / "undecodable_name", tmp_path / "in")
+    shutil.copy(probe_dir / "work" / "retrieval_report.json", tmp_path / "in")
+    assert run("report", "--in", tmp_path / "in", "--out", tmp_path / "report.json") == 0
+    report = load_json(tmp_path / "report.json")
     assert [entry["source"] for entry in report["retrieval"]] == ["retrieval_report.json"]
 
 

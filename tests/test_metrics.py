@@ -4,8 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from docexpand.metrics import (ScoredRecord, _resampled_means, bootstrap_ci, evaluate_records, f1,
-                               make_eval_record)
+from docexpand.metrics import (_METRIC_NAMES, ScoredRecord, _resampled_means, bootstrap_ci,
+                               evaluate_records, f1, make_eval_record, report_from_values)
 from docexpand.predictor import ScoredToken
 
 import oracles
@@ -278,3 +278,27 @@ class TestMetricProperties:
             r = make_eval_record("p", reference, product)
             assert all(r.novel_reference[t] <= r.reference[t] for t in r.novel_reference)
             assert not set(r.novel_reference) & set(product)
+
+
+def _neumaier_sum(values):
+    """Compensated summation, which ``sum`` of floats does from Python 3.12 on."""
+    total = compensation = 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation
+
+
+def test_metric_means_add_their_values_one_by_one_in_record_order():
+    values = [0.1, 0.0] * 10
+    sequential = 0.0
+    for value in values:
+        sequential += value
+    assert sequential != _neumaier_sum(values)    # 0.9999999999999999 against 1.0
+    report = report_from_values(dict.fromkeys(_METRIC_NAMES, values), (0, 0), len(values))
+    for name in _METRIC_NAMES:
+        assert getattr(report, name) == sequential / len(values), name

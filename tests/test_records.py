@@ -227,6 +227,46 @@ def test_an_integer_with_too_many_digits_is_an_input_error(tmp_path):
         sys.set_int_max_str_digits(digits)
 
 
+def _is_text(value: str) -> bool:
+    """Whether UTF-8 can encode ``value``: it holds no lone surrogate."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+# ASCII JSON writes a surrogate as its \u escape, so a high one right before a low one decodes as
+# one character above U+FFFF; the alphabet mixes backslashes, escape letters and surrogates
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(st.sampled_from('\\u"d8') | st.characters(min_codepoint=0xD7FF,
+                                                                   max_codepoint=0xE000)
+                        | st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
+                        max_size=6), min_size=1, max_size=3))
+@example(["\U00010000", "\\ud800"])    # a pair, and an escaped backslash before "ud800"
+@example(["\udc00\ud800"])             # a low then a high surrogate: both alone
+def test_a_lone_surrogate_escape_is_refused_and_any_other_text_is_read(tmp_path_factory, values):
+    text = json.dumps({"id": "p1", "values": values}, ensure_ascii=True)
+    decoded = json.loads(text)
+    path = tmp_path_factory.mktemp("escapes") / "values.json"
+    path.write_text(f"\n{text}\n", encoding="utf-8")
+    if all(map(_is_text, decoded["values"])):
+        assert [record for _, record in iter_jsonl(path)] == [decoded]
+        assert records.load_json(path) == decoded
+    else:
+        message = r"values.json:2: \\u[dD][89a-fA-F].. is a lone surrogate, not Unicode text$"
+        with pytest.raises(InputError, match=message):
+            list(iter_jsonl(path))
+        with pytest.raises(InputError, match=message):
+            records.load_json(path)
+
+
+def test_surrogate_escapes_in_upper_case_hex_are_judged_alike():
+    assert list(iter_jsonl(['{"t": "\\uD83D\\uDE00"}'])) == [(1, {"t": "\U0001F600"})]
+    with pytest.raises(InputError, match=r"^<lines>:2: \\uDBFF is a lone surrogate"):
+        list(iter_jsonl(['{"t": "a"}', '{"t": "\\uDBFF\\u0041"}']))
+
+
 @pytest.mark.parametrize("record, kind, message", [
     ({}, records.TEXT, "f.jsonl: line 4: 'x' must be a non-empty string"),
     ({"x": "  "}, records.TEXT, "'x' must be a non-empty string"),

@@ -1,6 +1,8 @@
 import random
 import string
 
+import pytest
+
 from docexpand.corpus import analyze
 from docexpand.stemmer import stem
 
@@ -93,3 +95,13 @@ def test_idempotent_over_test_vocabulary(small_corpus):
 
 def test_analyze_applies_stemming():
     assert analyze("Kids Floaties!") == ["kid", "floati"]
+
+
+@pytest.mark.parametrize("suffix", ["ing", "ed", "ness", "ational"])
+@pytest.mark.parametrize("lead", ["a", "b", ""], ids=["vowel", "consonant", "none"])
+def test_matches_reference_on_runs_of_y_of_any_length(lead, suffix):
+    # a run of "y" alternates consonant and vowel, each letter's class following from the one
+    # before it; a run far longer than the interpreter's recursion limit stems too
+    for n in (*range(1, 9), 999, 1000, 2999, 3000, 4999, 5000):
+        word = lead + "y" * n + suffix
+        assert stem(word) == reference_fixpoint(word), (lead, n, suffix)
