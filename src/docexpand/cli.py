@@ -383,13 +383,11 @@ def _cmd_filter(cfg: dict) -> str:
     result = run_pipeline(pairs, products, rf_threshold=cfg["rf_threshold"], scorer=scorer,
                           fmf_enabled=cfg["fmf"] == "on")
     split_path = in_dir / "split.json"
+    # checked before anything is written, then written in canonical form; read after the
+    # pipeline, whose peak memory it would otherwise raise
+    split = (CatalogSplit.from_record(load_json(split_path), split_path)
+             if split_path.exists() else None)
     out = Path(cfg["out"])
-    # read after the pipeline, whose peak memory it would otherwise raise, and checked before
-    # anything is written; written first, in canonical form, so no write below holds it
-    if split_path.exists():
-        split = CatalogSplit.from_record(load_json(split_path), split_path)
-        dump_json(out / "split.json", split.as_record())
-        del split
     write_jsonl(out / "query_pairs.jsonl", (p._asdict() for p in result.query_pairs))
     write_jsonl(out / "novel_pairs.jsonl", (p._asdict() for p in result.novel_pairs))
     summary = (f"filter: {len(pairs)} pairs in, {len(result.query_pairs)} query pairs, "
@@ -399,6 +397,8 @@ def _cmd_filter(cfg: dict) -> str:
     dump_json(out / "pipeline_stats.json", {"config": cfg, **stats})
     write_text(out / "pipeline_stats.txt", render_stats(stats))
     write_jsonl(out / "products.jsonl", (p._asdict() for p in products))
+    if split is not None:
+        dump_json(out / "split.json", split.as_record())
     return summary
 
 
@@ -576,7 +576,7 @@ def _cmd_report(cfg: dict) -> str:
     merged = {section: [] for section in _SECTIONS}
     for path in sorted(in_dir.rglob("*.json")):
         source = str(path.relative_to(in_dir))
-        # a name the report cannot record: bytes that are not UTF-8, like a file it cannot open
+        # skipped as a file it cannot open is: a name that is not UTF-8 cannot be recorded
         if (path.name.endswith(META_SUFFIX) or path.name == "run_config.json"
                 or _SURROGATE.search(source)):
             continue

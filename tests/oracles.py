@@ -14,7 +14,6 @@ index's match set and generated price queries.
 import json
 import math
 import operator
-import os
 import random
 from collections import Counter, defaultdict
 from functools import reduce
@@ -150,9 +149,7 @@ def product_token_set(product):
 
 
 def dump_json(path, obj):
-    """Reference indented JSON artifact writer; like every artifact writer, it makes the
-    directory it writes into."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    """Reference indented JSON artifact writer."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, ensure_ascii=False, indent=2)
         fh.write("\n")
