@@ -29,8 +29,13 @@ def _consonants(word: str) -> list:
 
 def _measure(stem: str) -> int:
     """Number of vowel-to-consonant transitions ("m" in the usual notation)."""
-    classes = _consonants(stem)
-    return sum(cons and not prev for prev, cons in zip(classes, classes[1:]))
+    m = 0
+    prev_cons = True
+    for cons in _consonants(stem):
+        if cons and not prev_cons:
+            m += 1
+        prev_cons = cons
+    return m
 
 
 def _has_vowel(stem: str) -> bool:

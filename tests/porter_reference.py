@@ -5,7 +5,7 @@ Both classify a word's letters left to right, but here the classes form
 a "c"/"v" pattern string, the measure m counts the regex matches of
 ``v+c+`` in it, and every step is a data-driven rule table interpreted
 by one generic applier. The package keeps a list of per-letter classes,
-counts m over its consecutive pairs, and writes each step by hand. Used
+counts m in a running loop over it, and writes each step by hand. Used
 only as a test oracle.
 """
 
