@@ -90,7 +90,8 @@ def iter_jsonl(source):
                 except (ValueError, RecursionError) as exc:
                     raise InputError(f"{name}:{lineno}: invalid JSON record: "
                                      f"{_json_error(exc)}") from exc
-            if "\\u" in line:
+            # a backslash starts every escape, and one character is found far faster than "\\u"
+            if "\\" in line:
                 _refuse_lone_surrogate(line, name, lineno)
             if type(record) is not dict:
                 raise InputError(f"{name}:{lineno}: expected a JSON object")
@@ -289,7 +290,7 @@ def load_json(path):
             raise InputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
         except (ValueError, RecursionError) as exc:
             raise InputError(f"{path}: invalid JSON: {_json_error(exc)}") from exc
-    if "\\u" in text:
+    if "\\" in text:
         _refuse_lone_surrogate(text, path)
     return value
 
